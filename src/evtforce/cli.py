@@ -6,7 +6,7 @@ default.  Every random choice derives from a single master seed, fanned
 out to named sub-seeds, so a pipeline rerun with the same seed and config
 is byte-identical.
 
-Exit codes: 0 success, 2 usage or validation error, 3 I/O error,
+Exit codes: 0 success, 2 usage or validation error, 3 I/O or file-format error,
 4 internal invariant breach.
 """
 
@@ -410,6 +410,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.repeats < 1:
+        raise ConfigError("--repeats must be at least 1")
     path = Path(args.in_path)
     stream = read_events(path, _event_format(path))
     if len(stream) == 0:

@@ -167,6 +167,20 @@ class ValidationReport:
     violations: tuple[Violation, ...]
 
 
+def _violation_masks(stream: EventStream) -> list[tuple[np.ndarray, str]]:
+    """One boolean mask per invariant, in the order violations are reported."""
+    nonmono = np.zeros(len(stream), dtype=bool)
+    if len(stream) > 1:
+        nonmono[1:] = np.diff(stream.t_us) < 0
+    return [
+        (stream.t_us < 0, "negative timestamp"),
+        (nonmono, "non-monotonic timestamp"),
+        ((stream.x < 0) | (stream.x >= stream.width), "x out of range"),
+        ((stream.y < 0) | (stream.y >= stream.height), "y out of range"),
+        ((stream.p != 1) & (stream.p != -1), "polarity not in {+1, -1}"),
+    ]
+
+
 def validate_stream(stream: EventStream) -> ValidationReport:
     """Check stream invariants and report every violation as data.
 
@@ -174,23 +188,32 @@ def validate_stream(stream: EventStream) -> ValidationReport:
     y within [0, height), polarity in {+1, -1}; and pairwise: timestamps
     non-decreasing.  An empty stream is vacuously valid.
     """
-    found: list[Violation] = []
-
-    def flag(mask: np.ndarray, reason: str) -> None:
-        for i in np.nonzero(mask)[0]:
-            found.append(Violation(int(i), reason))
-
-    flag(stream.t_us < 0, "negative timestamp")
-    if len(stream) > 1:
-        nonmono = np.zeros(len(stream), dtype=bool)
-        nonmono[1:] = np.diff(stream.t_us) < 0
-        flag(nonmono, "non-monotonic timestamp")
-    flag((stream.x < 0) | (stream.x >= stream.width), "x out of range")
-    flag((stream.y < 0) | (stream.y >= stream.height), "y out of range")
-    flag((stream.p != 1) & (stream.p != -1), "polarity not in {+1, -1}")
-
+    found = [
+        Violation(int(i), reason)
+        for mask, reason in _violation_masks(stream)
+        for i in np.nonzero(mask)[0]
+    ]
     found.sort(key=lambda v: v.index)
     return ValidationReport(ok=not found, violations=tuple(found))
+
+
+def _violation_summary(stream: EventStream) -> tuple[int, Violation | None]:
+    """The number of violations and the first one, as ``validate_stream`` orders them.
+
+    Costs a few array passes however many events are bad: no per-event
+    objects are built.
+    """
+    count, first = 0, None
+    for mask, reason in _violation_masks(stream):
+        hits = int(np.count_nonzero(mask))
+        if hits:
+            count += hits
+            index = int(mask.argmax())
+            # Strictly lower only: on a tie the earlier check wins, as the
+            # stable sort in validate_stream keeps it first.
+            if first is None or index < first.index:
+                first = Violation(index, reason)
+    return count, first
 
 
 def slice_window(stream: EventStream, t0_us: int, t1_us: int) -> EventStream:
@@ -233,12 +256,11 @@ def concat_streams(parts: Iterable[EventStream]) -> EventStream:
 
 
 def _require_valid(stream: EventStream, context: str) -> None:
-    report = validate_stream(stream)
-    if not report.ok:
-        v = report.violations[0]
+    count, first = _violation_summary(stream)
+    if count:
         raise InvalidStreamError(
-            f"{context}: {len(report.violations)} violation(s), "
-            f"first is '{v.reason}' at index {v.index}"
+            f"{context}: {count} violation(s), "
+            f"first is '{first.reason}' at index {first.index}"
         )
 
 

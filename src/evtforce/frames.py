@@ -316,7 +316,12 @@ def read_frame_dataset(path) -> FrameDataset:
     provenance = [""] * count
     sidecar = Path(str(path) + ".json")
     if sidecar.exists():
-        manifest = json.loads(sidecar.read_text())
+        try:
+            manifest = json.loads(sidecar.read_text())
+        except ValueError as exc:
+            raise FormatError(f"{sidecar}: corrupt sidecar manifest") from exc
+        if not isinstance(manifest, dict):
+            raise FormatError(f"{sidecar}: sidecar manifest must be a JSON object")
         if len(manifest.get("windows", ())) == count:
             windows = manifest["windows"]
         if len(manifest.get("provenance", ())) == count:

@@ -11,6 +11,12 @@ each pixel emits ``floor(|ln I1 - ln I0| / C)`` events with the sign of
 the log-intensity change, timestamped evenly over the half-open interval
 ``(t0, t1]``.  Everything here is deterministic; optional noise events are
 driven by an explicit seed and are off by default.
+
+Deflection is linear in force, so over the whole force range each finger
+segment stays inside the union of its boxes at zero and at full
+deflection.  Outside those fixed boxes every render is exactly
+``background``, the log change is exactly zero and no event can fire, so
+``synthesize_recording`` renders and differences only the boxes.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .events import EventStream, concat_streams, validate_stream
+from .events import EventStream, _violation_summary
 
 Polyline = tuple[tuple[float, float], ...]
 
@@ -114,23 +120,79 @@ def _deflected_points(finger: Polyline, deflection: float, center_y: float) -> n
     return out
 
 
-def render_intensity(scene: GripperScene, force_n: float) -> np.ndarray:
-    """Render the scene at a force as a float64 (height, width) image.
+def _deflected_fingers(scene: GripperScene, deflection: float) -> list[np.ndarray]:
+    return [_deflected_points(f, deflection, scene.height / 2.0) for f in scene.fingers]
 
-    Pixels are sampled at integer centers; coverage falls off linearly
-    over one pixel around each finger's outline, so the image is smooth
-    in the sub-pixel deflection.
+
+# A half-open pixel rectangle (y0, y1, x0, x1) in sensor coordinates.
+Box = tuple[int, int, int, int]
+
+
+def _clamped_box(scene: GripperScene, y_min, y_max, x_min, x_max) -> Box:
+    """Pixels around a coordinate range that a finger may cover, cut to the sensor.
+
+    The margin reaches past the edge at which coverage falls to zero.
     """
-    deflection = force_to_deflection(force_n, scene)
-    dist = np.full((scene.height, scene.width), np.inf)
     margin = scene.thickness_px / 2 + 1.5
-    for finger in scene.fingers:
-        pts = _deflected_points(finger, deflection, scene.height / 2.0)
+    return (
+        max(int(np.floor(y_min - margin)), 0),
+        min(int(np.ceil(y_max + margin)) + 1, scene.height),
+        max(int(np.floor(x_min - margin)), 0),
+        min(int(np.ceil(x_max + margin)) + 1, scene.width),
+    )
+
+
+def _boxes_overlap(a: Box, b: Box) -> bool:
+    return a[0] < b[1] and b[0] < a[1] and a[2] < b[3] and b[2] < a[3]
+
+
+def _reachable_boxes(scene: GripperScene) -> tuple[Box, ...]:
+    """Disjoint boxes holding every pixel a finger can cover at any force.
+
+    Each point's y is monotone in the deflection, so a segment's box at
+    any force lies inside the union of its boxes at deflection 0 and at
+    ``delta_max_px``.  Overlapping boxes are merged into their bounding
+    box until no two share a pixel.
+    """
+    boxes = []
+    for rest, full in zip(
+        _deflected_fingers(scene, 0.0), _deflected_fingers(scene, scene.delta_max_px)
+    ):
+        for i in range(len(rest) - 1):
+            ys = (rest[i, 1], rest[i + 1, 1], full[i, 1], full[i + 1, 1])
+            xs = (rest[i, 0], rest[i + 1, 0])
+            box = _clamped_box(scene, min(ys), max(ys), min(xs), max(xs))
+            if box[0] < box[1] and box[2] < box[3]:
+                boxes.append(box)
+    disjoint: list[Box] = []
+    while boxes:
+        box = boxes.pop()
+        hit = next((d for d in disjoint if _boxes_overlap(box, d)), None)
+        if hit is None:
+            disjoint.append(box)
+        else:
+            disjoint.remove(hit)
+            y0, y1, x0, x1 = zip(box, hit)
+            boxes.append((min(y0), max(y1), min(x0), max(x1)))
+    return tuple(sorted(disjoint))
+
+
+def _render_box(scene: GripperScene, fingers: list[np.ndarray], box: Box) -> np.ndarray:
+    """Render one box of pixels as a contiguous float64 array.
+
+    ``fingers`` holds the deflected control points.  Every pixel gets the
+    same arithmetic as in a whole-sensor render, so a box render equals
+    the matching slice of ``render_intensity``.
+    """
+    by0, by1, bx0, bx1 = box
+    dist = np.full((by1 - by0, bx1 - bx0), np.inf)
+    for pts in fingers:
         for (ax, ay), (bx, by) in zip(pts[:-1], pts[1:]):
-            x_lo = max(int(np.floor(min(ax, bx) - margin)), 0)
-            x_hi = min(int(np.ceil(max(ax, bx) + margin)) + 1, scene.width)
-            y_lo = max(int(np.floor(min(ay, by) - margin)), 0)
-            y_hi = min(int(np.ceil(max(ay, by) + margin)) + 1, scene.height)
+            y_lo, y_hi, x_lo, x_hi = _clamped_box(
+                scene, min(ay, by), max(ay, by), min(ax, bx), max(ax, bx)
+            )
+            y_lo, y_hi = max(y_lo, by0), min(y_hi, by1)
+            x_lo, x_hi = max(x_lo, bx0), min(x_hi, bx1)
             if x_lo >= x_hi or y_lo >= y_hi:
                 continue
             ys, xs = np.mgrid[y_lo:y_hi, x_lo:x_hi]
@@ -142,9 +204,68 @@ def render_intensity(scene: GripperScene, force_n: float) -> np.ndarray:
                 tpar = ((xs - ax) * abx + (ys - ay) * aby) / length2
                 tpar = np.clip(tpar, 0.0, 1.0)
                 d = np.hypot(xs - (ax + tpar * abx), ys - (ay + tpar * aby))
-            np.minimum(dist[y_lo:y_hi, x_lo:x_hi], d, out=dist[y_lo:y_hi, x_lo:x_hi])
+            view = dist[y_lo - by0 : y_hi - by0, x_lo - bx0 : x_hi - bx0]
+            np.minimum(view, d, out=view)
     coverage = np.clip(scene.thickness_px / 2 + 0.5 - dist, 0.0, 1.0)
     return scene.background + (scene.foreground - scene.background) * coverage
+
+
+def render_intensity(scene: GripperScene, force_n: float) -> np.ndarray:
+    """Render the scene at a force as a float64 (height, width) image.
+
+    Pixels are sampled at integer centers; coverage falls off linearly
+    over one pixel around each finger's outline, so the image is smooth
+    in the sub-pixel deflection.  At every force, each pixel outside the
+    boxes the fingers can reach (``_reachable_boxes``) is exactly
+    ``scene.background``, so no event ever fires there.
+    """
+    fingers = _deflected_fingers(scene, force_to_deflection(force_n, scene))
+    return _render_box(scene, fingers, (0, scene.height, 0, scene.width))
+
+
+def _log_intensity(img: np.ndarray) -> np.ndarray:
+    if (img <= 0).any():
+        raise ValueError("intensities must be positive for the log-change model")
+    return np.log(img)
+
+
+def _log_change_events(
+    log_prev: np.ndarray,
+    log_next: np.ndarray,
+    t_prev_us: int,
+    t_next_us: int,
+    contrast: float,
+    y0: int = 0,
+    x0: int = 0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Unsorted (t, x, y, p) columns of the events of one log-intensity change.
+
+    The arrays cover a box whose top-left pixel is (y0, x0) on the sensor;
+    coordinates come out in sensor pixels.
+    """
+    delta = log_next - log_prev
+    counts = np.floor(np.abs(delta) / contrast).astype(np.int64)
+    ys, xs = np.nonzero(counts)
+    per_pixel = counts[ys, xs]
+    pol = np.where(delta[ys, xs] > 0, 1, -1).astype(np.int8)
+
+    rep_n = np.repeat(per_pixel, per_pixel)
+    starts = np.cumsum(per_pixel) - per_pixel
+    ordinal = np.arange(per_pixel.sum()) - np.repeat(starts, per_pixel)
+    span = t_next_us - t_prev_us
+    t = t_prev_us + np.ceil(span * (ordinal + 1) / rep_n).astype(np.int64)
+    return (
+        t,
+        np.repeat(xs + x0, per_pixel),
+        np.repeat(ys + y0, per_pixel),
+        np.repeat(pol, per_pixel),
+    )
+
+
+def _sorted_stream(width: int, height: int, t, x, y, p) -> EventStream:
+    """Build a stream ordered by timestamp, then y, x, polarity."""
+    order = np.lexsort((p, x, y, t))
+    return EventStream(width, height, t[order], x[order], y[order], p[order])
 
 
 def events_from_intensity_pair(
@@ -165,33 +286,15 @@ def events_from_intensity_pair(
     next_img = np.asarray(next_img, dtype=np.float64)
     if prev_img.shape != next_img.shape or prev_img.ndim != 2:
         raise ValueError("images must be two equal-shape 2-D arrays")
-    if (prev_img <= 0).any() or (next_img <= 0).any():
-        raise ValueError("intensities must be positive for the log-change model")
+    log_prev, log_next = _log_intensity(prev_img), _log_intensity(next_img)
     if t_prev_us >= t_next_us:
         raise ValueError("t_prev_us must precede t_next_us")
     if contrast <= 0:
         raise ValueError("contrast must be positive")
 
     height, width = prev_img.shape
-    delta = np.log(next_img) - np.log(prev_img)
-    counts = np.floor(np.abs(delta) / contrast).astype(np.int64)
-    ys, xs = np.nonzero(counts)
-    if len(ys) == 0:
-        return EventStream(width, height)
-    per_pixel = counts[ys, xs]
-    pol = np.where(delta[ys, xs] > 0, 1, -1).astype(np.int8)
-
-    rep_y = np.repeat(ys, per_pixel)
-    rep_x = np.repeat(xs, per_pixel)
-    rep_p = np.repeat(pol, per_pixel)
-    rep_n = np.repeat(per_pixel, per_pixel)
-    starts = np.cumsum(per_pixel) - per_pixel
-    ordinal = np.arange(per_pixel.sum()) - np.repeat(starts, per_pixel)
-    span = t_next_us - t_prev_us
-    t = t_prev_us + np.ceil(span * (ordinal + 1) / rep_n).astype(np.int64)
-
-    order = np.lexsort((rep_p, rep_x, rep_y, t))
-    return EventStream(width, height, t[order], rep_x[order], rep_y[order], rep_p[order])
+    columns = _log_change_events(log_prev, log_next, t_prev_us, t_next_us, contrast)
+    return _sorted_stream(width, height, *columns)
 
 
 def make_grasp_profile(
@@ -229,8 +332,10 @@ def synthesize_recording(
         raise ValueError("noise_rate_hz must be non-negative")
     period_us = profile.period_us
     samples = profile.samples
-    parts = []
-    prev_img = render_intensity(scene, samples[0])
+    boxes = _reachable_boxes(scene)
+    fingers = _deflected_fingers(scene, force_to_deflection(samples[0], scene))
+    log_prev = [_log_intensity(_render_box(scene, fingers, box)) for box in boxes]
+    columns = []
     t_prev = 0
     for k in range(len(samples) - 1):
         lo, hi = sorted((samples[k], samples[k + 1]))
@@ -242,16 +347,16 @@ def synthesize_recording(
                 frac = j / substeps_per_sample
                 force = min(max(samples[k] + (samples[k + 1] - samples[k]) * frac, lo), hi)
             t_next = k * period_us + round(j * period_us / substeps_per_sample)
-            img = render_intensity(scene, force)
-            parts.append(
-                events_from_intensity_pair(prev_img, img, t_prev, t_next, scene.contrast)
-            )
-            prev_img, t_prev = img, t_next
-
-    if parts:
-        stream = concat_streams(parts)
-    else:
-        stream = EventStream(scene.width, scene.height)
+            fingers = _deflected_fingers(scene, force_to_deflection(force, scene))
+            for b, box in enumerate(boxes):
+                log_next = _log_intensity(_render_box(scene, fingers, box))
+                columns.append(
+                    _log_change_events(
+                        log_prev[b], log_next, t_prev, t_next, scene.contrast, box[0], box[2]
+                    )
+                )
+                log_prev[b] = log_next
+            t_prev = t_next
 
     duration_us = (len(samples) - 1) * period_us
     if noise_rate_hz > 0 and duration_us > 0:
@@ -262,16 +367,17 @@ def synthesize_recording(
             nx = rng.integers(0, scene.width, n_noise)
             ny = rng.integers(0, scene.height, n_noise)
             npol = rng.choice(np.array([-1, 1], dtype=np.int8), n_noise)
-            t = np.concatenate([stream.t_us, nt])
-            x = np.concatenate([stream.x, nx.astype(np.int32)])
-            y = np.concatenate([stream.y, ny.astype(np.int32)])
-            p = np.concatenate([stream.p, npol])
-            order = np.lexsort((p, x, y, t))
-            stream = EventStream(scene.width, scene.height, t[order], x[order], y[order], p[order])
+            columns.append((nt, nx, ny, npol))
 
-    report = validate_stream(stream)
-    if not report.ok:
-        raise AssertionError(f"synthesis produced an invalid stream: {report.violations[0]}")
+    if columns:
+        # One sort over every box, substep and noise event: the key is the
+        # whole event, so this equals sorting per substep and merging after.
+        stream = _sorted_stream(scene.width, scene.height, *map(np.concatenate, zip(*columns)))
+    else:
+        stream = EventStream(scene.width, scene.height)
+    count, first = _violation_summary(stream)
+    if count:
+        raise AssertionError(f"synthesis produced an invalid stream: {first}")
     return stream, profile
 
 

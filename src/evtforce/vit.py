@@ -296,14 +296,33 @@ def load_checkpoint(path, dtype=np.float32) -> ViTModel:
         raise FormatError(f"{path}: truncated checkpoint header")
     try:
         header = json.loads(raw[_CKPT_LEN.size : _CKPT_LEN.size + hlen])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise FormatError(f"{path}: corrupt checkpoint header") from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: checkpoint header must be a JSON object")
     if header.get("format") != _CKPT_FORMAT:
         raise FormatError(f"{path}: unknown checkpoint format {header.get('format')!r}")
-    config = ViTConfig.from_dict(header["config"])
+    for key in ("config", "params"):
+        if not isinstance(header.get(key), dict):
+            raise FormatError(f"{path}: checkpoint header has no {key!r} object")
+    try:
+        config = ViTConfig.from_dict(header["config"])
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: bad model config in checkpoint ({exc})") from exc
     blob = raw[_CKPT_LEN.size + hlen :]
     try:
         params = ad.params_from_bytes(blob, header["params"], dtype=dtype)
     except ValueError as exc:
         raise FormatError(f"{path}: truncated checkpoint blob") from exc
-    return ViTModel(config, params)
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"{path}: malformed parameter index in checkpoint") from exc
+    used = max(
+        (int(e["offset"]) + 4 * params[n].data.size for n, e in header["params"].items()),
+        default=0,
+    )
+    if len(blob) > used:
+        raise FormatError(f"{path}: {len(blob) - used} trailing byte(s) after the parameters")
+    try:
+        return ViTModel(config, params)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import shutil
+import struct
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -35,6 +37,21 @@ def run_cli(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([str(a) for a in argv])
     return code, out.getvalue(), err.getvalue()
+
+
+def assert_one_line_error(err: str) -> None:
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+def checkpoint_with_header(src: Path, dst: Path, edit) -> Path:
+    """Copy a checkpoint, passing its JSON header dict through ``edit``."""
+    raw = src.read_bytes()
+    hlen = struct.unpack_from("<I", raw)[0]
+    header = edit(json.loads(raw[4 : 4 + hlen]))
+    encoded = json.dumps(header).encode("ascii")
+    dst.write_bytes(struct.pack("<I", len(encoded)) + encoded + raw[4 + hlen :])
+    return dst
 
 
 def write_config(dir_path: Path, overrides=None) -> Path:
@@ -489,6 +506,38 @@ class TestEval:
         )
         assert code == 3
 
+    def test_checkpoint_with_trailing_bytes(self, ws, tmp_path):
+        bad = tmp_path / "long.ckpt"
+        bad.write_bytes(ws.ckpt.read_bytes() + b"junk")
+        code, _, err = run_cli(
+            ["eval", "--config", ws.config, "--ckpt", bad, "--data", ws.frd]
+        )
+        assert code == 3
+        assert_one_line_error(err)
+        assert "4 trailing byte(s)" in err
+
+    @pytest.mark.parametrize("key", ["config", "params"])
+    def test_checkpoint_header_missing_key(self, ws, tmp_path, key):
+        bad = checkpoint_with_header(
+            ws.ckpt, tmp_path / "nokey.ckpt", lambda h: {k: v for k, v in h.items() if k != key}
+        )
+        code, _, err = run_cli(
+            ["eval", "--config", ws.config, "--ckpt", bad, "--data", ws.frd]
+        )
+        assert code == 3
+        assert_one_line_error(err)
+        assert repr(key) in err
+
+    @pytest.mark.parametrize("sidecar", ["{not json", "[1, 2]"])
+    def test_corrupt_sidecar(self, ws, tmp_path, sidecar):
+        frd = tmp_path / "data.frd"
+        shutil.copy(ws.frd, frd)
+        Path(str(frd) + ".json").write_text(sidecar)
+        code, _, err = run_cli(["eval", "--config", ws.config, "--ckpt", ws.ckpt, "--data", frd])
+        assert code == 3
+        assert_one_line_error(err)
+        assert "sidecar" in err
+
     def test_missing_checkpoint(self, ws, tmp_path):
         code, _, _ = run_cli(
             ["eval", "--config", ws.config, "--ckpt", tmp_path / "nope.ckpt", "--data", ws.frd]
@@ -585,6 +634,14 @@ class TestBench:
     def test_missing_file(self, ws, tmp_path):
         code, _, _ = run_cli(["bench", "--in", tmp_path / "nope.evb1"])
         assert code == 3
+
+    @pytest.mark.parametrize("repeats", [0, -1])
+    def test_repeats_must_be_positive(self, ws, repeats):
+        code, out, err = run_cli(
+            ["bench", "--in", ws.rec / "rec000.evb1", "--repeats", repeats]
+        )
+        assert code == 2 and out == ""
+        assert_one_line_error(err)
 
 
 class TestMainEntry:

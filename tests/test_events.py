@@ -1,5 +1,7 @@
 """Event stream construction, validation, slicing, and file round trips."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from evtforce.events import (
     HeaderError,
     InvalidStreamError,
     TruncatedError,
+    _violation_summary,
     concat_streams,
     read_events,
     slice_window,
@@ -123,6 +126,69 @@ class TestValidate:
         s = EventStream(8, 8, t_us=[0, 1, 2], x=[0, 8, 0], y=[0, 0, 0], p=[0, 1, 2])
         idx = [v.index for v in validate_stream(s).violations]
         assert idx == sorted(idx) == [0, 1, 2]
+
+
+# Unsorted rows with values on both sides of every bound, so one event can
+# break several invariants at once and many events can break the same one.
+bad_event_tuples = st.lists(
+    st.tuples(
+        st.integers(-3, 20),
+        st.integers(-2, 9),
+        st.integers(-2, 7),
+        st.integers(-2, 2),
+    ),
+    max_size=60,
+)
+
+
+class TestViolationSummary:
+    @given(rows=bad_event_tuples)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_validate_stream(self, rows):
+        cols = list(zip(*rows)) if rows else [(), (), (), ()]
+        s = EventStream(8, 6, *cols)
+        violations = validate_stream(s).violations
+        count, first = _violation_summary(s)
+        assert count == len(violations)
+        assert first == (violations[0] if violations else None)
+
+    @given(rows=bad_event_tuples)
+    @settings(max_examples=100, deadline=None)
+    def test_rejection_message_names_first_violation_and_count(self, rows, tmp_path_factory):
+        cols = list(zip(*rows)) if rows else [(), (), (), ()]
+        s = EventStream(8, 6, *cols)
+        violations = validate_stream(s).violations
+        path = tmp_path_factory.mktemp("w") / "s.evb1"
+        if not violations:
+            write_events(s, path)
+            return
+        with pytest.raises(InvalidStreamError) as err:
+            write_events(s, path)
+        first = violations[0]
+        assert str(err.value) == (
+            f"refusing to write invalid stream: {len(violations)} violation(s), "
+            f"first is '{first.reason}' at index {first.index}"
+        )
+
+    def test_tie_goes_to_the_earlier_check(self):
+        # Index 1 is both non-monotonic and out of range in x; the
+        # timestamp check runs first, as in validate_stream.
+        s = EventStream(8, 8, t_us=[5, 3], x=[0, 9], y=[0, 0], p=[1, 1])
+        assert _violation_summary(s) == (2, validate_stream(s).violations[0])
+        assert _violation_summary(s)[1].reason == "non-monotonic timestamp"
+
+    def test_read_rejects_a_file_of_bad_events(self, tmp_path):
+        n = 100_000
+        records = np.zeros(n, dtype=[("t", "<u8"), ("x", "<u2"), ("y", "<u2"),
+                                     ("p", "i1"), ("pad", "V3")])
+        records["t"] = np.arange(n)[::-1]
+        records["p"] = 0
+        path = tmp_path / "bad.evb1"
+        path.write_bytes(struct.pack("<4sHHQ", b"EVB1", 8, 8, n) + records.tobytes())
+        with pytest.raises(InvalidStreamError, match=(
+            rf"{2 * n - 1} violation\(s\), first is 'polarity not in {{\+1, -1}}' at index 0"
+        )):
+            read_events(path)
 
 
 class TestSliceWindow:

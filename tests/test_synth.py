@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evtforce.events import slice_window, validate_stream
+from evtforce.events import EventStream, concat_streams, slice_window, validate_stream
 from evtforce.frames import FrameSpec, frames_from_stream
 from evtforce.synth import (
     ForceProfile,
     GripperScene,
+    _reachable_boxes,
     default_fingers,
     events_from_intensity_pair,
     force_to_deflection,
@@ -280,3 +283,150 @@ class TestProfileFiles:
         path.write_text('{"rate_hz": 10.0}\n')
         with pytest.raises(ValueError):
             load_profile(path)
+
+
+def full_frame_recording(scene, profile, substeps_per_sample, noise_rate_hz=0.0, seed=0):
+    """Reference synthesis: whole-sensor renders and differences every substep.
+
+    This is the recording loop before renders were limited to the boxes
+    the fingers can reach; ``synthesize_recording`` must match it exactly.
+    """
+    period_us = profile.period_us
+    samples = profile.samples
+    parts = []
+    prev_img = render_intensity(scene, samples[0])
+    t_prev = 0
+    for k in range(len(samples) - 1):
+        lo, hi = sorted((samples[k], samples[k + 1]))
+        for j in range(1, substeps_per_sample + 1):
+            if j == substeps_per_sample:
+                force = samples[k + 1]
+            else:
+                frac = j / substeps_per_sample
+                force = min(max(samples[k] + (samples[k + 1] - samples[k]) * frac, lo), hi)
+            t_next = k * period_us + round(j * period_us / substeps_per_sample)
+            img = render_intensity(scene, force)
+            parts.append(
+                events_from_intensity_pair(prev_img, img, t_prev, t_next, scene.contrast)
+            )
+            prev_img, t_prev = img, t_next
+    stream = concat_streams(parts) if parts else EventStream(scene.width, scene.height)
+
+    duration_us = (len(samples) - 1) * period_us
+    if noise_rate_hz > 0 and duration_us > 0:
+        rng = np.random.default_rng(seed)
+        n_noise = rng.poisson(noise_rate_hz * duration_us / 1e6)
+        if n_noise > 0:
+            nt = rng.integers(0, duration_us, n_noise)
+            nx = rng.integers(0, scene.width, n_noise)
+            ny = rng.integers(0, scene.height, n_noise)
+            npol = rng.choice(np.array([-1, 1], dtype=np.int8), n_noise)
+            t = np.concatenate([stream.t_us, nt])
+            x = np.concatenate([stream.x, nx.astype(np.int32)])
+            y = np.concatenate([stream.y, ny.astype(np.int32)])
+            p = np.concatenate([stream.p, npol])
+            order = np.lexsort((p, x, y, t))
+            stream = EventStream(scene.width, scene.height, t[order], x[order], y[order], p[order])
+    return stream
+
+
+@st.composite
+def odd_scenes(draw):
+    """Small scenes with many-segment, diagonal, overlapping and edge fingers."""
+    width, height = draw(st.integers(8, 64)), draw(st.integers(8, 48))
+    # Each finger wanders from an anchor; anchors may sit on the sensor's
+    # first or last row/column, and clipping pins wandering points there too.
+    xs = st.one_of(st.floats(0.0, width - 1.0), st.sampled_from([0.0, width - 1.0]))
+    ys = st.one_of(st.floats(0.0, height - 1.0), st.sampled_from([0.0, height - 1.0]))
+    steps = st.lists(st.tuples(st.floats(-12.0, 12.0), st.floats(-12.0, 12.0)),
+                     min_size=1, max_size=3)
+    fingers = []
+    for _ in range(draw(st.integers(1, 3))):
+        x, y = draw(xs), draw(ys)
+        finger = [(x, y)]
+        for dx, dy in draw(steps):
+            x, y = min(max(x + dx, 0.0), width - 1.0), min(max(y + dy, 0.0), height - 1.0)
+            finger.append((x, y))
+        fingers.append(tuple(finger))
+    return GripperScene(
+        width=width,
+        height=height,
+        fingers=tuple(fingers),
+        delta_max_px=draw(
+            st.one_of(st.just(0.0), st.floats(0.5, 8.0), st.floats(8.0, 2.0 * height))
+        ),
+        f_max_n=draw(st.floats(0.1, 5.0)),
+        background=draw(st.floats(1.0, 255.0)),
+        foreground=draw(st.floats(1.0, 255.0)),
+        contrast=draw(st.one_of(st.just(0.005), st.floats(0.005, 0.3))),
+        thickness_px=draw(st.floats(0.5, 12.0)),
+    )
+
+
+def outside_boxes(scene):
+    mask = np.ones((scene.height, scene.width), dtype=bool)
+    for y0, y1, x0, x1 in _reachable_boxes(scene):
+        mask[y0:y1, x0:x1] = False
+    return mask
+
+
+def assert_boxes_cover_every_render(scene):
+    boxes = _reachable_boxes(scene)
+    for i, (a0, a1, b0, b1) in enumerate(boxes):
+        assert 0 <= a0 < a1 <= scene.height and 0 <= b0 < b1 <= scene.width
+        for c0, c1, d0, d1 in boxes[i + 1 :]:
+            assert a1 <= c0 or c1 <= a0 or b1 <= d0 or d1 <= b0, "boxes overlap"
+    outside = outside_boxes(scene)
+    for force in (0.0, scene.f_max_n / 2, scene.f_max_n):
+        assert np.all(render_intensity(scene, force)[outside] == scene.background)
+
+
+class TestReachableBoxes:
+    def test_default_scene_boxes(self):
+        assert _reachable_boxes(GripperScene()) == ((56, 77, 36, 285), (164, 185, 36, 285))
+
+    @pytest.mark.parametrize(
+        "scene",
+        [
+            GripperScene(),
+            SMALL,
+            # Crossing diagonals and a three-point finger: merged into one box.
+            GripperScene(width=60, height=40, fingers=(
+                ((2.0, 3.0), (50.0, 30.0)), ((2.0, 30.0), (50.0, 3.0)),
+                ((10.0, 20.0), (30.0, 22.0), (55.0, 5.0)),
+            )),
+            # Fingers on the sensor edge that deflect off it.
+            GripperScene(width=40, height=30, delta_max_px=50.0, fingers=(
+                ((0.0, 0.0), (39.0, 0.0)), ((0.0, 29.0), (39.0, 29.0)),
+            )),
+            GripperScene(width=40, height=30, delta_max_px=0.0, thickness_px=11.0),
+        ],
+    )
+    def test_disjoint_and_background_outside(self, scene):
+        assert_boxes_cover_every_render(scene)
+
+
+class TestBoxLimitedSynthesis:
+    @given(
+        scene=odd_scenes(),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+        substeps=st.integers(1, 5),
+        noise_rate_hz=st.sampled_from([0.0, 3000.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_full_frame_synthesis(self, scene, fractions, substeps, noise_rate_hz, seed):
+        # Fractions of f_max_n, so the top of the range (full deflection) is hit exactly.
+        samples = tuple(min(f * scene.f_max_n, scene.f_max_n) for f in fractions)
+        profile = ForceProfile(samples + (scene.f_max_n,), rate_hz=10.0)
+        stream, _ = synthesize_recording(scene, profile, substeps, noise_rate_hz, seed)
+        expected = full_frame_recording(scene, profile, substeps, noise_rate_hz, seed)
+        assert stream == expected
+        assert_boxes_cover_every_render(scene)
+
+    def test_default_recording_matches_full_frame_synthesis(self):
+        scene = GripperScene()
+        profile = make_grasp_profile(6, scene.f_max_n, seed=11)
+        stream, _ = synthesize_recording(scene, profile, 4)
+        assert len(stream) > 0
+        assert stream == full_frame_recording(scene, profile, 4)

@@ -5,6 +5,7 @@ import pytest
 
 from evtforce import autodiff as ad
 from evtforce.autodiff import Tensor
+from evtforce.events import FormatError
 from evtforce.vit import (
     ViTConfig,
     ViTModel,
@@ -356,6 +357,35 @@ class TestCheckpoint:
         garbled.write_bytes(raw[:4] + b"{" * (len(raw) - 4))
         with pytest.raises(ValueError):
             load_checkpoint(garbled)
+
+    def test_rejects_trailing_bytes(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(TINY, seed=8), path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(FormatError, match="1 trailing byte"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            [1, 2],
+            {"format": "evtforce-checkpoint-v1", "params": {}},
+            {"format": "evtforce-checkpoint-v1", "config": {}},
+            {"format": "evtforce-checkpoint-v1", "config": {"depth": "x"}, "params": {}},
+            {"format": "evtforce-checkpoint-v1", "config": {"wings": 2}, "params": {}},
+            {"format": "evtforce-checkpoint-v1", "config": {}, "params": {"w": {}}},
+            {"format": "evtforce-checkpoint-v1", "config": {}, "params": {}},
+        ],
+    )
+    def test_rejects_malformed_header(self, tmp_path, header):
+        import json
+        import struct
+
+        encoded = json.dumps(header).encode()
+        path = tmp_path / "odd.ckpt"
+        path.write_bytes(struct.pack("<I", len(encoded)) + encoded)
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
 
     def test_rejects_unknown_format_tag(self, tmp_path):
         import json
