@@ -155,8 +155,58 @@ def load_config(path: str | None) -> PipelineConfig:
             for key, value in values.items():
                 if key not in merged[section]:
                     raise ConfigError(f"unknown config key {section}.{key}")
+                _check_type(section, key, value)
                 merged[section][key] = value
     return _build_config(merged)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_polylines(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(finger, list) and all(
+            isinstance(point, list) and len(point) == 2 and all(map(_is_number, point))
+            for point in finger
+        )
+        for finger in value
+    )
+
+
+# Keys whose value is not simply of its default's type.
+_VALUE_KINDS = {
+    "fingers": ("a list of fingers, each a list of [x, y] points, or null",
+                lambda v: v is None or _is_polylines(v)),
+    "out_size": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "split": ("a list of three numbers",
+              lambda v: isinstance(v, list) and len(v) == 3 and all(map(_is_number, v))),
+}
+
+
+def _check_type(section: str, key: str, value) -> None:
+    """Reject a config value whose JSON type does not fit its default's.
+
+    An integer field takes only integers, a float field any number, a
+    bool or string field only its own type.
+    """
+    default = DEFAULT_CONFIG[section][key]
+    if key in _VALUE_KINDS:
+        expected, fits = _VALUE_KINDS[key]
+    elif isinstance(default, bool):
+        expected, fits = "true or false", lambda v: isinstance(v, bool)
+    elif isinstance(default, int):
+        expected, fits = "an integer", _is_int
+    elif isinstance(default, float):
+        expected, fits = "a number", _is_number
+    else:
+        expected, fits = "a string", lambda v: isinstance(v, str)
+    if not fits(value):
+        raise ConfigError(f"invalid {section}.{key}: must be {expected}, got {json.dumps(value)}")
 
 
 def _construct(section: str, factory, kwargs: dict):

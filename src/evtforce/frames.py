@@ -105,9 +105,16 @@ def accumulate_frame(events: EventStream, spec: FrameSpec, t0_us: int) -> Frame:
     h, w = events.height, events.width
     lin = events.y.astype(np.int64) * w + events.x.astype(np.int64)
     if spec.mode == "polarity2ch":
-        pos = np.bincount(lin[events.p > 0], minlength=h * w)
-        neg = np.bincount(lin[events.p < 0], minlength=h * w)
-        data = np.stack([pos, neg]).reshape(2, h, w).astype(np.float32)
+        # One bincount over (channel, pixel): negative events land one
+        # channel up.  Zero polarity (only in an invalid stream) counts in
+        # neither channel; a pixel below the sensor would land in the
+        # wrong channel, so it is an error, as in the other modes.
+        if lin.size and lin.max() >= h * w:
+            raise ValueError("event coordinates outside the sensor")
+        lin += (events.p < 0) * (h * w)
+        if not events.p.all():
+            lin = lin[events.p != 0]
+        data = np.bincount(lin, minlength=2 * h * w).reshape(2, h, w).astype(np.float32)
     else:
         counts = np.bincount(lin, minlength=h * w).reshape(1, h, w)
         data = counts.astype(np.float32)
@@ -295,8 +302,23 @@ def write_frame_dataset(
     Path(str(path) + ".json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
+def _is_window_list(windows) -> bool:
+    def is_int(v):
+        return isinstance(v, int) and not isinstance(v, bool)
+
+    return isinstance(windows, list) and all(
+        isinstance(win, list) and len(win) == 2 and is_int(win[0]) and is_int(win[1])
+        and win[0] <= win[1]
+        for win in windows
+    )
+
+
 def read_frame_dataset(path) -> FrameDataset:
-    """Read an FRD1 container; the sidecar manifest is used when present."""
+    """Read an FRD1 container; the sidecar manifest is used when present.
+
+    A non-finite frame value or label, or a sidecar whose ``windows`` or
+    ``provenance`` has the wrong shape, is a ``FormatError``.
+    """
     path = Path(path)
     data = path.read_bytes()
     if len(data) < _FRD1_HEADER.size:
@@ -312,6 +334,13 @@ def read_frame_dataset(path) -> FrameDataset:
     if body > expected:
         raise FormatError(f"{path}: {body - expected} trailing byte(s) after frames")
 
+    values = np.frombuffer(data, dtype="<f4", offset=_FRD1_HEADER.size)
+    finite = np.isfinite(values)
+    if not finite.all():
+        k, j = divmod(int(np.argmin(finite)), c * h * w + 1)
+        what = "label" if j == c * h * w else "frame value"
+        raise FormatError(f"{path}: frame {k} holds a non-finite {what}")
+
     windows = [[0, 0]] * count
     provenance = [""] * count
     sidecar = Path(str(path) + ".json")
@@ -322,10 +351,20 @@ def read_frame_dataset(path) -> FrameDataset:
             raise FormatError(f"{sidecar}: corrupt sidecar manifest") from exc
         if not isinstance(manifest, dict):
             raise FormatError(f"{sidecar}: sidecar manifest must be a JSON object")
-        if len(manifest.get("windows", ())) == count:
-            windows = manifest["windows"]
-        if len(manifest.get("provenance", ())) == count:
-            provenance = manifest["provenance"]
+        if "windows" in manifest:
+            if not _is_window_list(manifest["windows"]):
+                raise FormatError(
+                    f"{sidecar}: windows must be a list of [start, end] integer pairs"
+                    " with start <= end"
+                )
+            if len(manifest["windows"]) == count:
+                windows = manifest["windows"]
+        if "provenance" in manifest:
+            if not (isinstance(manifest["provenance"], list)
+                    and all(isinstance(r, str) for r in manifest["provenance"])):
+                raise FormatError(f"{sidecar}: provenance must be a list of strings")
+            if len(manifest["provenance"]) == count:
+                provenance = manifest["provenance"]
 
     frames = []
     labels = np.empty(count, dtype=np.float32)

@@ -3,9 +3,11 @@
 The frame is cut into non-overlapping square patches, each patch is
 linearly projected to the embed dimension, a learned regression token is
 prepended, and learned position embeddings are added.  Encoder blocks are
-pre-norm residual: ``x + MHSA(LN(x))`` then ``x + MLP(LN(x))`` with an
-exact-erf GELU inside the MLP.  After a final layer norm, a linear head
-reads the regression token out to the scalar prediction.
+pre-norm residual: ``x + MHSA(LN(x))`` then ``x + MLP(LN(x))`` with the
+erf-form GELU x * Phi(x) inside the MLP: float64 models take erf from
+scipy, float32 models a rational erf whose Phi is within 2.5e-7 of it
+(``autodiff.gelu``).  After a final layer norm, a linear head reads the
+regression token out to the scalar prediction.
 
 Parameters live in a flat name -> Tensor dict so the optimizer, the
 checkpoint format, and the gradient checks all see one namespace.

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from evtforce import autodiff as ad
 from evtforce.autodiff import Tensor
@@ -195,6 +196,73 @@ class TestGraphMechanics:
         t = Tensor(np.ones((2, 2)), requires_grad=True)
         assert t.grad is not None and not t.grad.any()
         assert Tensor(np.ones(2)).grad is None
+
+
+class TestGelu:
+    """float32 GELU takes a rational erf; float64 keeps scipy's erf."""
+
+    # The accuracy the gelu docstring states for float32 input.
+    TOL = 3e-7
+
+    @staticmethod
+    def float64_path(x32):
+        return ad.gelu(Tensor(x32.astype(np.float64))).data
+
+    def test_float32_within_bound_of_float64_path(self):
+        x = np.linspace(-10.0, 10.0, 400_001, dtype=np.float32)
+        y = ad.gelu(Tensor(x)).data
+        ref = self.float64_path(x)
+        err = np.abs(y.astype(np.float64) - ref)
+        assert np.all(err <= self.TOL * np.maximum(1.0, np.abs(x)))
+        # 0 <= Phi <= 1: the output never leaves [min(x, 0), max(x, 0)].
+        assert np.all((np.minimum(x, 0) <= y) & (y <= np.maximum(x, 0)))
+
+    def test_special_values_match_float64_path(self):
+        x = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0], dtype=np.float32)
+        with np.errstate(invalid="ignore"):  # -inf * Phi(-inf) = -inf * 0
+            y = ad.gelu(Tensor(x)).data
+            ref = self.float64_path(x)
+        np.testing.assert_array_equal(y.astype(np.float64), ref)
+        assert np.array_equal(np.signbit(y), np.signbit(ref))
+
+    def test_saturates_beyond_the_clamp(self):
+        x = np.array([-1e30, -50.0, -6.0, 6.0, 50.0, 1e30], dtype=np.float32)
+        y = ad.gelu(Tensor(x)).data
+        assert np.array_equal(y, np.where(x > 0, x, np.float32(0.0)))
+
+    def test_float64_path_is_scipy_erf(self, rng):
+        x = rng.standard_normal((7, 9)) * 4.0
+        expect = x * (0.5 * (1.0 + erf(x / float(np.sqrt(2.0)))))
+        assert np.array_equal(ad.gelu(Tensor(x)).data, expect)
+
+    def test_float32_dtype_in_and_out(self, rng):
+        x = Tensor(rng.standard_normal((3, 5)).astype(np.float32), requires_grad=True)
+        y = ad.gelu(x)
+        assert y.dtype == np.float32
+        ad.backward(ad.mean_over_axis(ad.mean_over_axis(y, 0), 0))
+        assert x.grad.dtype == np.float32
+
+    def test_float32_gradient_tracks_float64(self, rng):
+        x64 = rng.standard_normal((4, 33)) * 3.0
+        grads = []
+        for dtype in (np.float32, np.float64):
+            x = Tensor(x64.astype(dtype), requires_grad=True)
+            ad.backward(ad.mean_over_axis(ad.mean_over_axis(ad.gelu(x), 0), 0))
+            grads.append(x.grad.astype(np.float64))
+        assert np.allclose(grads[0], grads[1], rtol=0, atol=1e-8)
+
+    def test_batch_one_rows_equal_batch_sixteen(self, rng):
+        # One (65, 512) row is 33,280 values, so rows 1, 3, ... straddle
+        # the 65,536-value blocks of the batch-16 call.
+        x = (rng.standard_normal((16, 65, 512)) * 2.0).astype(np.float32)
+        full = ad.gelu(Tensor(x)).data
+        for k in range(16):
+            assert np.array_equal(ad.gelu(Tensor(x[k:k + 1])).data, full[k:k + 1])
+
+    def test_strided_input_equals_contiguous(self, rng):
+        x = rng.standard_normal((300, 257)).astype(np.float32)
+        strided = ad.gelu(Tensor(x.T)).data
+        assert np.array_equal(strided, ad.gelu(Tensor(np.ascontiguousarray(x.T))).data)
 
 
 class TestDtypesAndShapes:

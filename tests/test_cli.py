@@ -154,6 +154,48 @@ class TestConfig:
         assert code == 2
         assert f"invalid {section}.{key}" in err
 
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("train", "epochs", "1"),
+            ("scene", "fingers", 5),
+            ("frame", "out_size", "64"),
+            ("scene", "width", "320"),
+            ("train", "split", 0.7),
+            ("model", "depth", 2.5),
+            ("model", "embed_dim", True),
+            ("frame", "normalize", 1),
+            ("frame", "mode", 2),
+            ("scene", "contrast", "0.05"),
+            ("scene", "fingers", [[[10, 20], [30]]]),
+            ("scene", "fingers", [[["10", 20], [30, 20]]]),
+            ("train", "split", [0.7, 0.15]),
+            ("train", "split", [0.7, "0.15", 0.15]),
+            ("train", "seed", 1.0),
+        ],
+    )
+    def test_wrong_type_is_a_usage_error(self, tmp_path, section, key, value):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({section: {key: value}}))
+        code, _, err = run_cli(["synth", "--config", path, "--out", tmp_path / "o"])
+        assert code == 2
+        assert_one_line_error(err)
+        assert f"invalid {section}.{key}: must be" in err
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("scene", "delta_max_px", 12),
+            ("frame", "out_size", None),
+            ("scene", "fingers", [[[10, 20], [30.5, 20]]]),
+            ("train", "split", [1, 0, 0]),
+        ],
+    )
+    def test_accepted_types(self, tmp_path, section, key, value):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({section: {key: value}}))
+        assert load_config(str(path)).raw[section][key] == value
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("{not json")
@@ -537,6 +579,35 @@ class TestEval:
         assert code == 3
         assert_one_line_error(err)
         assert "sidecar" in err
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("windows", 5), ("windows", [[0]]), ("provenance", 7)],
+    )
+    def test_malformed_sidecar_field(self, ws, tmp_path, field, value):
+        frd = tmp_path / "one.frd"
+        write_frame_dataset(read_frame_dataset(ws.frd).subset([0]), frd)
+        sidecar = Path(str(frd) + ".json")
+        manifest = json.loads(sidecar.read_text())
+        manifest[field] = value
+        sidecar.write_text(json.dumps(manifest))
+        code, _, err = run_cli(["eval", "--config", ws.config, "--ckpt", ws.ckpt, "--data", frd])
+        assert code == 3
+        assert_one_line_error(err)
+        assert field in err
+
+    @pytest.mark.parametrize("label", [False, True], ids=["frame", "label"])
+    def test_non_finite_dataset(self, ws, tmp_path, label):
+        ds = read_frame_dataset(ws.frd)
+        raw = bytearray(ws.frd.read_bytes())
+        record = ds.frames[0].data.size + 1
+        struct.pack_into("<f", raw, 18 + 4 * (record * 3 + (record - 1 if label else 5)), np.nan)
+        frd = tmp_path / "nan.frd"
+        frd.write_bytes(bytes(raw))
+        code, _, err = run_cli(["eval", "--config", ws.config, "--ckpt", ws.ckpt, "--data", frd])
+        assert code == 3
+        assert_one_line_error(err)
+        assert "frame 3 holds a non-finite " + ("label" if label else "frame value") in err
 
     def test_missing_checkpoint(self, ws, tmp_path):
         code, _, _ = run_cli(

@@ -1,12 +1,18 @@
 """Frame accumulation, mass-preserving resize, windowing, and FRD1 files."""
 
+import json
+import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evtforce.events import EventStream
 from evtforce.frames import (
+    MODES,
     Frame,
     FrameDataset,
     FrameSpec,
@@ -19,6 +25,7 @@ from evtforce.frames import (
     read_frame_dataset,
     resize_frame,
     write_frame_dataset,
+    _box_resize,
 )
 
 from conftest import make_stream
@@ -121,6 +128,68 @@ class TestAccumulate:
     def test_window_offset_recorded(self):
         f = accumulate_frame(EventStream(4, 4), native_spec("count"), 300_000)
         assert (f.t_start_us, f.t_end_us) == (300_000, 400_000)
+
+
+def two_bincount_accumulate(events, spec, t0_us):
+    """The earlier accumulate_frame: masks and one bincount per polarity."""
+    h, w = events.height, events.width
+    lin = events.y.astype(np.int64) * w + events.x.astype(np.int64)
+    if spec.mode == "polarity2ch":
+        pos = np.bincount(lin[events.p > 0], minlength=h * w)
+        neg = np.bincount(lin[events.p < 0], minlength=h * w)
+        data = np.stack([pos, neg]).reshape(2, h, w).astype(np.float32)
+    else:
+        counts = np.bincount(lin, minlength=h * w).reshape(1, h, w)
+        data = counts.astype(np.float32)
+        if spec.mode == "binary":
+            data = (data > 0).astype(np.float32)
+    if spec.out_size is not None and (h, w) != (spec.out_size, spec.out_size):
+        data = _box_resize(data, spec.out_size)
+    if spec.normalize:
+        peak = data.max() if data.size else 0.0
+        if peak > 0:
+            data = data / peak
+    return Frame(data, t0_us, t0_us + spec.window_us)
+
+
+class TestAccumulateMatchesTwoBincounts:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        width=st.integers(1, 48),
+        height=st.integers(1, 40),
+        n_events=st.sampled_from([0, 1, 7, 300, 20_000]),
+        polarities=st.sampled_from([(-1, 1), (-1, 0, 1), (1,), (-1,), (0,), (-3, -1, 0, 2)]),
+        mode=st.sampled_from(MODES),
+        out_size=st.sampled_from([None, 64, 7]),
+        normalize=st.booleans(),
+    )
+    def test_exactly_equal(
+        self, seed, width, height, n_events, polarities, mode, out_size, normalize
+    ):
+        # 20k events on at most 48 x 40 pixels is a noisy window: most
+        # pixels fire many times.  Polarity 0 or |p| > 1 only occurs in an
+        # invalid stream; both versions count such events by sign.
+        rng = np.random.default_rng(seed)
+        stream = EventStream(
+            width,
+            height,
+            t_us=np.zeros(n_events, dtype=np.int64),
+            x=rng.integers(0, width, n_events),
+            y=rng.integers(0, height, n_events),
+            p=rng.choice(np.array(polarities), n_events),
+        )
+        spec = FrameSpec(mode=mode, out_size=out_size, normalize=normalize)
+        got = accumulate_frame(stream, spec, 200_000)
+        want = two_bincount_accumulate(stream, spec, 200_000)
+        assert got.data.dtype == want.data.dtype == np.float32
+        assert got == want
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_pixel_below_the_sensor_is_an_error(self, mode):
+        stream = EventStream(4, 4, t_us=[0, 1], x=[1, 0], y=[2, 4], p=[1, 1])
+        with pytest.raises(ValueError):
+            accumulate_frame(stream, native_spec(mode), 0)
 
 
 class TestResize:
@@ -356,4 +425,49 @@ class TestFrdContainer:
         write_frame_dataset(ds, path)
         path.write_bytes(path.read_bytes() + b"\x01")
         with pytest.raises(FormatError):
+            read_frame_dataset(path)
+
+    @pytest.mark.parametrize(
+        "frame,index,value,what",
+        [
+            (0, 0, np.nan, "frame value"),
+            (2, 127, np.inf, "frame value"),
+            (1, 128, -np.inf, "label"),
+            (2, 128, np.nan, "label"),
+        ],
+    )
+    def test_non_finite_values_rejected(self, tmp_path, rng, frame, index, value, what):
+        # Record k is 2 * 8 * 8 = 128 frame values, then the label at index 128.
+        ds = TestFrameDataset().make_dataset(rng, n=3, shape=(2, 8, 8))
+        path = tmp_path / "d.frd"
+        write_frame_dataset(ds, path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<f", raw, 18 + 4 * (129 * frame + index), value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=f"frame {frame} holds a non-finite {what}"):
+            read_frame_dataset(path)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("windows", 5),
+            ("windows", [[0]]),
+            ("windows", [[0, 10], [10, "20"]]),
+            ("windows", [[0, 10], [20, 10]]),
+            ("windows", [[0, 10], [10, 20.0]]),
+            ("windows", None),
+            ("provenance", 7),
+            ("provenance", ["rec0", 1]),
+            ("provenance", "rec0rec1"),
+        ],
+    )
+    def test_malformed_sidecar_fields_rejected(self, tmp_path, rng, field, value):
+        ds = TestFrameDataset().make_dataset(rng, n=2)
+        path = tmp_path / "d.frd"
+        write_frame_dataset(ds, path)
+        sidecar = Path(str(path) + ".json")
+        manifest = json.loads(sidecar.read_text())
+        manifest[field] = value
+        sidecar.write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match=field):
             read_frame_dataset(path)
