@@ -18,7 +18,6 @@ build and differentiate a graph on one thread at a time.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erf
 
 _GRAD_ENABLED = True
 
@@ -174,7 +173,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     Allowed shapes: 2-D @ 2-D; stacked @ 2-D (a batch of matrices against
     one shared matrix, as in a linear layer); and batched @ batched with
     exactly matching leading dims (as in per-head attention).  Anything
-    else is a shape error; there is no implicit broadcasting.
+    else is a shape error; there is no implicit broadcasting.  Against a
+    shared one-column matrix, equal rows of ``a`` give equal results.
     """
     A, B = a.data, b.data
     if A.ndim < 2 or B.ndim < 2:
@@ -197,7 +197,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             gb = A.swapaxes(-1, -2) @ g
         return ga, gb
 
-    return _result(A @ B, (a, b), backward)
+    if shared and B.shape[1] == 1:
+        # BLAS GEMV rounds rows differently by their position in A, so a
+        # one-column product is a row-wise sum: equal rows, equal results.
+        out = (A * B[:, 0]).sum(axis=-1, keepdims=True)
+    else:
+        out = A @ B
+    return _result(out, (a, b), backward)
 
 
 def transpose(a: Tensor, axis0: int = -2, axis1: int = -1) -> Tensor:
@@ -293,15 +299,18 @@ def _phi32(x: np.ndarray) -> np.ndarray:
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit, x * Phi(x) in the erf form.
 
-    float64 input takes erf from ``scipy.special.erf``.  float32 input
-    takes the rational erf of ``_phi32``: Phi is within 2.5e-7 of the
-    float64 path and the output within 3e-7 * max(1, |x|).  The output
-    has the input's dtype; the backward rule Phi + x * phi reuses the
-    forward's Phi.
+    float64 input takes erf from ``scipy.special.erf``, which is imported
+    on the first float64 call, so float32 models never load scipy.
+    float32 input takes the rational erf of ``_phi32``: Phi is within
+    2.5e-7 of the float64 path and the output within 3e-7 * max(1, |x|).
+    The output has the input's dtype; the backward rule Phi + x * phi
+    reuses the forward's Phi.
     """
     if x.data.dtype == np.float32:
         cdf = _phi32(x.data)
     else:
+        from scipy.special import erf
+
         cdf = 0.5 * (1.0 + erf(x.data / _SQRT2))
 
     def backward(g):

@@ -99,18 +99,23 @@ def accumulate_frame(events: EventStream, spec: FrameSpec, t0_us: int) -> Frame:
     """Accumulate one window of events into a frame.
 
     ``events`` must already be sliced to [t0, t0 + window); every event in
-    the stream is counted.  Unnormalized, unresized count and polarity2ch
+    the stream is counted, and one outside the sensor raises
+    ``ValueError``.  Unnormalized, unresized count and polarity2ch
     frames hold exact non-negative integers.
     """
     h, w = events.height, events.width
+    # Only an in-memory stream can hold such events (``read_events``
+    # validates); unchecked, x would wrap into the next row.  As unsigned,
+    # a negative coordinate is huge, so one max per axis catches both ends.
+    if events.x.size and (
+        events.x.view(np.uint32).max() >= w or events.y.view(np.uint32).max() >= h
+    ):
+        raise ValueError("event coordinates outside the sensor")
     lin = events.y.astype(np.int64) * w + events.x.astype(np.int64)
     if spec.mode == "polarity2ch":
         # One bincount over (channel, pixel): negative events land one
         # channel up.  Zero polarity (only in an invalid stream) counts in
-        # neither channel; a pixel below the sensor would land in the
-        # wrong channel, so it is an error, as in the other modes.
-        if lin.size and lin.max() >= h * w:
-            raise ValueError("event coordinates outside the sensor")
+        # neither channel.
         lin += (events.p < 0) * (h * w)
         if not events.p.all():
             lin = lin[events.p != 0]

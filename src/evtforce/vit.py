@@ -7,7 +7,9 @@ pre-norm residual: ``x + MHSA(LN(x))`` then ``x + MLP(LN(x))`` with the
 erf-form GELU x * Phi(x) inside the MLP: float64 models take erf from
 scipy, float32 models a rational erf whose Phi is within 2.5e-7 of it
 (``autodiff.gelu``).  After a final layer norm, a linear head reads the
-regression token out to the scalar prediction.
+regression token out to the scalar prediction.  Weights start from a
+numpy truncated-normal sampler (``init_params``), so building and running
+a float32 model never imports scipy.
 
 Parameters live in a flat name -> Tensor dict so the optimizer, the
 checkpoint format, and the gradient checks all see one namespace.
@@ -20,7 +22,6 @@ import struct
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.stats import truncnorm
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -140,12 +141,30 @@ class ViTModel:
         return count_params(self.config)
 
 
+def _truncated_normal(rng: np.random.Generator, shape, scale: float) -> np.ndarray:
+    """Normal(0, scale) cut at two sigma, by rejection.
+
+    Standard normals outside [-2, 2] (4.6% of them) are redrawn in place
+    until none remain, then the lot is scaled.  The distribution is
+    scipy's ``truncnorm(-2, 2)``; the values drawn from a seed are not.
+    """
+    z = rng.standard_normal(shape)
+    bad = np.flatnonzero(np.abs(z) > 2.0)
+    while bad.size:
+        z.flat[bad] = rng.standard_normal(bad.size)
+        bad = bad[np.abs(z.flat[bad]) > 2.0]
+    return z * scale
+
+
 def init_params(config: ViTConfig, seed: int, dtype=np.float32) -> ViTModel:
     """Seeded initialization.
 
     Projection weights and the regression token are truncated normal
-    (std 0.02, cut at two sigma), position embeddings are plain normal
-    (std 0.02), all biases start at zero, and layer-norm scales at one.
+    (scale 0.02, cut at two sigma, so |w| <= 0.04 and the std is
+    0.02 * 0.8796; drawn by ``_truncated_normal``), position embeddings
+    are plain normal (std 0.02), all biases start at zero, and layer-norm
+    scales at one.  Parameters are drawn in ``expected_param_shapes``
+    order from one ``default_rng(seed)``, so a seed fixes every byte.
     """
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
@@ -157,7 +176,7 @@ def init_params(config: ViTConfig, seed: int, dtype=np.float32) -> ViTModel:
         elif name == "pos_embed":
             data = rng.normal(0.0, 0.02, size=shape)
         else:
-            data = truncnorm.rvs(-2.0, 2.0, scale=0.02, size=shape, random_state=rng)
+            data = _truncated_normal(rng, shape, 0.02)
         params[name] = Tensor(np.asarray(data, dtype=dtype), requires_grad=True)
     return ViTModel(config, params)
 

@@ -3,14 +3,18 @@
 import contextlib
 import io
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import evtforce
 from evtforce.cli import DEFAULT_CONFIG, load_config, main, sub_seed
 from evtforce.events import EventStream, write_events
 from evtforce.frames import FrameDataset, read_frame_dataset, write_frame_dataset
@@ -737,3 +741,25 @@ class TestMainEntry:
     def test_bad_flag_value(self, tmp_path):
         code, _, _ = run_cli(["synth", "--out", tmp_path / "o", "--n-recordings", "many"])
         assert code == 2
+
+
+def test_cold_start_never_imports_scipy():
+    # Importing scipy.stats and scipy.special costs several times the rest
+    # of start-up; only a float64 GELU needs scipy, so every float32 path
+    # must stay clear of it.
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import evtforce.cli\n"
+        "from evtforce.synth import GripperScene, make_grasp_profile, synthesize_recording\n"
+        "from evtforce.vit import ViTConfig, forward, init_params\n"
+        "model = init_params(ViTConfig(), 0)\n"
+        "forward(np.zeros((2, 2, 64, 64), np.float32), model)\n"
+        "synthesize_recording(GripperScene(), make_grasp_profile(3, 1.0), noise_rate_hz=100.0)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(evtforce.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -191,6 +191,27 @@ class TestAccumulateMatchesTwoBincounts:
         with pytest.raises(ValueError):
             accumulate_frame(stream, native_spec(mode), 0)
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize(
+        "x, y",
+        [(-1, 1), (5, 1), (1, -1), (1, 4), (-(2**31), 0), (0, 2**31 - 1)],
+        ids=["left", "right", "top", "bottom", "int32-min-x", "int32-max-y"],
+    )
+    def test_event_outside_the_sensor_is_rejected(self, mode, x, y):
+        # 5 wide by 4 high: x = 5 would otherwise wrap into the next row
+        # and x = -1 into the previous one.
+        stream = EventStream(5, 4, t_us=[0, 1], x=[2, x], y=[1, y], p=[1, -1])
+        with pytest.raises(ValueError, match="outside the sensor"):
+            accumulate_frame(stream, native_spec(mode), 0)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_sensor_corners_are_inside(self, mode):
+        stream = EventStream(5, 4, t_us=[0, 1, 2, 3], x=[0, 4, 0, 4], y=[0, 0, 3, 3],
+                             p=[1, 1, 1, 1])
+        frame = accumulate_frame(stream, native_spec(mode), 0)
+        assert frame.data.sum() == 4
+        assert frame.data[0, [0, 0, 3, 3], [0, 4, 0, 4]].tolist() == [1, 1, 1, 1]
+
 
 class TestResize:
     def test_two_by_two_ones_collapse_to_four(self):

@@ -131,6 +131,38 @@ class TestParameters:
         assert init_params(TINY, seed=0).dtype == np.float32
         assert init_params(TINY, seed=0, dtype=np.float64).dtype == np.float64
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_truncated_normal_properties(self, dtype):
+        p = init_params(ViTConfig(), seed=0, dtype=dtype).params
+        names = [n for n in p if not n.endswith((".g", ".b")) and n != "pos_embed"]
+        assert len(names) == 2 + 4 * 6 + 1  # patch_proj, reg_token, 6 per block, head
+        for name in names:
+            assert p[name].dtype == dtype
+            assert np.abs(p[name].data).max() <= 0.04, name
+        # N(0, 1) cut at +-2 has std sqrt(1 - 4 phi(2) / (2 Phi(2) - 1)).
+        w = p["block0.mlp.fc1.w"].data.astype(np.float64)
+        want_std = 0.02 * 0.8796
+        assert abs(w.std() / want_std - 1.0) < 0.05
+        assert abs(w.mean()) < 5 * want_std / np.sqrt(w.size)
+        # Redrawn values fill the whole cut, not a narrower one.
+        assert np.abs(w).max() > 0.0399
+
+    def test_truncated_normal_matches_scipy_distribution(self):
+        from scipy.stats import kstest, truncnorm
+
+        w = init_params(ViTConfig(), seed=0, dtype=np.float64).params["block0.mlp.fc1.w"]
+        result = kstest(w.data.ravel(), truncnorm(-2.0, 2.0, scale=0.02).cdf)
+        assert result.pvalue > 1e-3
+
+    def test_same_seed_gives_same_bytes_in_either_dtype(self):
+        a = init_params(ViTConfig(), seed=3).params
+        b = init_params(ViTConfig(), seed=3).params
+        wide = init_params(ViTConfig(), seed=3, dtype=np.float64).params
+        for name in a:
+            assert a[name].data.tobytes() == b[name].data.tobytes(), name
+            # One float64 draw, cast to the requested dtype.
+            assert np.array_equal(a[name].data, wide[name].data.astype(np.float32)), name
+
     def test_model_validates_namespace(self):
         model = init_params(TINY, seed=0)
         good = dict(model.params)
@@ -249,6 +281,14 @@ class TestForward:
         frame = rng.random((1, 8, 8), dtype=np.float32)
         out = forward(np.stack([frame, frame, frame]), model)
         assert out.data[0, 0] == out.data[1, 0] == out.data[2, 0]
+
+    @pytest.mark.parametrize("batch", [2, 3, 5, 16])
+    def test_identical_frames_agree_for_every_seed(self, rng, batch):
+        frame = rng.random((1, 8, 8), dtype=np.float32)
+        frames = np.repeat(frame[None], batch, axis=0)
+        for seed in range(20):
+            out = forward(frames, init_params(TINY, seed=seed)).data
+            assert np.all(out == out[0]), (seed, out.ravel())
 
     @staticmethod
     def permute_patch_grid(frames, patch, order):
