@@ -6,7 +6,6 @@ gradients come from the package's own reverse-mode autodiff engine.
 """
 
 from .events import (
-    Event,
     EventStream,
     read_events,
     slice_window,
@@ -14,13 +13,11 @@ from .events import (
     write_events,
 )
 from .frames import (
-    Frame,
     FrameDataset,
     FrameSpec,
     accumulate_frame,
     build_dataset,
     read_frame_dataset,
-    resize_frame,
     write_frame_dataset,
 )
 from .synth import (
@@ -56,19 +53,16 @@ from .vit import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Event",
     "EventStream",
     "read_events",
     "slice_window",
     "validate_stream",
     "write_events",
-    "Frame",
     "FrameDataset",
     "FrameSpec",
     "accumulate_frame",
     "build_dataset",
     "read_frame_dataset",
-    "resize_frame",
     "write_frame_dataset",
     "ForceProfile",
     "GripperScene",

@@ -78,9 +78,14 @@ class PipelineConfig:
     raw: dict
 
     def sha256(self) -> str:
-        return hashlib.sha256(
-            json.dumps(self.raw, sort_keys=True).encode("ascii")
-        ).hexdigest()
+        """Digest of the merged config document, as ``synth`` records it.
+
+        The model section is hashed with ``head_output: 1``, the fixed
+        one-output head that earlier versions listed as a config key, so
+        a same-seed corpus manifest keeps its bytes.
+        """
+        hashed = {**self.raw, "model": {**self.raw["model"], "head_output": 1}}
+        return hashlib.sha256(json.dumps(hashed, sort_keys=True).encode("ascii")).hexdigest()
 
 
 DEFAULT_CONFIG: dict = {
@@ -113,7 +118,6 @@ DEFAULT_CONFIG: dict = {
         "depth": 4,
         "num_heads": 4,
         "mlp_ratio": 4.0,
-        "head_output": 1,
     },
     "train": {
         "learning_rate": 0.001,
@@ -375,7 +379,7 @@ def cmd_train(args) -> int:
     dataset = read_frame_dataset(args.data)
     if len(dataset) == 0:
         raise ConfigError(f"{args.data} holds no frames")
-    shape = dataset.frames[0].data.shape
+    shape = dataset.frames.shape[1:]
     expect = (cfg.model.in_channels, cfg.model.image_size, cfg.model.image_size)
     if shape != expect:
         raise ConfigError(
@@ -441,14 +445,10 @@ def cmd_predict(args) -> int:
     model = load_checkpoint(args.ckpt)
     in_path = Path(args.in_path)
     if in_path.suffix == ".frd":
-        frames = read_frame_dataset(in_path).stacked()
+        frames = read_frame_dataset(in_path).frames
     else:
         spec = _frame_spec_from_args(args, cfg)
-        stream = read_events(in_path, _event_format(in_path))
-        frame_list = frames_from_stream(stream, spec)
-        if not frame_list:
-            return 0
-        frames = np.stack([f.data for f in frame_list])
+        frames = frames_from_stream(read_events(in_path, _event_format(in_path)), spec)
     if len(frames) == 0:
         return 0
     preds = predict_forces(model, frames)

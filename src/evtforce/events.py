@@ -1,4 +1,4 @@
-"""Event records, time-ordered event streams, and the on-disk event formats.
+"""Time-ordered event streams and the on-disk event formats.
 
 An event is a single brightness-change report from a dynamic vision sensor:
 a microsecond timestamp, a pixel coordinate, and a polarity (+1 for a
@@ -28,7 +28,7 @@ import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -66,16 +66,6 @@ class InvalidStreamError(ValueError):
     """Stream content violates an event-stream invariant."""
 
 
-@dataclass(frozen=True)
-class Event:
-    """One brightness-change record."""
-
-    t_us: int
-    x: int
-    y: int
-    p: int
-
-
 class EventStream:
     """Immutable, time-ordered collection of events for one sensor size.
 
@@ -108,27 +98,8 @@ class EventStream:
     def __setattr__(self, name, value):
         raise AttributeError("EventStream is immutable")
 
-    @classmethod
-    def from_events(cls, width: int, height: int, events: Iterable[Event]) -> "EventStream":
-        evs = list(events)
-        return cls(
-            width,
-            height,
-            [e.t_us for e in evs],
-            [e.x for e in evs],
-            [e.y for e in evs],
-            [e.p for e in evs],
-        )
-
     def __len__(self) -> int:
         return len(self.t_us)
-
-    def __iter__(self) -> Iterator[Event]:
-        for i in range(len(self)):
-            yield self[i]
-
-    def __getitem__(self, i: int) -> Event:
-        return Event(int(self.t_us[i]), int(self.x[i]), int(self.y[i]), int(self.p[i]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EventStream):

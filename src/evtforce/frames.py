@@ -11,6 +11,11 @@ polarity2ch  two channels: positive-event count, negative-event count
 The native sensor frame may then be box-resampled to a square model input
 (mass preserving) and normalized by its maximum element.  Frames are
 float32 throughout so container round trips are byte-exact.
+
+A dataset holds all its frames as one (N, C, H, W) array, with the
+window bounds, labels and recording ids as per-frame rows beside it.  An
+FRD1 container stores the frames as packed (frame, label) records after
+a fixed header; a JSON sidecar carries the windows and provenance.
 """
 
 from __future__ import annotations
@@ -66,43 +71,28 @@ class FrameSpec:
         return 2 if self.mode == "polarity2ch" else 1
 
 
-class Frame:
-    """One accumulated window: float32 data (C, H, W) plus its time span."""
+class _FrameArray(np.ndarray):
+    """A (C, H, W) frame whose ``.data`` is the frame, not its buffer.
 
-    __slots__ = ("data", "t_start_us", "t_end_us")
-
-    def __init__(self, data: np.ndarray, t_start_us: int, t_end_us: int):
-        data = np.asarray(data, dtype=np.float32)
-        if data.ndim != 3:
-            raise ValueError("frame data must have shape (channels, height, width)")
-        if t_end_us < t_start_us:
-            raise ValueError("t_end_us must not precede t_start_us")
-        self.data = data
-        self.t_start_us = int(t_start_us)
-        self.t_end_us = int(t_end_us)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Frame):
-            return NotImplemented
-        return (
-            self.t_start_us == other.t_start_us
-            and self.t_end_us == other.t_end_us
-            and self.data.shape == other.data.shape
-            and np.array_equal(self.data, other.data)
-        )
-
-    def __repr__(self) -> str:
-        return f"Frame{self.data.shape}[{self.t_start_us}, {self.t_end_us})"
-
-
-def accumulate_frame(events: EventStream, spec: FrameSpec, t0_us: int) -> Frame:
-    """Accumulate one window of events into a frame.
-
-    ``events`` must already be sliced to [t0, t0 + window); every event in
-    the stream is counted, and one outside the sensor raises
-    ``ValueError``.  Unnormalized, unresized count and polarity2ch
-    frames hold exact non-negative integers.
+    Callers that take the pixels of an ``accumulate_frame`` result from
+    its ``.data`` keep working; in every other use it is a plain ndarray.
     """
+
+    @property
+    def data(self) -> np.ndarray:
+        return self.view(np.ndarray)
+
+
+def accumulate_frame(stream: EventStream, spec: FrameSpec, t0_us: int) -> np.ndarray:
+    """Accumulate the events of the window [t0, t0 + window) into a frame.
+
+    Returns the float32 (C, H, W) frame; its ``.data`` is the same array.
+    The window is taken from ``stream`` with ``slice_window``, so the
+    stream may span the whole recording; an event in the window outside
+    the sensor raises ``ValueError``.  Unnormalized, unresized count and
+    polarity2ch frames hold exact non-negative integers.
+    """
+    events = slice_window(stream, t0_us, t0_us + spec.window_us)
     h, w = events.height, events.width
     # Only an in-memory stream can hold such events (``read_events``
     # validates); unchecked, x would wrap into the next row.  As unsigned,
@@ -131,7 +121,7 @@ def accumulate_frame(events: EventStream, spec: FrameSpec, t0_us: int) -> Frame:
         peak = data.max() if data.size else 0.0
         if peak > 0:
             data = data / peak
-    return Frame(data, t0_us, t0_us + spec.window_us)
+    return data.view(_FrameArray)
 
 
 @lru_cache(maxsize=None)
@@ -148,36 +138,41 @@ def _box_matrix(n_in: int, n_out: int) -> np.ndarray:
     m.setflags(write=False)
     return m
 
+
 def _box_resize(data: np.ndarray, out_size: int) -> np.ndarray:
+    """Box-resample a (C, H, W) frame to out_size x out_size, preserving mass."""
     rows = _box_matrix(data.shape[1], out_size)
     cols = _box_matrix(data.shape[2], out_size)
     out = rows @ data.astype(np.float64) @ cols.T
     return out.astype(np.float32)
 
 
-def resize_frame(frame: Frame, out_size: int) -> Frame:
-    """Box-resample a frame to out_size x out_size, preserving total mass.
-
-    Resizing to the frame's own size returns the frame unchanged.
-    """
-    if out_size <= 0:
-        raise ValueError("out_size must be positive")
-    if frame.data.shape[1] == out_size and frame.data.shape[2] == out_size:
-        return frame
-    return Frame(_box_resize(frame.data, out_size), frame.t_start_us, frame.t_end_us)
-
-
 class FrameDataset:
-    """Parallel frames, float32 force labels, and per-frame recording ids."""
+    """Labeled frames: one float32 (N, C, H, W) array plus per-frame rows.
 
-    def __init__(self, frames: Sequence[Frame], labels, provenance: Sequence[str]):
-        self.frames = list(frames)
+    ``windows`` is an (N, 2) int64 array of each frame's [start, end) in
+    microseconds, all zero when unknown (a container read without its
+    sidecar); ``labels`` are float32 forces and ``provenance`` the
+    recording id of each frame.
+    """
+
+    def __init__(self, frames, labels, provenance: Sequence[str], windows=None):
+        self.frames = np.asarray(frames, dtype=np.float32)
         self.labels = np.asarray(labels, dtype=np.float32)
         self.provenance = list(provenance)
+        if self.frames.ndim != 4:
+            raise ValueError("frames must have shape (N, channels, height, width)")
+        if windows is None:
+            windows = np.zeros((len(self.frames), 2))
+        self.windows = np.asarray(windows, dtype=np.int64)
         if self.labels.ndim != 1:
             raise ValueError("labels must be a 1-D array")
+        if self.windows.shape != (len(self.frames), 2):
+            raise ValueError("windows must have shape (N, 2)")
         if not (len(self.frames) == len(self.labels) == len(self.provenance)):
             raise ValueError("frames, labels, and provenance must be equally long")
+        if np.any(self.windows[:, 1] < self.windows[:, 0]):
+            raise ValueError("a window must not end before it starts")
         if self.labels.size and not np.all(np.isfinite(self.labels)):
             raise ValueError("labels must be finite")
 
@@ -188,7 +183,8 @@ class FrameDataset:
         if not isinstance(other, FrameDataset):
             return NotImplemented
         return (
-            self.frames == other.frames
+            np.array_equal(self.frames, other.frames)
+            and np.array_equal(self.windows, other.windows)
             and np.array_equal(self.labels, other.labels)
             and self.provenance == other.provenance
         )
@@ -196,30 +192,25 @@ class FrameDataset:
     def subset(self, indices) -> "FrameDataset":
         indices = np.asarray(indices, dtype=np.int64)
         return FrameDataset(
-            [self.frames[i] for i in indices],
+            self.frames[indices],
             self.labels[indices],
             [self.provenance[i] for i in indices],
+            self.windows[indices],
         )
 
-    def stacked(self) -> np.ndarray:
-        """All frame data as one (N, C, H, W) float32 array."""
-        if not self.frames:
-            return np.zeros((0, 0, 0, 0), dtype=np.float32)
-        return np.stack([f.data for f in self.frames])
 
-
-def frames_from_stream(stream: EventStream, spec: FrameSpec) -> list[Frame]:
+def frames_from_stream(stream: EventStream, spec: FrameSpec) -> np.ndarray:
     """Cut a recording into every full window it covers, in time order.
 
-    The recording spans [0, stream.duration_us); a trailing stretch
-    shorter than the window is dropped.
+    Returns a float32 (n, C, H, W) array, four-dimensional even for
+    n = 0.  The recording spans [0, stream.duration_us); a trailing
+    stretch shorter than the window is dropped.
     """
     n_windows = stream.duration_us // spec.window_us
-    out = []
+    side = (stream.height, stream.width) if spec.out_size is None else (spec.out_size,) * 2
+    out = np.empty((n_windows, spec.channels, *side), dtype=np.float32)
     for k in range(n_windows):
-        t0 = k * spec.window_us
-        piece = slice_window(stream, t0, t0 + spec.window_us)
-        out.append(accumulate_frame(piece, spec, t0))
+        out[k] = accumulate_frame(stream, spec, k * spec.window_us)
     return out
 
 
@@ -235,7 +226,8 @@ def build_dataset(
     Each force track must expose ``rate_hz`` and ``samples`` and be
     sampled at exactly one sample per window; a track with fewer samples
     than its recording has windows is an error, as is a label outside
-    ``force_range``.
+    ``force_range``.  With ``out_size`` None every recording must share
+    one sensor size.
     """
     if len(recordings) != len(force_tracks):
         raise ValueError("recordings and force_tracks must be equally long")
@@ -244,7 +236,8 @@ def build_dataset(
     elif len(ids) != len(recordings):
         raise ValueError("ids must match recordings")
 
-    frames: list[Frame] = []
+    parts: list[np.ndarray] = []
+    starts: list[int] = []
     labels: list[float] = []
     provenance: list[str] = []
     lo, hi = force_range
@@ -255,19 +248,27 @@ def build_dataset(
                 f"{rec_id}: track period {period_us} us != window {spec.window_us} us"
             )
         rec_frames = frames_from_stream(stream, spec)
-        if len(track.samples) < len(rec_frames):
+        n = len(rec_frames)
+        if len(track.samples) < n:
             raise ValueError(
                 f"{rec_id}: track has {len(track.samples)} samples but the "
-                f"recording windows into {len(rec_frames)} frames"
+                f"recording windows into {n} frames"
             )
-        for k, frame in enumerate(rec_frames):
-            label = float(track.samples[k])
+        for label in map(float, track.samples[:n]):
             if not (lo <= label <= hi):
                 raise ValueError(f"{rec_id}: label {label} outside [{lo}, {hi}]")
-            frames.append(frame)
             labels.append(label)
-            provenance.append(rec_id)
-    return FrameDataset(frames, labels, provenance)
+        parts.append(rec_frames)
+        starts.extend(range(0, n * spec.window_us, spec.window_us))
+        provenance.extend([rec_id] * n)
+    frames = np.concatenate(parts) if parts else np.zeros((0, 0, 0, 0), dtype=np.float32)
+    t0 = np.asarray(starts, dtype=np.int64)
+    return FrameDataset(frames, labels, provenance, np.stack([t0, t0 + spec.window_us], axis=1))
+
+
+def _record_dtype(c: int, h: int, w: int) -> np.dtype:
+    """One FRD1 record: a little-endian float32 (C, H, W) frame, then its label."""
+    return np.dtype([("frame", "<f4", (c, h, w)), ("label", "<f4")])
 
 
 def write_frame_dataset(
@@ -279,24 +280,24 @@ def write_frame_dataset(
 
     The binary container is a pure function of the dataset, so identical
     datasets produce byte-identical files, sidecar included; it carries
-    provenance, window bounds, and the frame spec.
+    provenance, window bounds, and the frame spec.  An empty dataset is
+    written with 0 x 0 x 0 geometry.
     """
     path = Path(path)
-    shapes = {f.data.shape for f in dataset.frames}
-    if len(shapes) > 1:
-        raise ValueError("all frames in a container must share one shape")
-    c, h, w = shapes.pop() if shapes else (0, 0, 0)
-    parts = [_FRD1_HEADER.pack(_FRD1_MAGIC, c, h, w, len(dataset))]
-    for frame, label in zip(dataset.frames, dataset.labels):
-        parts.append(np.ascontiguousarray(frame.data, dtype="<f4").tobytes())
-        parts.append(struct.pack("<f", float(label)))
-    path.write_bytes(b"".join(parts))
+    frames = dataset.frames if len(dataset) else dataset.frames.reshape(0, 0, 0, 0)
+    c, h, w = frames.shape[1:]
+    records = np.empty(len(dataset), dtype=_record_dtype(c, h, w))
+    records["frame"] = frames
+    records["label"] = dataset.labels
+    with open(path, "wb") as fh:
+        fh.write(_FRD1_HEADER.pack(_FRD1_MAGIC, c, h, w, len(dataset)))
+        fh.write(records.data)
 
     manifest = {
         "format": "FRD1-manifest",
         "recordings": sorted(set(dataset.provenance)),
         "provenance": dataset.provenance,
-        "windows": [[f.t_start_us, f.t_end_us] for f in dataset.frames],
+        "windows": dataset.windows.tolist(),
         "frame_spec": None if frame_spec is None else {
             "window_us": frame_spec.window_us,
             "mode": frame_spec.mode,
@@ -308,11 +309,11 @@ def write_frame_dataset(
 
 
 def _is_window_list(windows) -> bool:
-    def is_int(v):
-        return isinstance(v, int) and not isinstance(v, bool)
+    def is_int64(v):
+        return isinstance(v, int) and not isinstance(v, bool) and -(2**63) <= v < 2**63
 
     return isinstance(windows, list) and all(
-        isinstance(win, list) and len(win) == 2 and is_int(win[0]) and is_int(win[1])
+        isinstance(win, list) and len(win) == 2 and is_int64(win[0]) and is_int64(win[1])
         and win[0] <= win[1]
         for win in windows
     )
@@ -322,7 +323,7 @@ def read_frame_dataset(path) -> FrameDataset:
     """Read an FRD1 container; the sidecar manifest is used when present.
 
     A non-finite frame value or label, or a sidecar whose ``windows`` or
-    ``provenance`` has the wrong shape, is a ``FormatError``.
+    ``provenance`` has the wrong shape or length, is a ``FormatError``.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -331,8 +332,8 @@ def read_frame_dataset(path) -> FrameDataset:
     magic, c, h, w, count = _FRD1_HEADER.unpack_from(data)
     if magic != _FRD1_MAGIC:
         raise HeaderError(f"{path}: bad magic {magic!r}, expected {_FRD1_MAGIC!r}")
-    frame_bytes = c * h * w * 4
-    expected = count * (frame_bytes + 4)
+    record = _record_dtype(c, h, w)
+    expected = count * record.itemsize
     body = len(data) - _FRD1_HEADER.size
     if body < expected:
         raise TruncatedError(f"{path}: declared {count} frames, payload is short")
@@ -346,7 +347,7 @@ def read_frame_dataset(path) -> FrameDataset:
         what = "label" if j == c * h * w else "frame value"
         raise FormatError(f"{path}: frame {k} holds a non-finite {what}")
 
-    windows = [[0, 0]] * count
+    windows = None
     provenance = [""] * count
     sidecar = Path(str(path) + ".json")
     if sidecar.exists():
@@ -359,25 +360,22 @@ def read_frame_dataset(path) -> FrameDataset:
         if "windows" in manifest:
             if not _is_window_list(manifest["windows"]):
                 raise FormatError(
-                    f"{sidecar}: windows must be a list of [start, end] integer pairs"
+                    f"{sidecar}: windows must be a list of [start, end] int64 pairs"
                     " with start <= end"
                 )
-            if len(manifest["windows"]) == count:
-                windows = manifest["windows"]
+            windows = np.array(manifest["windows"], dtype=np.int64).reshape(-1, 2)
         if "provenance" in manifest:
             if not (isinstance(manifest["provenance"], list)
                     and all(isinstance(r, str) for r in manifest["provenance"])):
                 raise FormatError(f"{sidecar}: provenance must be a list of strings")
-            if len(manifest["provenance"]) == count:
-                provenance = manifest["provenance"]
+            provenance = manifest["provenance"]
+        for field, rows in (("windows", windows), ("provenance", provenance)):
+            if rows is not None and len(rows) != count:
+                raise FormatError(
+                    f"{sidecar}: {field} has {len(rows)} entries for {count} frames"
+                )
 
-    frames = []
-    labels = np.empty(count, dtype=np.float32)
-    offset = _FRD1_HEADER.size
-    for k in range(count):
-        raw = np.frombuffer(data, dtype="<f4", count=c * h * w, offset=offset)
-        offset += frame_bytes
-        (labels[k],) = struct.unpack_from("<f", data, offset)
-        offset += 4
-        frames.append(Frame(raw.reshape(c, h, w).copy(), windows[k][0], windows[k][1]))
-    return FrameDataset(frames, labels, provenance)
+    records = np.frombuffer(data, dtype=record, count=count, offset=_FRD1_HEADER.size)
+    return FrameDataset(
+        records["frame"].copy(), records["label"].copy(), provenance, windows
+    )

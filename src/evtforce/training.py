@@ -166,10 +166,9 @@ def train(
     train_ds, val_ds = datasets[0], datasets[1]
     if len(train_ds) == 0:
         raise ValueError("train split is empty")
-    frames = train_ds.stacked().astype(model.dtype)
-    labels = train_ds.labels.astype(np.float64)
+    frames = train_ds.frames.astype(model.dtype, copy=False)
     targets32 = train_ds.labels.astype(model.dtype).reshape(-1, 1)
-    val_frames = val_ds.stacked().astype(model.dtype) if len(val_ds) else None
+    val_frames = val_ds.frames.astype(model.dtype, copy=False) if len(val_ds) else None
     val_labels = val_ds.labels.astype(np.float64) if len(val_ds) else None
 
     rng = np.random.default_rng(config.seed)
@@ -248,5 +247,5 @@ def evaluate(model: ViTModel, dataset: FrameDataset, mape_floor_n: float = 0.05)
     """Regression metrics for a model on a labeled dataset."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate an empty dataset")
-    preds = predict_forces(model, dataset.stacked())
+    preds = predict_forces(model, dataset.frames)
     return regression_metrics(preds, dataset.labels, mape_floor_n)

@@ -40,7 +40,6 @@ class ViTConfig:
     depth: int = 4
     num_heads: int = 4
     mlp_ratio: float = 4.0
-    head_output: int = 1
 
     def __post_init__(self):
         if self.image_size <= 0 or self.patch_size <= 0:
@@ -55,8 +54,6 @@ class ViTConfig:
             raise ValueError("num_heads must divide embed_dim")
         if self.mlp_ratio <= 0:
             raise ValueError("mlp_ratio must be positive")
-        if self.head_output <= 0:
-            raise ValueError("head_output must be positive")
 
     @property
     def num_patches(self) -> int:
@@ -79,6 +76,15 @@ class ViTConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ViTConfig":
+        """Build from ``to_dict`` output.
+
+        Older checkpoints also carry ``head_output``, always 1 (the head
+        predicts one force); any other value is a ``ValueError``.
+        """
+        d = dict(d)
+        head_output = d.pop("head_output", 1)
+        if type(head_output) is not int or head_output != 1:
+            raise ValueError(f"head_output must be 1, got {head_output!r}")
         return cls(**d)
 
 
@@ -106,8 +112,8 @@ def expected_param_shapes(config: ViTConfig) -> dict[str, tuple[int, ...]]:
         shapes[prefix + "mlp.fc2.b"] = (d,)
     shapes["final_ln.g"] = (d,)
     shapes["final_ln.b"] = (d,)
-    shapes["head.w"] = (d, config.head_output)
-    shapes["head.b"] = (config.head_output,)
+    shapes["head.w"] = (d, 1)
+    shapes["head.b"] = (1,)
     return shapes
 
 
@@ -264,7 +270,7 @@ def patch_embed(frames: np.ndarray, model: ViTModel) -> Tensor:
 
 
 def forward(frames: np.ndarray, model: ViTModel, return_attn: bool = False):
-    """Predict one scalar per frame; returns a (B, head_output) tensor.
+    """Predict one scalar per frame; returns a (B, 1) tensor.
 
     With ``return_attn`` the per-block softmax attention tensors are
     returned as a second value.

@@ -132,12 +132,15 @@ class TestConfig:
         assert code == 2
         assert "unknown config section" in err and "optimizer" in err
 
-    def test_unknown_key(self, tmp_path):
+    @pytest.mark.parametrize(
+        "section,key,value", [("scene", "contrastt", 0.1), ("model", "head_output", 2)]
+    )
+    def test_unknown_key(self, tmp_path, section, key, value):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"scene": {"contrastt": 0.1}}))
+        path.write_text(json.dumps({section: {key: value}}))
         code, _, err = run_cli(["synth", "--config", path, "--out", tmp_path / "o"])
         assert code == 2
-        assert "unknown config key scene.contrastt" in err
+        assert f"unknown config key {section}.{key}" in err
 
     @pytest.mark.parametrize(
         "section,key,value",
@@ -321,7 +324,7 @@ class TestConvert:
     def test_dataset_contents(self, ws):
         ds = read_frame_dataset(ws.frd)
         assert len(ds) == N_FRAMES
-        assert ds.stacked().shape == (N_FRAMES, 2, 16, 16)
+        assert ds.frames.shape == (N_FRAMES, 2, 16, 16)
         assert sorted(set(ds.provenance)) == ["rec000", "rec001", "rec002"]
         assert np.all(ds.labels >= 0) and np.all(ds.labels <= 1.6)
         assert (Path(str(ws.frd) + ".json")).exists()
@@ -345,7 +348,7 @@ class TestConvert:
         assert code == 0, err
         ds = read_frame_dataset(out)
         assert json.loads(stdout)["frames"] == N_FRAMES
-        assert ds.stacked().shape == (N_FRAMES, 1, 60, 80)
+        assert ds.frames.shape == (N_FRAMES, 1, 60, 80)
         # Checkpoint trained on 2x16x16 frames must refuse this dataset.
         code, _, err = run_cli(
             ["eval", "--config", ws.config, "--seed", 11, "--ckpt", ws.ckpt, "--data", out]
@@ -459,7 +462,7 @@ class TestTrain:
 
     def test_empty_dataset(self, ws, tmp_path):
         empty = tmp_path / "empty.frd"
-        write_frame_dataset(FrameDataset([], [], []), empty)
+        write_frame_dataset(FrameDataset(np.zeros((0, 2, 16, 16)), [], []), empty)
         code, _, err = run_cli(
             ["train", "--config", ws.config, "--data", empty, "--out", tmp_path / "x.ckpt"]
         )
@@ -509,10 +512,10 @@ class TestEval:
         # is float32 so the float32 labels store it exactly.
         ds = read_frame_dataset(ws.frd)
         model = load_checkpoint(ws.ckpt)
-        preds = predict_forces(model, ds.stacked())
+        preds = predict_forces(model, ds.frames)
         oracle = tmp_path / "oracle.frd"
         write_frame_dataset(
-            FrameDataset(ds.frames, preds.astype(np.float32), ds.provenance), oracle
+            FrameDataset(ds.frames, preds.astype(np.float32), ds.provenance, ds.windows), oracle
         )
         code, out, err = run_cli(
             ["eval", "--config", ws.config, "--ckpt", ws.ckpt, "--data", oracle]
@@ -562,6 +565,25 @@ class TestEval:
         assert_one_line_error(err)
         assert "4 trailing byte(s)" in err
 
+    @pytest.mark.parametrize("value", [1, 2])
+    def test_checkpoint_head_output(self, ws, tmp_path, value):
+        # Earlier versions wrote "head_output": 1 into every checkpoint.
+        def add_head_output(header):
+            header["config"]["head_output"] = value
+            return header
+
+        ckpt = checkpoint_with_header(ws.ckpt, tmp_path / "head.ckpt", add_head_output)
+        code, out, err = run_cli(["eval", "--config", ws.config, "--ckpt", ckpt, "--data", ws.frd])
+        if value == 1:
+            assert code == 0, err
+            assert out == run_cli(
+                ["eval", "--config", ws.config, "--ckpt", ws.ckpt, "--data", ws.frd]
+            )[1]
+        else:
+            assert code == 3
+            assert_one_line_error(err)
+            assert "head_output must be 1" in err
+
     @pytest.mark.parametrize("key", ["config", "params"])
     def test_checkpoint_header_missing_key(self, ws, tmp_path, key):
         bad = checkpoint_with_header(
@@ -586,7 +608,13 @@ class TestEval:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("windows", 5), ("windows", [[0]]), ("provenance", 7)],
+        [
+            ("windows", 5),
+            ("windows", [[0]]),
+            ("provenance", 7),
+            ("windows", [[0, 1], [1, 2]]),
+            ("provenance", []),
+        ],
     )
     def test_malformed_sidecar_field(self, ws, tmp_path, field, value):
         frd = tmp_path / "one.frd"
@@ -604,7 +632,7 @@ class TestEval:
     def test_non_finite_dataset(self, ws, tmp_path, label):
         ds = read_frame_dataset(ws.frd)
         raw = bytearray(ws.frd.read_bytes())
-        record = ds.frames[0].data.size + 1
+        record = ds.frames[0].size + 1
         struct.pack_into("<f", raw, 18 + 4 * (record * 3 + (record - 1 if label else 5)), np.nan)
         frd = tmp_path / "nan.frd"
         frd.write_bytes(bytes(raw))
@@ -630,7 +658,7 @@ class TestPredict:
         assert len(lines) == N_FRAMES
         got = np.array([float(line) for line in lines])
         model = load_checkpoint(ws.ckpt)
-        expected = predict_forces(model, read_frame_dataset(ws.frd).stacked())
+        expected = predict_forces(model, read_frame_dataset(ws.frd).frames)
         np.testing.assert_array_equal(got, expected)
 
     def test_event_file_is_windowed(self, ws):
@@ -654,11 +682,9 @@ class TestPredict:
 
     def test_all_zero_frame_is_finite(self, ws, tmp_path):
         ds = read_frame_dataset(ws.frd)
-        zero = ds.frames[0].__class__(
-            np.zeros_like(ds.frames[0].data), 0, ds.frames[0].t_end_us
-        )
+        zero = FrameDataset(np.zeros_like(ds.frames[:1]), [0.0], ["z"], [[0, ds.windows[0, 1]]])
         path = tmp_path / "zero.frd"
-        write_frame_dataset(FrameDataset([zero], [0.0], ["z"]), path)
+        write_frame_dataset(zero, path)
         code, out, err = run_cli(
             ["predict", "--config", ws.config, "--ckpt", ws.ckpt, "--in", path]
         )
@@ -668,7 +694,7 @@ class TestPredict:
 
     def test_empty_dataset_prints_nothing(self, ws, tmp_path):
         path = tmp_path / "empty.frd"
-        write_frame_dataset(FrameDataset([], [], []), path)
+        write_frame_dataset(FrameDataset(np.zeros((0, 2, 16, 16)), [], []), path)
         code, out, err = run_cli(
             ["predict", "--config", ws.config, "--ckpt", ws.ckpt, "--in", path]
         )

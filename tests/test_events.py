@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evtforce.events import (
-    Event,
     EventStream,
     FormatError,
     HeaderError,
@@ -58,7 +57,9 @@ class TestEventStream:
             np.int32,
             np.int8,
         )
-        assert s[0] == Event(100, 3, 2, 1)
+        assert (s.t_us.tolist(), s.x.tolist(), s.y.tolist(), s.p.tolist()) == (
+            [100], [3], [2], [1]
+        )
 
     def test_immutable(self):
         s = EventStream(8, 8, t_us=[1], x=[0], y=[0], p=[1])
@@ -66,11 +67,6 @@ class TestEventStream:
             s.width = 9
         with pytest.raises(ValueError):
             s.t_us[0] = 5
-
-    def test_from_events_round_trip(self):
-        evs = [Event(0, 1, 2, 1), Event(5, 3, 0, -1)]
-        s = EventStream.from_events(8, 8, evs)
-        assert list(s) == evs
 
     def test_mismatched_columns_rejected(self):
         with pytest.raises(ValueError):
@@ -241,7 +237,7 @@ class TestCsvFormat:
         path = tmp_path / "s.csv"
         path.write_text("# width=8 height=8\nt_us,x,y,p\n100,3,2,1\n")
         s = read_events(path, format="csv")
-        assert len(s) == 1 and s[0] == Event(100, 3, 2, 1)
+        assert s == EventStream(8, 8, t_us=[100], x=[3], y=[2], p=[1])
 
     def test_header_only_is_empty_stream(self, tmp_path):
         path = tmp_path / "s.csv"

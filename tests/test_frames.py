@@ -1,5 +1,6 @@
 """Frame accumulation, mass-preserving resize, windowing, and FRD1 files."""
 
+import hashlib
 import json
 import struct
 from dataclasses import dataclass
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 from evtforce.events import EventStream
 from evtforce.frames import (
     MODES,
-    Frame,
     FrameDataset,
     FrameSpec,
     FormatError,
@@ -23,7 +23,6 @@ from evtforce.frames import (
     build_dataset,
     frames_from_stream,
     read_frame_dataset,
-    resize_frame,
     write_frame_dataset,
     _box_resize,
 )
@@ -73,65 +72,80 @@ class TestFrameSpec:
 class TestAccumulate:
     def test_count_mode(self):
         f = accumulate_frame(three_event_stream(), native_spec("count"), 0)
-        assert f.data.shape == (1, 4, 4)
-        assert f.data[0, 2, 1] == 3.0
-        assert f.data.sum() == 3.0
-        assert (f.t_start_us, f.t_end_us) == (0, 100_000)
+        assert f.shape == (1, 4, 4)
+        assert f.dtype == np.float32
+        assert f[0, 2, 1] == 3.0
+        assert f.sum() == 3.0
+
+    def test_data_attribute_is_the_frame(self):
+        f = accumulate_frame(three_event_stream(), native_spec("polarity2ch"), 0)
+        assert type(f.data) is np.ndarray
+        assert np.array_equal(f.data[None][0], f)
 
     def test_binary_mode(self):
         f = accumulate_frame(three_event_stream(), native_spec("binary"), 0)
-        assert f.data[0, 2, 1] == 1.0
-        assert f.data.sum() == 1.0
+        assert f[0, 2, 1] == 1.0
+        assert f.sum() == 1.0
 
     def test_polarity_mode_splits_by_sign(self):
         f = accumulate_frame(three_event_stream(), native_spec("polarity2ch"), 0)
-        assert f.data.shape == (2, 4, 4)
-        assert f.data[0, 2, 1] == 2.0
-        assert f.data[1, 2, 1] == 1.0
+        assert f.shape == (2, 4, 4)
+        assert f[0, 2, 1] == 2.0
+        assert f[1, 2, 1] == 1.0
 
     def test_count_totals_match_event_count(self, rng):
         for _ in range(10):
-            s = make_stream(rng, n=int(rng.integers(0, 500)))
+            s = make_stream(rng, n=int(rng.integers(0, 500)), t_max=100_000)
             f = accumulate_frame(s, native_spec("count"), 0)
-            assert f.data.sum() == len(s)
-            assert np.all(f.data >= 0)
-            assert np.array_equal(f.data, np.round(f.data))
+            assert f.sum() == len(s)
+            assert np.all(f >= 0)
+            assert np.array_equal(f, np.round(f))
 
     def test_binary_is_count_indicator(self, rng):
-        s = make_stream(rng, n=300)
-        count = accumulate_frame(s, native_spec("count"), 0).data
-        binary = accumulate_frame(s, native_spec("binary"), 0).data
+        s = make_stream(rng, n=300, t_max=100_000)
+        count = accumulate_frame(s, native_spec("count"), 0)
+        binary = accumulate_frame(s, native_spec("binary"), 0)
         assert np.array_equal(binary, (count > 0).astype(np.float32))
 
     def test_polarity_channels_sum_to_count(self, rng):
-        s = make_stream(rng, n=300)
-        count = accumulate_frame(s, native_spec("count"), 0).data
-        pol = accumulate_frame(s, native_spec("polarity2ch"), 0).data
+        s = make_stream(rng, n=300, t_max=100_000)
+        count = accumulate_frame(s, native_spec("count"), 0)
+        pol = accumulate_frame(s, native_spec("polarity2ch"), 0)
         assert np.array_equal(pol[0] + pol[1], count[0])
 
     def test_normalized_peak_is_one(self, rng):
-        s = make_stream(rng, n=300)
+        s = make_stream(rng, n=300, t_max=100_000)
         f = accumulate_frame(s, native_spec("count", normalize=True), 0)
-        assert f.data.max() == 1.0
+        assert f.max() == 1.0
 
     def test_empty_window_stays_zero(self):
         s = EventStream(4, 4)
         f = accumulate_frame(s, FrameSpec(mode="count", out_size=8, normalize=True), 0)
-        assert f.data.shape == (1, 8, 8)
-        assert not f.data.any()
+        assert f.shape == (1, 8, 8)
+        assert not f.any()
 
     def test_resize_applied_when_out_size_set(self, rng):
         s = make_stream(rng, n=300)
         f = accumulate_frame(s, FrameSpec(mode="polarity2ch", out_size=16, normalize=False), 0)
-        assert f.data.shape == (2, 16, 16)
+        assert f.shape == (2, 16, 16)
 
-    def test_window_offset_recorded(self):
-        f = accumulate_frame(EventStream(4, 4), native_spec("count"), 300_000)
-        assert (f.t_start_us, f.t_end_us) == (300_000, 400_000)
+    def test_only_the_window_from_t0_is_counted(self):
+        # Half-open [t0, t0 + window): t = 100 and t = 199 count, t = 99
+        # and t = 200 belong to the neighbouring windows.
+        s = EventStream(4, 4, t_us=[0, 99, 100, 150, 199, 200], x=[0, 1, 2, 3, 0, 1],
+                        y=[0, 0, 1, 1, 2, 2], p=[1, -1, 1, -1, 1, 1])
+        spec = FrameSpec(window_us=100, mode="count", out_size=None, normalize=False)
+        f = accumulate_frame(s, spec, 100)
+        assert f.sum() == 3.0
+        assert f[0, [1, 1, 2], [2, 3, 0]].tolist() == [1.0, 1.0, 1.0]
+        assert accumulate_frame(s, spec, 300).sum() == 0.0
 
 
-def two_bincount_accumulate(events, spec, t0_us):
-    """The earlier accumulate_frame: masks and one bincount per polarity."""
+def two_bincount_accumulate(events, spec):
+    """The earlier accumulate_frame: masks and one bincount per polarity.
+
+    Counts every event of ``events``, which must be sliced to the window.
+    """
     h, w = events.height, events.width
     lin = events.y.astype(np.int64) * w + events.x.astype(np.int64)
     if spec.mode == "polarity2ch":
@@ -149,7 +163,7 @@ def two_bincount_accumulate(events, spec, t0_us):
         peak = data.max() if data.size else 0.0
         if peak > 0:
             data = data / peak
-    return Frame(data, t0_us, t0_us + spec.window_us)
+    return data
 
 
 class TestAccumulateMatchesTwoBincounts:
@@ -174,16 +188,17 @@ class TestAccumulateMatchesTwoBincounts:
         stream = EventStream(
             width,
             height,
-            t_us=np.zeros(n_events, dtype=np.int64),
+            t_us=np.full(n_events, 200_000, dtype=np.int64),
             x=rng.integers(0, width, n_events),
             y=rng.integers(0, height, n_events),
             p=rng.choice(np.array(polarities), n_events),
         )
         spec = FrameSpec(mode=mode, out_size=out_size, normalize=normalize)
         got = accumulate_frame(stream, spec, 200_000)
-        want = two_bincount_accumulate(stream, spec, 200_000)
-        assert got.data.dtype == want.data.dtype == np.float32
-        assert got == want
+        want = two_bincount_accumulate(stream, spec)
+        assert got.dtype == want.dtype == np.float32
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_pixel_below_the_sensor_is_an_error(self, mode):
@@ -209,49 +224,38 @@ class TestAccumulateMatchesTwoBincounts:
         stream = EventStream(5, 4, t_us=[0, 1, 2, 3], x=[0, 4, 0, 4], y=[0, 0, 3, 3],
                              p=[1, 1, 1, 1])
         frame = accumulate_frame(stream, native_spec(mode), 0)
-        assert frame.data.sum() == 4
-        assert frame.data[0, [0, 0, 3, 3], [0, 4, 0, 4]].tolist() == [1, 1, 1, 1]
+        assert frame.sum() == 4
+        assert frame[0, [0, 0, 3, 3], [0, 4, 0, 4]].tolist() == [1, 1, 1, 1]
 
 
-class TestResize:
+class TestBoxResize:
     def test_two_by_two_ones_collapse_to_four(self):
-        f = Frame(np.ones((1, 2, 2), dtype=np.float32), 0, 1)
-        out = resize_frame(f, 1)
-        assert out.data.shape == (1, 1, 1)
-        assert out.data[0, 0, 0] == 4.0
+        out = _box_resize(np.ones((1, 2, 2), dtype=np.float32), 1)
+        assert out.shape == (1, 1, 1)
+        assert out[0, 0, 0] == 4.0
 
     def test_uniform_downsample_by_integer_factor(self):
-        f = Frame(np.ones((1, 4, 4), dtype=np.float32), 0, 1)
-        out = resize_frame(f, 2)
-        assert np.array_equal(out.data, np.full((1, 2, 2), 4.0, dtype=np.float32))
-
-    def test_same_size_returns_same_object(self):
-        f = Frame(np.ones((2, 8, 8), dtype=np.float32), 0, 1)
-        assert resize_frame(f, 8) is f
+        out = _box_resize(np.ones((1, 4, 4), dtype=np.float32), 2)
+        assert np.array_equal(out, np.full((1, 2, 2), 4.0, dtype=np.float32))
 
     def test_mass_preserved_sensor_to_model_size(self, rng):
         data = rng.random((2, 240, 320)).astype(np.float32) * 10
-        f = Frame(data, 0, 1)
-        out = resize_frame(f, 64)
+        out = _box_resize(data, 64)
         for c in range(2):
             before = float(data[c].astype(np.float64).sum())
-            after = float(out.data[c].astype(np.float64).sum())
+            after = float(out[c].astype(np.float64).sum())
             assert abs(after - before) <= 1e-6 * before
 
     def test_mass_preserved_upsample(self, rng):
         data = rng.random((1, 3, 5)).astype(np.float32)
-        out = resize_frame(Frame(data, 0, 1), 7)
-        assert out.data.shape == (1, 7, 7)
-        assert abs(out.data.sum() - data.sum()) <= 1e-6 * data.sum()
+        out = _box_resize(data, 7)
+        assert out.shape == (1, 7, 7)
+        assert abs(out.sum() - data.sum()) <= 1e-6 * data.sum()
 
     def test_nonnegative_preserved(self, rng):
         data = rng.random((1, 17, 31)).astype(np.float32)
-        out = resize_frame(Frame(data, 0, 1), 64)
-        assert np.all(out.data >= 0)
-
-    def test_bad_out_size(self):
-        with pytest.raises(ValueError):
-            resize_frame(Frame(np.zeros((1, 2, 2)), 0, 1), 0)
+        out = _box_resize(data, 64)
+        assert np.all(out >= 0)
 
 
 class TestWindowing:
@@ -262,9 +266,8 @@ class TestWindowing:
                         y=[0, 0, 0, 0], p=[1, 1, 1, 1])
         spec = FrameSpec(window_us=100, mode="count", out_size=None, normalize=False)
         frames = frames_from_stream(s, spec)
-        assert len(frames) == 2
-        assert [f.data.sum() for f in frames] == [1.0, 2.0]
-        assert [(f.t_start_us, f.t_end_us) for f in frames] == [(0, 100), (100, 200)]
+        assert frames.shape == (2, 1, 4, 4)
+        assert frames.sum(axis=(1, 2, 3)).tolist() == [1.0, 2.0]
 
     def test_duration_exactly_k_windows(self):
         s = EventStream(4, 4, t_us=[199], x=[0], y=[0], p=[1])
@@ -272,13 +275,15 @@ class TestWindowing:
         assert len(frames_from_stream(s, spec)) == 2
 
     def test_empty_stream_no_frames(self):
-        assert frames_from_stream(EventStream(4, 4), FrameSpec()) == []
+        assert frames_from_stream(EventStream(4, 4), FrameSpec()).shape == (0, 2, 64, 64)
+        native = FrameSpec(mode="count", out_size=None)
+        assert frames_from_stream(EventStream(5, 4), native).shape == (0, 1, 4, 5)
 
     def test_events_conserved_across_windows(self, rng):
         s = make_stream(rng, n=400, t_max=1_000_000)
         spec = FrameSpec(window_us=100_000, mode="count", out_size=None, normalize=False)
         frames = frames_from_stream(s, spec)
-        total = sum(float(f.data.sum()) for f in frames)
+        total = float(frames.sum())
         in_range = int(np.sum(s.t_us < len(frames) * spec.window_us))
         assert total == in_range
 
@@ -303,8 +308,11 @@ class TestBuildDataset:
         spec = FrameSpec(window_us=100_000, mode="count", out_size=8, normalize=True)
         ds = build_dataset([rec], [track], spec)
         assert len(ds) == 10
+        assert ds.frames.shape == (10, 1, 8, 8)
         assert np.allclose(ds.labels, np.linspace(0.0, 1.6, 10), atol=1e-7)
         assert ds.provenance == ["rec000"] * 10
+        assert ds.windows.dtype == np.int64
+        assert ds.windows.tolist() == [[k * 100_000, (k + 1) * 100_000] for k in range(10)]
 
     def test_multiple_recordings_and_custom_ids(self, rng):
         recs = [self.make_recording(rng, 3), self.make_recording(rng, 2)]
@@ -312,6 +320,17 @@ class TestBuildDataset:
         spec = FrameSpec(window_us=100_000, mode="count", out_size=8, normalize=True)
         ds = build_dataset(recs, tracks, spec, ids=["a", "b"])
         assert ds.provenance == ["a", "a", "a", "b", "b"]
+        assert ds.windows[:, 0].tolist() == [0, 100_000, 200_000, 0, 100_000]
+        for k, (rec, start) in enumerate(zip([0, 0, 0, 1, 1], ds.windows[:, 0])):
+            assert np.array_equal(ds.frames[k], accumulate_frame(recs[rec], spec, start))
+
+    def test_mixed_sensor_sizes_need_a_resize(self, rng):
+        recs = [self.make_recording(rng, 2), self.make_recording(rng, 2, width=8, height=8)]
+        tracks = [FakeTrack(10.0, (0.0, 0.5))] * 2
+        native = FrameSpec(window_us=100_000, mode="count", out_size=None)
+        with pytest.raises(ValueError):
+            build_dataset(recs, tracks, native)
+        assert len(build_dataset(recs, tracks, FrameSpec(out_size=8))) == 4
 
     def test_track_shorter_than_recording(self, rng):
         rec = self.make_recording(rng, 5)
@@ -341,6 +360,8 @@ class TestBuildDataset:
     def test_zero_duration_recording_contributes_nothing(self):
         ds = build_dataset([EventStream(8, 8)], [FakeTrack(10.0, ())], FrameSpec())
         assert len(ds) == 0
+        assert ds.frames.shape == (0, 2, 64, 64)
+        assert ds.windows.shape == (0, 2)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -349,35 +370,62 @@ class TestBuildDataset:
 
 class TestFrameDataset:
     def make_dataset(self, rng, n=6, shape=(2, 8, 8)):
-        frames = [
-            Frame(rng.random(shape).astype(np.float32), k * 10, (k + 1) * 10)
-            for k in range(n)
-        ]
+        frames = rng.random((n, *shape)).astype(np.float32)
+        windows = [[k * 10, (k + 1) * 10] for k in range(n)]
         labels = rng.random(n).astype(np.float32)
-        return FrameDataset(frames, labels, [f"rec{k % 2}" for k in range(n)])
+        return FrameDataset(frames, labels, [f"rec{k % 2}" for k in range(n)], windows)
 
-    def test_stacked_shape(self, rng):
+    def test_arrays(self, rng):
         ds = self.make_dataset(rng)
-        assert ds.stacked().shape == (6, 2, 8, 8)
-        assert ds.stacked().dtype == np.float32
+        assert ds.frames.shape == (6, 2, 8, 8)
+        assert ds.frames.dtype == np.float32
+        assert ds.windows.shape == (6, 2) and ds.windows.dtype == np.int64
 
-    def test_empty_stacked(self):
-        assert FrameDataset([], [], []).stacked().shape == (0, 0, 0, 0)
+    def test_windows_default_to_zero(self):
+        ds = FrameDataset(np.ones((2, 1, 2, 2)), [0.1, 0.2], ["a", "a"])
+        assert ds.frames.dtype == np.float32
+        assert ds.windows.tolist() == [[0, 0], [0, 0]]
 
     def test_subset(self, rng):
         ds = self.make_dataset(rng)
         sub = ds.subset([4, 1])
-        assert sub.frames == [ds.frames[4], ds.frames[1]]
+        assert np.array_equal(sub.frames, ds.frames[[4, 1]])
+        assert sub.windows.tolist() == [[40, 50], [10, 20]]
         assert list(sub.labels) == [ds.labels[4], ds.labels[1]]
         assert sub.provenance == [ds.provenance[4], ds.provenance[1]]
 
-    def test_length_mismatch_rejected(self, rng):
+    def test_equality_compares_every_array(self, rng):
+        ds = self.make_dataset(rng)
+        assert ds == ds.subset(range(6))
+        assert ds != ds.subset(range(5))
+        frames = ds.frames.copy()
+        frames[3, 1, 2, 2] += 1.0
+        assert ds != FrameDataset(frames, ds.labels, ds.provenance, ds.windows)
+        windows = ds.windows.copy()
+        windows[5] = [50, 70]
+        assert ds != FrameDataset(ds.frames, ds.labels, ds.provenance, windows)
+
+    @pytest.mark.parametrize(
+        "frames,labels,provenance,windows",
+        [
+            (np.zeros((1, 2, 2)), [0.1], ["a"], None),
+            (np.zeros((2, 1, 2, 2)), [0.1], ["a"], None),
+            (np.zeros((1, 1, 2, 2)), [0.1, 0.2], ["a"], None),
+            (np.zeros((1, 1, 2, 2)), [0.1], ["a", "b"], None),
+            (np.zeros((1, 1, 2, 2)), [0.1], ["a"], [[0, 1], [1, 2]]),
+            (np.zeros((1, 1, 2, 2)), [0.1], ["a"], [0, 1]),
+            (np.zeros((1, 1, 2, 2)), [0.1], ["a"], [[2, 1]]),
+        ],
+        ids=["3-d", "labels", "labels-long", "provenance", "windows", "flat-windows",
+             "window-ends-first"],
+    )
+    def test_malformed_rejected(self, frames, labels, provenance, windows):
         with pytest.raises(ValueError):
-            FrameDataset([Frame(np.zeros((1, 2, 2)), 0, 1)], [0.1, 0.2], ["a"])
+            FrameDataset(frames, labels, provenance, windows)
 
     def test_nan_labels_rejected(self):
         with pytest.raises(ValueError):
-            FrameDataset([Frame(np.zeros((1, 2, 2)), 0, 1)], [np.nan], ["a"])
+            FrameDataset(np.zeros((1, 1, 2, 2)), [np.nan], ["a"])
 
 
 class TestFrdContainer:
@@ -398,7 +446,7 @@ class TestFrdContainer:
         write_frame_dataset(ds, path, frame_spec=FrameSpec(mode="count"))
         manifest = json.loads((tmp_path / "d.frd.json").read_text())
         assert manifest["provenance"] == ds.provenance
-        assert manifest["windows"] == [[f.t_start_us, f.t_end_us] for f in ds.frames]
+        assert manifest["windows"] == [[k * 10, (k + 1) * 10] for k in range(4)]
         assert manifest["frame_spec"]["mode"] == "count"
         assert manifest["recordings"] == ["rec0", "rec1"]
 
@@ -408,23 +456,39 @@ class TestFrdContainer:
         write_frame_dataset(ds, path)
         (tmp_path / "d.frd.json").unlink()
         back = read_frame_dataset(path)
-        assert np.array_equal(back.stacked(), ds.stacked())
+        assert np.array_equal(back.frames, ds.frames)
         assert np.array_equal(back.labels, ds.labels)
         assert back.provenance == [""] * 3
+        assert back.windows.tolist() == [[0, 0]] * 3
 
     def test_empty_dataset_round_trip(self, tmp_path):
         path = tmp_path / "d.frd"
-        write_frame_dataset(FrameDataset([], [], []), path)
-        assert len(read_frame_dataset(path)) == 0
+        write_frame_dataset(FrameDataset(np.zeros((0, 2, 8, 8)), [], []), path)
+        # The header of an empty container declares 0 x 0 x 0 frames.
+        assert path.read_bytes() == b"FRD1" + bytes(14)
+        back = read_frame_dataset(path)
+        assert len(back) == 0
+        assert back.frames.shape == (0, 0, 0, 0) and back.windows.shape == (0, 2)
 
-    def test_mixed_shapes_rejected(self, tmp_path):
-        ds = FrameDataset(
-            [Frame(np.zeros((1, 2, 2)), 0, 1), Frame(np.zeros((1, 3, 3)), 1, 2)],
-            [0.1, 0.2],
-            ["a", "a"],
-        )
-        with pytest.raises(ValueError):
-            write_frame_dataset(ds, tmp_path / "d.frd")
+    # sha256 of the .frd and .frd.json files, pinned when each frame
+    # was a separate object, so the record layout cannot drift.
+    GOLDEN = {
+        "three.frd": "90b1e13b740dbd1f08782cda35365de99aea668198eebf5db71351dd67606d9f",
+        "three.frd.json": "2f9e57a08d441192fb291b2df7010b7d8cde90ca3c5c1c4125ac355aca3a9399",
+        "empty.frd": "8639d2884c5ee2d20b49e1edcaf78aa9a891f2f404829935fa5a55fa785a5097",
+        "empty.frd.json": "ba36e14ea09c8ad7665893abb1e3fb2276b7f14d73d886f8245c48927a941879",
+    }
+
+    def test_golden_bytes(self, tmp_path):
+        frames = np.arange(3 * 2 * 3 * 4, dtype=np.float32).reshape(3, 2, 3, 4) / 4
+        three = FrameDataset(frames, [0.25, 1.5, 0.0], ["rec000", "rec000", "rec001"],
+                             [[0, 10], [10, 20], [0, 10]])
+        spec = FrameSpec(window_us=10, mode="polarity2ch", out_size=None, normalize=False)
+        write_frame_dataset(three, tmp_path / "three.frd", spec)
+        write_frame_dataset(FrameDataset(np.zeros((0, 0, 0, 0)), [], []), tmp_path / "empty.frd")
+        for name, digest in self.GOLDEN.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+        assert read_frame_dataset(tmp_path / "three.frd") == three
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "d.frd"
@@ -480,6 +544,11 @@ class TestFrdContainer:
             ("provenance", 7),
             ("provenance", ["rec0", 1]),
             ("provenance", "rec0rec1"),
+            ("windows", [[0, 10]]),
+            ("windows", [[0, 10], [10, 20], [20, 30]]),
+            ("windows", [[0, 10], [10, 2**63]]),
+            ("provenance", ["rec0"]),
+            ("provenance", []),
         ],
     )
     def test_malformed_sidecar_fields_rejected(self, tmp_path, rng, field, value):

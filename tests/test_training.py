@@ -7,7 +7,7 @@ import pytest
 
 from evtforce import autodiff as ad
 from evtforce.autodiff import Tensor
-from evtforce.frames import Frame, FrameDataset
+from evtforce.frames import FrameDataset
 from evtforce.training import (
     AdamState,
     EpochLog,
@@ -32,12 +32,14 @@ TINY = ViTConfig(image_size=8, patch_size=4, in_channels=1, embed_dim=8,
 
 def toy_dataset(rng, n=24, side=8):
     """Frames whose label is their own mean, a target a tiny net can fit."""
-    frames, labels = [], []
-    for k in range(n):
-        data = rng.random((1, side, side)).astype(np.float32)
-        frames.append(Frame(data, k, k + 1))
-        labels.append(float(data.mean()))
-    return FrameDataset(frames, labels, ["toy"] * n)
+    frames = rng.random((n, 1, side, side)).astype(np.float32)
+    labels = [float(f.mean()) for f in frames]
+    windows = np.stack([np.arange(n), np.arange(1, n + 1)], axis=1)
+    return FrameDataset(frames, labels, ["toy"] * n, windows)
+
+
+def empty_dataset(side=8):
+    return FrameDataset(np.zeros((0, 1, side, side), dtype=np.float32), [], [])
 
 
 class TestTrainConfig:
@@ -253,9 +255,8 @@ class TestTrainLoop:
 
     def test_empty_train_split_rejected(self, rng):
         _, va, _ = self.split_toy(rng)
-        with pytest.raises(ValueError):
-            train(init_params(TINY, seed=0), (FrameDataset([], [], []), va),
-                  TrainConfig(epochs=1))
+        with pytest.raises(ValueError, match="train split is empty"):
+            train(init_params(TINY, seed=0), (empty_dataset(), va), TrainConfig(epochs=1))
 
     def test_training_reduces_loss(self, rng):
         tr, va, _ = self.split_toy(rng, n=48)
@@ -295,8 +296,7 @@ class TestTrainLoop:
 
     def test_without_validation_keeps_final_epoch(self, rng):
         ds = toy_dataset(rng, n=16)
-        empty = FrameDataset([], [], [])
-        model, log = train(init_params(TINY, seed=0), (ds, empty),
+        model, log = train(init_params(TINY, seed=0), (ds, empty_dataset()),
                            TrainConfig(epochs=2, batch_size=8))
         assert all(math.isnan(e.val_mse) for e in log)
         assert all(math.isfinite(e.train_mse) for e in log)
@@ -323,13 +323,13 @@ class TestPredictEvaluate:
     def test_evaluate_against_own_predictions_is_perfect(self, rng):
         model = init_params(TINY, seed=1)
         ds = toy_dataset(rng, n=12)
-        preds = predict_forces(model, ds.stacked())
-        oracle = FrameDataset(ds.frames, preds.astype(np.float32), ds.provenance)
+        preds = predict_forces(model, ds.frames)
+        oracle = FrameDataset(ds.frames, preds.astype(np.float32), ds.provenance, ds.windows)
         m = evaluate(model, oracle)
         assert m.rmse == 0.0
         assert m.r2 == 1.0
         assert m.n == 12
 
     def test_evaluate_empty_rejected(self):
-        with pytest.raises(ValueError):
-            evaluate(init_params(TINY, seed=1), FrameDataset([], [], []))
+        with pytest.raises(ValueError, match="empty dataset"):
+            evaluate(init_params(TINY, seed=1), empty_dataset())

@@ -45,7 +45,7 @@ def closed_form_param_count(cfg):
         + tokens * d               # pos embed
         + cfg.depth * per_block
         + 2 * d                    # final ln
-        + (d * cfg.head_output + cfg.head_output)
+        + (d + 1)                  # head: one force
     )
 
 
@@ -75,7 +75,6 @@ class TestConfig:
             {"in_channels": 0},
             {"depth": 0},
             {"mlp_ratio": 0.0},
-            {"head_output": 0},
         ],
     )
     def test_validation(self, kwargs):
@@ -425,6 +424,43 @@ class TestCheckpoint:
         path = tmp_path / "odd.ckpt"
         path.write_bytes(struct.pack("<I", len(encoded)) + encoded)
         with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    @staticmethod
+    def with_head_output(path, value):
+        """Rewrite a checkpoint's header as earlier versions wrote it, with
+        ``head_output`` in the model config."""
+        import json
+        import struct
+
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack_from("<I", raw)
+        header = json.loads(raw[4 : 4 + hlen])
+        header["config"]["head_output"] = value
+        encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
+        path.write_bytes(struct.pack("<I", len(encoded)) + encoded + raw[4 + hlen :])
+
+    def test_loads_a_header_with_head_output_one(self, tmp_path):
+        model = init_params(TINY, seed=8)
+        new, old = tmp_path / "new.ckpt", tmp_path / "old.ckpt"
+        save_checkpoint(model, new)
+        save_checkpoint(model, old)
+        self.with_head_output(old, 1)
+        assert b'"head_output":1' in old.read_bytes()
+        back = load_checkpoint(old)
+        assert back.config == model.config
+        for name in model.params:
+            assert np.array_equal(back.params[name].data, model.params[name].data)
+        resaved = tmp_path / "resaved.ckpt"
+        save_checkpoint(back, resaved)
+        assert resaved.read_bytes() == new.read_bytes()
+
+    @pytest.mark.parametrize("value", [2, 0, True, 1.0, "1", None])
+    def test_rejects_any_other_head_output(self, tmp_path, value):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(TINY, seed=8), path)
+        self.with_head_output(path, value)
+        with pytest.raises(FormatError, match="head_output"):
             load_checkpoint(path)
 
     def test_rejects_unknown_format_tag(self, tmp_path):
