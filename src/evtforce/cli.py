@@ -1,10 +1,13 @@
 """The ``evtforce`` command line: synth, convert, train, eval, predict, bench.
 
 One JSON config document with four sections (scene, frame, model, train)
-drives the whole pipeline.  Precedence is flag > config file > built-in
-default.  Every random choice derives from a single master seed, fanned
-out to named sub-seeds, so a pipeline rerun with the same seed and config
-is byte-identical.
+drives the whole pipeline; its keys and defaults are the fields of the
+pipeline dataclasses (``_SECTIONS``).  The ``--config`` file is laid over
+the defaults and the section flags over the file, all through one type
+check: numbers must be finite and integers must fit in int64.  Every
+random choice derives from a single master seed (``--seed``, else
+``train.seed``), fanned out to named sub-seeds, so a pipeline rerun with
+the same seed and config is byte-identical.
 
 Exit codes: 0 success, 2 usage or validation error, 3 I/O or file-format error,
 4 internal invariant breach.
@@ -19,13 +22,14 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .events import FormatError, InvalidStreamError, read_events, write_events
 from .frames import (
+    MODES,
     FrameSpec,
     accumulate_frame,
     build_dataset,
@@ -88,51 +92,36 @@ class PipelineConfig:
         return hashlib.sha256(json.dumps(hashed, sort_keys=True).encode("ascii")).hexdigest()
 
 
-DEFAULT_CONFIG: dict = {
-    "scene": {
-        "width": 320,
-        "height": 240,
-        "fingers": None,
-        "delta_max_px": 12.0,
-        "f_max_n": 1.6,
-        "background": 50.0,
-        "foreground": 200.0,
-        "contrast": 0.05,
-        "thickness_px": 5.0,
-        "rate_hz": 10.0,
-        "samples_per_recording": 41,
-        "substeps_per_sample": 4,
-        "noise_rate_hz": 0.0,
-    },
-    "frame": {
-        "window_us": 100_000,
-        "mode": "polarity2ch",
-        "out_size": 64,
-        "normalize": True,
-    },
-    "model": {
-        "image_size": 64,
-        "patch_size": 8,
-        "in_channels": 2,
-        "embed_dim": 128,
-        "depth": 4,
-        "num_heads": 4,
-        "mlp_ratio": 4.0,
-    },
-    "train": {
-        "learning_rate": 0.001,
-        "batch_size": 16,
-        "epochs": 200,
-        "seed": 0,
-        "split": [0.70, 0.15, 0.15],
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "eps": 1e-8,
-        "mape_floor_n": 0.05,
-    },
+# Each config section and the dataclasses its keys belong to, in the
+# order ``PipelineConfig`` holds them.
+_SECTIONS = {
+    "scene": (GripperScene, SynthProtocol),
+    "frame": (FrameSpec,),
+    "model": (ViTConfig,),
+    "train": (TrainConfig,),
 }
 
-_PROTOCOL_KEYS = ("rate_hz", "samples_per_recording", "substeps_per_sample", "noise_rate_hz")
+
+def _json_default(value):
+    return list(value) if isinstance(value, tuple) else value
+
+
+DEFAULT_CONFIG: dict = {
+    section: {f.name: _json_default(f.default) for cls in classes for f in fields(cls)}
+    for section, classes in _SECTIONS.items()
+}
+
+# Command-line flags that override one config key: argparse dest (the key)
+# to its section.
+_SECTION_FLAGS = {
+    "window_us": "frame",
+    "mode": "frame",
+    "out_size": "frame",
+    "normalize": "frame",
+    "epochs": "train",
+    "batch_size": "train",
+    "learning_rate": "train",
+}
 
 
 def sub_seed(master: int, name: str) -> int:
@@ -141,9 +130,13 @@ def sub_seed(master: int, name: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def load_config(path: str | None) -> PipelineConfig:
-    """Merge a config file (if any) over the defaults and validate it."""
+def load_config(path: str | None, flags: dict | None = None) -> PipelineConfig:
+    """Merge a config file (if any), then ``flags``, over the defaults and validate.
+
+    ``flags`` is one more config document, laid over the file's.
+    """
     merged = copy.deepcopy(DEFAULT_CONFIG)
+    document = {}
     if path is not None:
         try:
             document = json.loads(Path(path).read_text())
@@ -151,7 +144,8 @@ def load_config(path: str | None) -> PipelineConfig:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
         if not isinstance(document, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
-        for section, values in document.items():
+    for layer in (document, flags or {}):
+        for section, values in layer.items():
             if section not in merged:
                 raise ConfigError(f"unknown config section {section!r}")
             if not isinstance(values, dict):
@@ -168,14 +162,22 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _is_finite(value) -> bool:
+    """A JSON number that converts to a finite float."""
+    try:
+        return _is_number(value) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _is_int64(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and -2**63 <= value < 2**63
 
 
 def _is_polylines(value) -> bool:
     return isinstance(value, list) and all(
         isinstance(finger, list) and all(
-            isinstance(point, list) and len(point) == 2 and all(map(_is_number, point))
+            isinstance(point, list) and len(point) == 2 and all(map(_is_finite, point))
             for point in finger
         )
         for finger in value
@@ -184,19 +186,19 @@ def _is_polylines(value) -> bool:
 
 # Keys whose value is not simply of its default's type.
 _VALUE_KINDS = {
-    "fingers": ("a list of fingers, each a list of [x, y] points, or null",
+    "fingers": ("a list of fingers, each a list of finite [x, y] points, or null",
                 lambda v: v is None or _is_polylines(v)),
-    "out_size": ("an integer or null", lambda v: v is None or _is_int(v)),
-    "split": ("a list of three numbers",
-              lambda v: isinstance(v, list) and len(v) == 3 and all(map(_is_number, v))),
+    "out_size": ("an integer within int64 or null", lambda v: v is None or _is_int64(v)),
+    "split": ("a list of three finite numbers",
+              lambda v: isinstance(v, list) and len(v) == 3 and all(map(_is_finite, v))),
 }
 
 
 def _check_type(section: str, key: str, value) -> None:
     """Reject a config value whose JSON type does not fit its default's.
 
-    An integer field takes only integers, a float field any number, a
-    bool or string field only its own type.
+    An integer field takes only integers within int64, a float field any
+    finite number, a bool or string field only its own type.
     """
     default = DEFAULT_CONFIG[section][key]
     if key in _VALUE_KINDS:
@@ -204,18 +206,20 @@ def _check_type(section: str, key: str, value) -> None:
     elif isinstance(default, bool):
         expected, fits = "true or false", lambda v: isinstance(v, bool)
     elif isinstance(default, int):
-        expected, fits = "an integer", _is_int
+        expected, fits = "an integer within int64", _is_int64
     elif isinstance(default, float):
-        expected, fits = "a number", _is_number
+        expected, fits = "a finite number", _is_finite
     else:
         expected, fits = "a string", lambda v: isinstance(v, str)
     if not fits(value):
         raise ConfigError(f"invalid {section}.{key}: must be {expected}, got {json.dumps(value)}")
 
 
-def _construct(section: str, factory, kwargs: dict):
+def _construct(section: str, cls, values: dict):
+    """Build ``cls`` from its own fields of a merged config section."""
+    kwargs = {f.name: values[f.name] for f in fields(cls)}
     try:
-        return factory(**kwargs)
+        return cls(**kwargs)
     except ValueError as exc:
         key = str(exc).split()[0]
         if key in kwargs:
@@ -224,21 +228,25 @@ def _construct(section: str, factory, kwargs: dict):
 
 
 def _build_config(merged: dict) -> PipelineConfig:
-    scene_keys = dict(merged["scene"])
-    protocol_kwargs = {k: scene_keys.pop(k) for k in _PROTOCOL_KEYS}
-    if scene_keys.get("fingers") is not None:
-        scene_keys["fingers"] = tuple(
-            tuple((float(x), float(y)) for x, y in finger)
-            for finger in scene_keys["fingers"]
-        )
-    scene = _construct("scene", GripperScene, scene_keys)
-    protocol = _construct("scene", SynthProtocol, protocol_kwargs)
-    frame = _construct("frame", FrameSpec, dict(merged["frame"]))
-    model = _construct("model", ViTConfig, dict(merged["model"]))
-    train_kwargs = dict(merged["train"])
-    train_kwargs["split"] = tuple(train_kwargs["split"])
-    train_cfg = _construct("train", TrainConfig, train_kwargs)
-    return PipelineConfig(scene, protocol, frame, model, train_cfg, merged)
+    parts = [
+        _construct(section, cls, merged[section])
+        for section, classes in _SECTIONS.items()
+        for cls in classes
+    ]
+    return PipelineConfig(*parts, merged)
+
+
+def _config(args) -> PipelineConfig:
+    """The command's config: the ``--config`` file, then its section flags.
+
+    ``--out-size 0`` stands for null, the native sensor size.
+    """
+    flags: dict = {}
+    for key, section in _SECTION_FLAGS.items():
+        value = getattr(args, key, None)
+        if value is not None:
+            flags.setdefault(section, {})[key] = None if key == "out_size" and value == 0 else value
+    return load_config(args.config, flags)
 
 
 def _master_seed(args, cfg: PipelineConfig) -> int:
@@ -266,7 +274,7 @@ def _event_format(path: Path) -> str:
 
 
 def cmd_synth(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _config(args)
     seed = _master_seed(args, cfg)
     n = args.n_recordings
     if n < 0:
@@ -306,27 +314,8 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _frame_spec_from_args(args, cfg: PipelineConfig) -> FrameSpec:
-    kwargs = {
-        "window_us": cfg.frame.window_us,
-        "mode": cfg.frame.mode,
-        "out_size": cfg.frame.out_size,
-        "normalize": cfg.frame.normalize,
-    }
-    if getattr(args, "window_us", None) is not None:
-        kwargs["window_us"] = args.window_us
-    if getattr(args, "mode", None) is not None:
-        kwargs["mode"] = args.mode
-    if getattr(args, "out_size", None) is not None:
-        kwargs["out_size"] = None if args.out_size == 0 else args.out_size
-    if getattr(args, "normalize", None) is not None:
-        kwargs["normalize"] = args.normalize
-    return _construct("frame", FrameSpec, kwargs)
-
-
 def cmd_convert(args) -> int:
-    cfg = load_config(args.config)
-    spec = _frame_spec_from_args(args, cfg)
+    cfg = _config(args)
     in_dir = Path(args.in_dir)
     if not in_dir.is_dir():
         raise FileNotFoundError(f"{in_dir} is not a directory")
@@ -344,38 +333,17 @@ def cmd_convert(args) -> int:
         tracks.append(load_profile(label_path))
         ids.append(path.stem)
     dataset = build_dataset(
-        streams, tracks, spec, force_range=(0.0, cfg.scene.f_max_n), ids=ids
+        streams, tracks, cfg.frame, force_range=(0.0, cfg.scene.f_max_n), ids=ids
     )
-    write_frame_dataset(dataset, args.out, spec)
+    write_frame_dataset(dataset, args.out, cfg.frame)
     _print_json({"frames": len(dataset), "out": str(args.out), "recordings": len(streams)})
     return 0
 
 
-def _train_config(args, cfg: PipelineConfig, seed: int) -> TrainConfig:
-    kwargs = {
-        "learning_rate": cfg.train.learning_rate,
-        "batch_size": cfg.train.batch_size,
-        "epochs": cfg.train.epochs,
-        "split": cfg.train.split,
-        "beta1": cfg.train.beta1,
-        "beta2": cfg.train.beta2,
-        "eps": cfg.train.eps,
-        "mape_floor_n": cfg.train.mape_floor_n,
-        "seed": sub_seed(seed, "train"),
-    }
-    if getattr(args, "epochs", None) is not None:
-        kwargs["epochs"] = args.epochs
-    if getattr(args, "batch_size", None) is not None:
-        kwargs["batch_size"] = args.batch_size
-    if getattr(args, "learning_rate", None) is not None:
-        kwargs["learning_rate"] = args.learning_rate
-    return _construct("train", TrainConfig, kwargs)
-
-
 def cmd_train(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _config(args)
     seed = _master_seed(args, cfg)
-    train_cfg = _train_config(args, cfg, seed)
+    train_cfg = replace(cfg.train, seed=sub_seed(seed, "train"))
     dataset = read_frame_dataset(args.data)
     if len(dataset) == 0:
         raise ConfigError(f"{args.data} holds no frames")
@@ -428,7 +396,7 @@ def _select_split(dataset, name: str, cfg: PipelineConfig, seed: int):
 
 
 def cmd_eval(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _config(args)
     seed = _master_seed(args, cfg)
     model = load_checkpoint(args.ckpt)
     dataset = read_frame_dataset(args.data)
@@ -441,14 +409,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _config(args)
     model = load_checkpoint(args.ckpt)
     in_path = Path(args.in_path)
     if in_path.suffix == ".frd":
         frames = read_frame_dataset(in_path).frames
     else:
-        spec = _frame_spec_from_args(args, cfg)
-        frames = frames_from_stream(read_events(in_path, _event_format(in_path)), spec)
+        frames = frames_from_stream(read_events(in_path, _event_format(in_path)), cfg.frame)
     if len(frames) == 0:
         return 0
     preds = predict_forces(model, frames)
@@ -468,7 +435,7 @@ def cmd_bench(args) -> int:
         raise ConfigError(f"{path} holds no events; nothing to benchmark")
     window = max(stream.duration_us, 1)
     report: dict[str, float | int] = {"events": len(stream)}
-    for mode in ("count", "binary", "polarity2ch"):
+    for mode in MODES:
         spec = FrameSpec(window_us=window, mode=mode, out_size=None, normalize=False)
         best = math.inf
         for _ in range(args.repeats):
@@ -487,28 +454,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def configured(p, seeded):
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="master seed for every random choice")
+        if seeded:
+            p.add_argument("--seed", type=int, help="master seed for every random choice")
+
+    def frame_flags(p):
+        p.add_argument("--window-us", type=int)
+        p.add_argument("--mode", choices=MODES)
+        p.add_argument("--out-size", type=int, help="square frame side, 0 keeps native size")
+        p.add_argument("--normalize", action=argparse.BooleanOptionalAction)
 
     p = sub.add_parser("synth", help="generate synthetic grasp recordings")
-    common(p)
+    configured(p, seeded=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--n-recordings", type=int, default=25)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("convert", help="window recordings into a labeled frame dataset")
-    common(p)
+    configured(p, seeded=False)
     p.add_argument("--in", dest="in_dir", required=True, help="recording directory")
     p.add_argument("--out", required=True, help="output .frd container")
-    p.add_argument("--window-us", type=int)
-    p.add_argument("--mode", choices=("binary", "count", "polarity2ch"))
-    p.add_argument("--out-size", type=int, help="square frame side, 0 keeps native size")
-    p.add_argument("--normalize", action=argparse.BooleanOptionalAction)
+    frame_flags(p)
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("train", help="train the regressor on a frame dataset")
-    common(p)
+    configured(p, seeded=True)
     p.add_argument("--data", required=True, help="input .frd container")
     p.add_argument("--out", required=True, help="output checkpoint path")
     p.add_argument("--epochs", type=int)
@@ -517,24 +488,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="report metrics for a checkpoint on a dataset")
-    common(p)
+    configured(p, seeded=True)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=("all", "train", "val", "test"), default="all")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="print one force per frame")
-    common(p)
+    configured(p, seeded=False)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--in", dest="in_path", required=True, help="event file or .frd container")
-    p.add_argument("--window-us", type=int)
-    p.add_argument("--mode", choices=("binary", "count", "polarity2ch"))
-    p.add_argument("--out-size", type=int)
-    p.add_argument("--normalize", action=argparse.BooleanOptionalAction)
+    frame_flags(p)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("bench", help="measure accumulation throughput per mode")
-    common(p)
     p.add_argument("--in", dest="in_path", required=True, help="event file")
     p.add_argument("--repeats", type=int, default=3)
     p.set_defaults(func=cmd_bench)

@@ -58,8 +58,10 @@ class GripperScene:
     thickness_px: float = 5.0
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("width and height must be positive")
+        if self.width <= 0:
+            raise ValueError("width must be positive")
+        if self.height <= 0:
+            raise ValueError("height must be positive")
         if self.fingers is None:
             object.__setattr__(self, "fingers", default_fingers(self.width, self.height))
         fingers = tuple(tuple((float(x), float(y)) for x, y in f) for f in self.fingers)
@@ -68,8 +70,10 @@ class GripperScene:
             raise ValueError("delta_max_px must be non-negative")
         if self.f_max_n <= 0:
             raise ValueError("f_max_n must be positive")
-        if self.background <= 0 or self.foreground <= 0:
-            raise ValueError("background and foreground intensities must be positive")
+        if self.background <= 0:
+            raise ValueError("background intensity must be positive")
+        if self.foreground <= 0:
+            raise ValueError("foreground intensity must be positive")
         if self.contrast <= 0:
             raise ValueError("contrast must be positive")
         if self.thickness_px <= 0:

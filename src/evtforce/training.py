@@ -44,8 +44,10 @@ class TrainConfig:
             raise ValueError("split must be three non-negative ratios")
         if abs(sum(self.split) - 1.0) > 1e-9:
             raise ValueError("split ratios must sum to 1")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
+        if not 0 <= self.beta1 < 1:
+            raise ValueError("beta1 must lie in [0, 1)")
+        if not 0 <= self.beta2 < 1:
+            raise ValueError("beta2 must lie in [0, 1)")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
         if self.mape_floor_n <= 0:

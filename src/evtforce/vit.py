@@ -42,14 +42,18 @@ class ViTConfig:
     mlp_ratio: float = 4.0
 
     def __post_init__(self):
-        if self.image_size <= 0 or self.patch_size <= 0:
-            raise ValueError("image_size and patch_size must be positive")
+        if self.image_size <= 0:
+            raise ValueError("image_size must be positive")
+        if self.patch_size <= 0:
+            raise ValueError("patch_size must be positive")
         if self.image_size % self.patch_size != 0:
             raise ValueError("image_size must be divisible by patch_size")
         if self.in_channels <= 0:
             raise ValueError("in_channels must be positive")
-        if self.embed_dim <= 0 or self.depth <= 0:
-            raise ValueError("embed_dim and depth must be positive")
+        if self.embed_dim <= 0:
+            raise ValueError("embed_dim must be positive")
+        if self.depth <= 0:
+            raise ValueError("depth must be positive")
         if self.num_heads <= 0 or self.embed_dim % self.num_heads != 0:
             raise ValueError("num_heads must divide embed_dim")
         if self.mlp_ratio <= 0:

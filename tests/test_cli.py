@@ -13,9 +13,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evtforce
-from evtforce.cli import DEFAULT_CONFIG, load_config, main, sub_seed
+from evtforce.cli import DEFAULT_CONFIG, ConfigError, load_config, main, sub_seed
 from evtforce.events import EventStream, write_events
 from evtforce.frames import FrameDataset, read_frame_dataset, write_frame_dataset
 from evtforce.synth import load_profile
@@ -109,6 +111,24 @@ class TestConfig:
         assert cfg.train.learning_rate == 0.001
         assert cfg.raw == DEFAULT_CONFIG
 
+    def test_golden_digests(self, tmp_path):
+        # Digests of the hand-written default document that DEFAULT_CONFIG
+        # replaced; the synth manifest records them.
+        assert load_config(None).sha256() == (
+            "11f35cf75d17926e6b45e67e06d8deb62e67ed1ea07ada2eafe66d77a6eefc4a"
+        )
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "scene": {"width": 80, "height": 60, "samples_per_recording": 11},
+            "frame": {"out_size": 16},
+            "model": {"image_size": 16, "patch_size": 4, "embed_dim": 16, "depth": 1,
+                      "num_heads": 2},
+            "train": {"epochs": 2},
+        }))
+        assert load_config(str(path)).sha256() == (
+            "1f0729f8535894ac73a7f56cd0a6826728c8e387a97ac8121b85749ec76ccc2d"
+        )
+
     def test_sha256_tracks_content(self, tmp_path):
         a = load_config(write_config(tmp_path))
         digest = a.sha256()
@@ -152,6 +172,11 @@ class TestConfig:
             ("model", "embed_dim", 0),
             ("train", "split", [0.5, 0.5, 0.1]),
             ("train", "epochs", -3),
+            ("scene", "height", 0),
+            ("scene", "foreground", -1),
+            ("model", "depth", 0),
+            ("model", "patch_size", 0),
+            ("train", "beta2", 1.0),
         ],
     )
     def test_invalid_value_names_the_key(self, tmp_path, section, key, value):
@@ -179,6 +204,16 @@ class TestConfig:
             ("train", "split", [0.7, 0.15]),
             ("train", "split", [0.7, "0.15", 0.15]),
             ("train", "seed", 1.0),
+            ("train", "learning_rate", float("nan")),
+            ("train", "learning_rate", float("inf")),
+            ("scene", "contrast", float("nan")),
+            ("scene", "delta_max_px", -float("inf")),
+            ("train", "split", [float("nan"), 0.5, 0.5]),
+            ("scene", "fingers", [[[10, 20], [float("inf"), 20]]]),
+            ("scene", "width", 10**400),
+            ("scene", "f_max_n", 10**400),
+            ("frame", "out_size", 2**63),
+            ("train", "seed", -2**63 - 1),
         ],
     )
     def test_wrong_type_is_a_usage_error(self, tmp_path, section, key, value):
@@ -196,6 +231,8 @@ class TestConfig:
             ("frame", "out_size", None),
             ("scene", "fingers", [[[10, 20], [30.5, 20]]]),
             ("train", "split", [1, 0, 0]),
+            ("train", "seed", 2**63 - 1),
+            ("train", "seed", -2**63),
         ],
     )
     def test_accepted_types(self, tmp_path, section, key, value):
@@ -226,6 +263,76 @@ class TestConfig:
             ["synth", "--config", tmp_path / "absent.json", "--out", tmp_path / "o"]
         )
         assert code == 3 and "error:" in err
+
+    @pytest.mark.parametrize(
+        "flags,key",
+        [
+            (["--lr", "nan"], "train.learning_rate"),
+            (["--lr", "inf"], "train.learning_rate"),
+            (["--epochs", -1], "train.epochs"),
+            (["--batch-size", 2**63], "train.batch_size"),
+            (["--window-us", 0], "frame.window_us"),
+            (["--out-size", -3], "frame.out_size"),
+        ],
+    )
+    def test_invalid_flag_names_the_key(self, ws, tmp_path, flags, key):
+        command = "train" if key.startswith("train.") else "convert"
+        inputs = ["--data", ws.frd] if command == "train" else ["--in", ws.rec]
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(
+            [command, "--config", ws.config, *inputs, "--out", out, *flags]
+        )
+        assert code == 2 and stdout == ""
+        assert_one_line_error(err)
+        assert f"invalid {key}" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_flags_override_the_file(self, tmp_path):
+        path = write_config(tmp_path, {"frame": {"mode": "binary"}, "train": {"epochs": -1}})
+        cfg = load_config(str(path), {"frame": {"mode": "count"}, "train": {"epochs": 3}})
+        assert cfg.frame.mode == "count" and cfg.train.epochs == 3
+        assert cfg.frame.out_size == 16  # from the file
+        assert cfg.raw["train"]["epochs"] == 3
+
+
+# Any JSON value: nested lists and objects, bools, ints far past int64,
+# NaN and +-Infinity, strings; plus polylines, which the recursive
+# strategy seldom builds.  Scalars are drawn on their own as well, since
+# the recursive strategy mostly yields containers.
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-10**400, max_value=10**400)
+    | st.sampled_from([10**400, -10**400, 2**63, -2**63 - 1, 2**1024])
+    | st.floats()
+    | st.text(max_size=12)
+)
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=10,
+)
+_POLYLINES = st.lists(
+    st.lists(st.lists(st.floats(-10, 400) | st.integers(-10, 400), min_size=2, max_size=2),
+             max_size=3),
+    max_size=3,
+)
+_CONFIG_KEYS = [(section, key) for section, keys in DEFAULT_CONFIG.items() for key in keys]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SCALARS | _JSON_VALUES | _POLYLINES)
+def test_any_json_value_loads_or_is_a_config_error(tmp_path_factory, value):
+    path = tmp_path_factory.getbasetemp() / "fuzz-config.json"
+    for section, key in _CONFIG_KEYS:
+        path.write_text(json.dumps({section: {key: value}}))
+        try:
+            cfg = load_config(str(path))
+        except ConfigError:
+            continue
+        assert cfg.raw[section][key] == value
+        assert len(cfg.sha256()) == 64
 
 
 class TestSubSeed:
@@ -735,6 +842,20 @@ class TestBench:
     def test_missing_file(self, ws, tmp_path):
         code, _, _ = run_cli(["bench", "--in", tmp_path / "nope.evb1"])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "--config", "/nonexistent.json"],
+            ["bench", "--seed", 3],
+            ["convert", "--out", "x.frd", "--seed", 3],
+            ["predict", "--ckpt", "x.ckpt", "--seed", 3],
+        ],
+    )
+    def test_flags_nothing_reads_are_rejected(self, ws, argv):
+        code, out, err = run_cli([*argv, "--in", ws.rec / "rec000.evb1"])
+        assert code == 2 and out == ""
+        assert "unrecognized arguments" in err
 
     @pytest.mark.parametrize("repeats", [0, -1])
     def test_repeats_must_be_positive(self, ws, repeats):
