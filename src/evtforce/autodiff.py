@@ -10,12 +10,18 @@ touches keeps its zero gradient.
 
 Shape discipline is strict: elementwise ops demand identical shapes and
 the only broadcasts are a trailing-shape bias add and the documented
-matmul batching.  Recording can be suspended with ``no_grad()``; forward
-values are identical either way.  Graphs are cheap single-thread objects;
-build and differentiate a graph on one thread at a time.
+matmul batching.  A linear layer is ``add_bias(matmul(x, w), b)`` for x
+of any rank: both ops fold the leading axes into rows themselves, so no
+reshape nodes surround it.  Recording can be suspended with
+``no_grad()``; forward values are identical either way.  Graphs are cheap
+single-thread objects; build and differentiate a graph on one thread at
+a time.  numpy is the only dependency: float64 GELU, used by the
+gradient checks, takes the standard library's ``math.erf``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -39,6 +45,9 @@ _ERF32_Q = tuple(np.float32(c) for c in (
     -7.37332916720468e-03, -1.42647390514189e-02,
 ))
 _PHI32_BLOCK = 1 << 16
+
+# The standard library's erf, elementwise; within 3 ulp of scipy's.
+_erf64 = np.vectorize(math.erf, otypes=[np.float64])
 
 
 class no_grad:
@@ -87,22 +96,6 @@ class Tensor:
         tag = ", requires_grad" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{tag})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor.__new__(Tensor)
@@ -149,8 +142,9 @@ def scale(a: Tensor, c: float) -> Tensor:
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
     """Add ``b`` to every row of ``x``; b's shape must equal x's trailing shape.
 
-    This is the one sanctioned broadcast: the bias gradient sums over the
-    leading axes.
+    This is the one sanctioned broadcast: the bias gradient folds the
+    leading axes into one and sums over it, so a linear layer's bias sees
+    the same (rows, features) sum whatever its input's rank.
     """
     if b.data.ndim == 0 or b.data.ndim > x.data.ndim:
         raise ValueError("add_bias: bias rank must be >= 1 and <= operand rank")
@@ -159,10 +153,9 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
             f"add_bias: bias shape {b.data.shape} does not match trailing "
             f"dims of {x.data.shape}"
         )
-    lead = tuple(range(x.data.ndim - b.data.ndim))
 
     def backward(g):
-        return g, g.sum(axis=lead) if lead else g
+        return g, g.reshape((-1,) + b.data.shape).sum(axis=0)
 
     return _result(x.data + b.data, (x, b), backward)
 
@@ -173,8 +166,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     Allowed shapes: 2-D @ 2-D; stacked @ 2-D (a batch of matrices against
     one shared matrix, as in a linear layer); and batched @ batched with
     exactly matching leading dims (as in per-head attention).  Anything
-    else is a shape error; there is no implicit broadcasting.  Against a
-    shared one-column matrix, equal rows of ``a`` give equal results.
+    else is a shape error; there is no implicit broadcasting.  Stacked @
+    2-D folds the leading axes into rows, so it is one GEMM forward and
+    two backward, with the values of the flattened 2-D product.  Against
+    a shared one-column matrix, equal rows of ``a`` give equal results.
     """
     A, B = a.data, b.data
     if A.ndim < 2 or B.ndim < 2:
@@ -187,23 +182,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul: batch dims must match exactly (or B be 2-D), "
             f"{A.shape} @ {B.shape}"
         )
+    if not shared:
+        def backward(g):
+            return g @ B.swapaxes(-1, -2), A.swapaxes(-1, -2) @ g
+
+        return _result(A @ B, (a, b), backward)
+
+    A2 = A.reshape(-1, A.shape[-1])
 
     def backward(g):
-        if shared:
-            ga = g @ B.T
-            gb = A.reshape(-1, A.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        else:
-            ga = g @ B.swapaxes(-1, -2)
-            gb = A.swapaxes(-1, -2) @ g
-        return ga, gb
+        g2 = g.reshape(-1, g.shape[-1])
+        return (g2 @ B.T).reshape(A.shape), A2.T @ g2
 
-    if shared and B.shape[1] == 1:
+    if B.shape[1] == 1:
         # BLAS GEMV rounds rows differently by their position in A, so a
         # one-column product is a row-wise sum: equal rows, equal results.
-        out = (A * B[:, 0]).sum(axis=-1, keepdims=True)
+        out = (A2 * B[:, 0]).sum(axis=-1, keepdims=True)
     else:
-        out = A @ B
-    return _result(out, (a, b), backward)
+        out = A2 @ B
+    return _result(out.reshape(A.shape[:-1] + (B.shape[1],)), (a, b), backward)
 
 
 def transpose(a: Tensor, axis0: int = -2, axis1: int = -1) -> Tensor:
@@ -299,19 +296,17 @@ def _phi32(x: np.ndarray) -> np.ndarray:
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit, x * Phi(x) in the erf form.
 
-    float64 input takes erf from ``scipy.special.erf``, which is imported
-    on the first float64 call, so float32 models never load scipy.
-    float32 input takes the rational erf of ``_phi32``: Phi is within
-    2.5e-7 of the float64 path and the output within 3e-7 * max(1, |x|).
+    float64 input, which only the gradient checks use, takes the standard
+    library's ``math.erf`` value by value.  float32 input takes the
+    rational erf of ``_phi32``: Phi is within 2.5e-7 of the float64 path
+    and the output within 3e-7 * max(1, |x|).
     The output has the input's dtype; the backward rule Phi + x * phi
     reuses the forward's Phi.
     """
     if x.data.dtype == np.float32:
         cdf = _phi32(x.data)
     else:
-        from scipy.special import erf
-
-        cdf = 0.5 * (1.0 + erf(x.data / _SQRT2))
+        cdf = 0.5 * (1.0 + _erf64(x.data / _SQRT2))
 
     def backward(g):
         pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI

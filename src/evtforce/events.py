@@ -134,57 +134,46 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    ok: bool
-    violations: tuple[Violation, ...]
+    """How many invariant violations a stream has, and the first of them."""
+
+    count: int
+    first: Violation | None
+
+    @property
+    def ok(self) -> bool:
+        return self.count == 0
 
 
-def _violation_masks(stream: EventStream) -> list[tuple[np.ndarray, str]]:
-    """One boolean mask per invariant, in the order violations are reported."""
+def validate_stream(stream: EventStream) -> ValidationReport:
+    """Check stream invariants and report the violations as data.
+
+    Checked per event: non-negative timestamp, x within [0, width),
+    y within [0, height), polarity in {+1, -1}; and pairwise: timestamps
+    non-decreasing.  Every broken check on an event counts once.  The
+    first violation is the one at the lowest index; on a tie, the check
+    listed first above wins.  Costs a few array passes however many events
+    are bad.  An empty stream is vacuously valid.
+    """
     nonmono = np.zeros(len(stream), dtype=bool)
     if len(stream) > 1:
         nonmono[1:] = np.diff(stream.t_us) < 0
-    return [
+    checks = [
         (stream.t_us < 0, "negative timestamp"),
         (nonmono, "non-monotonic timestamp"),
         ((stream.x < 0) | (stream.x >= stream.width), "x out of range"),
         ((stream.y < 0) | (stream.y >= stream.height), "y out of range"),
         ((stream.p != 1) & (stream.p != -1), "polarity not in {+1, -1}"),
     ]
-
-
-def validate_stream(stream: EventStream) -> ValidationReport:
-    """Check stream invariants and report every violation as data.
-
-    Checked per event: non-negative timestamp, x within [0, width),
-    y within [0, height), polarity in {+1, -1}; and pairwise: timestamps
-    non-decreasing.  An empty stream is vacuously valid.
-    """
-    found = [
-        Violation(int(i), reason)
-        for mask, reason in _violation_masks(stream)
-        for i in np.nonzero(mask)[0]
-    ]
-    found.sort(key=lambda v: v.index)
-    return ValidationReport(ok=not found, violations=tuple(found))
-
-
-def _violation_summary(stream: EventStream) -> tuple[int, Violation | None]:
-    """The number of violations and the first one, as ``validate_stream`` orders them.
-
-    Costs a few array passes however many events are bad: no per-event
-    objects are built.
-    """
     count, first = 0, None
-    for mask, reason in _violation_masks(stream):
+    for mask, reason in checks:
         hits = int(np.count_nonzero(mask))
         if hits:
             count += hits
             index = int(mask.argmax())
-            # Strictly lower only: on a tie the earlier check wins, as the
-            # stable sort in validate_stream keeps it first.
+            # Strictly lower only: on a tie the earlier check keeps its place.
             if first is None or index < first.index:
                 first = Violation(index, reason)
-    return count, first
+    return ValidationReport(count, first)
 
 
 def slice_window(stream: EventStream, t0_us: int, t1_us: int) -> EventStream:
@@ -227,11 +216,11 @@ def concat_streams(parts: Iterable[EventStream]) -> EventStream:
 
 
 def _require_valid(stream: EventStream, context: str) -> None:
-    count, first = _violation_summary(stream)
-    if count:
+    report = validate_stream(stream)
+    if not report.ok:
         raise InvalidStreamError(
-            f"{context}: {count} violation(s), "
-            f"first is '{first.reason}' at index {first.index}"
+            f"{context}: {report.count} violation(s), "
+            f"first is '{report.first.reason}' at index {report.first.index}"
         )
 
 

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .events import EventStream, _violation_summary
+from .events import EventStream, validate_stream
 
 Polyline = tuple[tuple[float, float], ...]
 
@@ -379,9 +379,9 @@ def synthesize_recording(
         stream = _sorted_stream(scene.width, scene.height, *map(np.concatenate, zip(*columns)))
     else:
         stream = EventStream(scene.width, scene.height)
-    count, first = _violation_summary(stream)
-    if count:
-        raise AssertionError(f"synthesis produced an invalid stream: {first}")
+    report = validate_stream(stream)
+    if not report.ok:
+        raise AssertionError(f"synthesis produced an invalid stream: {report.first}")
     return stream, profile
 
 

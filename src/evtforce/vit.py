@@ -5,11 +5,14 @@ linearly projected to the embed dimension, a learned regression token is
 prepended, and learned position embeddings are added.  Encoder blocks are
 pre-norm residual: ``x + MHSA(LN(x))`` then ``x + MLP(LN(x))`` with the
 erf-form GELU x * Phi(x) inside the MLP: float64 models take erf from
-scipy, float32 models a rational erf whose Phi is within 2.5e-7 of it
-(``autodiff.gelu``).  After a final layer norm, a linear head reads the
-regression token out to the scalar prediction.  Weights start from a
-numpy truncated-normal sampler (``init_params``), so building and running
-a float32 model never imports scipy.
+the standard library's ``math.erf``, float32 models a rational erf whose
+Phi is within 2.5e-7 of it (``autodiff.gelu``).  After a final layer
+norm, a linear head reads the regression token out to the scalar
+prediction.  Every linear layer is ``add_bias(matmul(x, w), b)``, one
+GEMM whatever the rank of its input.  The model takes batches only:
+frames are (B, C, H, W), and a single frame is a batch of one.  Weights
+start from a numpy truncated-normal sampler (``init_params``); numpy is
+the only dependency.
 
 Parameters live in a flat name -> Tensor dict so the optimizer, the
 checkpoint format, and the gradient checks all see one namespace.
@@ -203,17 +206,12 @@ def patchify(frames: np.ndarray, patch_size: int) -> np.ndarray:
 
 
 def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Token-wise affine map; folds leading axes so the matmul is one GEMM."""
-    lead = x.shape[:-1]
-    flat = ad.reshape(x, (-1, x.shape[-1])) if len(lead) > 1 else x
-    out = ad.add_bias(ad.matmul(flat, w), b)
-    if len(lead) > 1:
-        out = ad.reshape(out, lead + (w.shape[-1],))
-    return out
+    """Token-wise affine map; ``matmul`` folds the leading axes into one GEMM."""
+    return ad.add_bias(ad.matmul(x, w), b)
 
 
-def multi_head_attention(x: Tensor, model: ViTModel, block: int):
-    """Self-attention over tokens; returns (output, attention weights)."""
+def multi_head_attention(x: Tensor, model: ViTModel, block: int) -> Tensor:
+    """Self-attention over the tokens of a (B, T, D) tensor."""
     cfg = model.config
     p = model.params
     prefix = f"block{block}.attn."
@@ -231,15 +229,14 @@ def multi_head_attention(x: Tensor, model: ViTModel, block: int):
     attn = ad.softmax_rows(scores)
     context = ad.matmul(attn, v)
     merged = ad.reshape(ad.transpose(context, 1, 2), (b, t, d))
-    out = _linear(merged, p[prefix + "out.w"], p[prefix + "out.b"])
-    return out, attn
+    return _linear(merged, p[prefix + "out.w"], p[prefix + "out.b"])
 
 
-def encoder_block(x: Tensor, model: ViTModel, block: int, return_attn: bool = False):
+def encoder_block(x: Tensor, model: ViTModel, block: int) -> Tensor:
     """Pre-norm residual block: x + MHSA(LN(x)), then + MLP(LN(.))."""
     p = model.params
     prefix = f"block{block}."
-    attended, attn = multi_head_attention(
+    attended = multi_head_attention(
         ad.layer_norm(x, p[prefix + "ln1.g"], p[prefix + "ln1.b"]), model, block
     )
     x = ad.add(x, attended)
@@ -247,19 +244,15 @@ def encoder_block(x: Tensor, model: ViTModel, block: int, return_attn: bool = Fa
     h = _linear(h, p[prefix + "mlp.fc1.w"], p[prefix + "mlp.fc1.b"])
     h = ad.gelu(h)
     h = _linear(h, p[prefix + "mlp.fc2.w"], p[prefix + "mlp.fc2.b"])
-    x = ad.add(x, h)
-    return (x, attn) if return_attn else x
+    return ad.add(x, h)
 
 
 def patch_embed(frames: np.ndarray, model: ViTModel) -> Tensor:
-    """Project frames to patch tokens; accepts (C, H, W) or (B, C, H, W)."""
+    """Project (B, C, H, W) frames to (B, num_patches, embed_dim) tokens."""
     cfg = model.config
     frames = np.asarray(frames, dtype=model.dtype)
-    single = frames.ndim == 3
-    if single:
-        frames = frames[None]
     if frames.ndim != 4:
-        raise ValueError("frames must have shape (B, C, H, W) or (C, H, W)")
+        raise ValueError("frames must have shape (B, C, H, W)")
     b, c, h, w = frames.shape
     if c != cfg.in_channels or h != cfg.image_size or w != cfg.image_size:
         raise ValueError(
@@ -267,35 +260,23 @@ def patch_embed(frames: np.ndarray, model: ViTModel) -> Tensor:
             f"{cfg.in_channels}x{cfg.image_size}x{cfg.image_size}"
         )
     patches = patchify(frames, cfg.patch_size)
-    tokens = _linear(
+    return _linear(
         Tensor(patches), model.params["patch_proj.w"], model.params["patch_proj.b"]
     )
-    return ad.reshape(tokens, (cfg.num_patches, cfg.embed_dim)) if single else tokens
 
 
-def forward(frames: np.ndarray, model: ViTModel, return_attn: bool = False):
-    """Predict one scalar per frame; returns a (B, 1) tensor.
-
-    With ``return_attn`` the per-block softmax attention tensors are
-    returned as a second value.
-    """
-    cfg = model.config
+def forward(frames: np.ndarray, model: ViTModel) -> Tensor:
+    """Predict one scalar per frame of a (B, C, H, W) batch; returns (B, 1)."""
     p = model.params
     tokens = patch_embed(frames, model)
-    if len(tokens.shape) == 2:
-        tokens = ad.reshape(tokens, (1,) + tokens.shape)
-    b = tokens.shape[0]
-    reg = ad.repeat_batch(p["reg_token"], b)
+    reg = ad.repeat_batch(p["reg_token"], tokens.shape[0])
     x = ad.concat_tokens(reg, tokens)
     x = ad.add_bias(x, p["pos_embed"])
-    attns = []
-    for i in range(cfg.depth):
-        x, attn = encoder_block(x, model, i, return_attn=True)
-        attns.append(attn)
+    for i in range(model.config.depth):
+        x = encoder_block(x, model, i)
     x = ad.layer_norm(x, p["final_ln.g"], p["final_ln.b"])
     readout = ad.take_token(x, 0)
-    pred = ad.add_bias(ad.matmul(readout, p["head.w"]), p["head.b"])
-    return (pred, attns) if return_attn else pred
+    return _linear(readout, p["head.w"], p["head.b"])
 
 
 def save_checkpoint(model: ViTModel, path) -> None:
@@ -318,6 +299,10 @@ def save_checkpoint(model: ViTModel, path) -> None:
 
 
 def load_checkpoint(path, dtype=np.float32) -> ViTModel:
+    """Read a ``save_checkpoint`` file.
+
+    Any damage, and any NaN or infinite weight, is a ``FormatError``.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _CKPT_LEN.size:
@@ -354,6 +339,10 @@ def load_checkpoint(path, dtype=np.float32) -> ViTModel:
     if len(blob) > used:
         raise FormatError(f"{path}: {len(blob) - used} trailing byte(s) after the parameters")
     try:
-        return ViTModel(config, params)
+        model = ViTModel(config, params)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
+    for name, p in params.items():
+        if not np.isfinite(p.data).all():
+            raise FormatError(f"{path}: parameter {name} holds a non-finite value")
+    return model

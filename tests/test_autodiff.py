@@ -19,6 +19,7 @@ OP_CASES = [
     ("scale", lambda a: ad.scale(a, -1.7), [(2, 5)]),
     ("add_bias_vec", ad.add_bias, [(4, 6), (6,)]),
     ("add_bias_grid", ad.add_bias, [(2, 3, 5), (3, 5)]),
+    ("add_bias_stacked", ad.add_bias, [(2, 3, 5), (5,)]),
     ("matmul_2d", ad.matmul, [(3, 4), (4, 5)]),
     ("matmul_stacked", ad.matmul, [(2, 3, 4), (4, 5)]),
     ("matmul_batched", ad.matmul, [(2, 2, 3, 4), (2, 2, 4, 6)]),
@@ -53,15 +54,6 @@ class TestForwardValues:
         assert np.array_equal(ad.sub(a, b).data, a.data - b.data)
         assert np.array_equal(ad.mul(a, b).data, a.data * b.data)
         assert np.array_equal(ad.scale(a, 2.5).data, a.data * 2.5)
-
-    def test_operator_sugar(self, rng):
-        a = tensor64(rng, (2, 2))
-        b = tensor64(rng, (2, 2))
-        assert np.array_equal((a + b).data, a.data + b.data)
-        assert np.array_equal((a - b).data, a.data - b.data)
-        assert np.array_equal((a * b).data, a.data * b.data)
-        assert np.array_equal((3.0 * a).data, 3.0 * a.data)
-        assert np.array_equal((a @ b).data, a.data @ b.data)
 
     def test_softmax_frozen_point(self):
         # exp([0, ln 3]) = [1, 3] -> probabilities [1/4, 3/4]
@@ -127,6 +119,26 @@ class TestBackwardFormulas:
         g = np.full((3, 5), 1.0 / 15.0)
         assert rel_err(a.grad, g @ b.data.T) < 1e-12
         assert rel_err(b.grad, a.data.T @ g) < 1e-12
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stacked_matmul_is_the_flattened_gemm(self, rng, dtype):
+        # A linear layer on (B, T, K) tokens: forward and both gradients
+        # must be bit-equal to the (B*T, K) @ (K, N) product.
+        a_data = rng.normal(size=(3, 7, 5)).astype(dtype)
+        b_data = rng.normal(size=(5, 4)).astype(dtype)
+        g_data = rng.normal(size=(3, 7, 4)).astype(dtype)
+        grads = []
+        for a_shape, g_shape in (((3, 7, 5), (3, 7, 4)), ((21, 5), (21, 4))):
+            a = Tensor(a_data.reshape(a_shape), requires_grad=True)
+            b = Tensor(b_data, requires_grad=True)
+            out = ad.matmul(a, b)
+            loss = ad.mean_over_axis(
+                ad.reshape(ad.mul(out, Tensor(g_data.reshape(g_shape))), (84,)), 0
+            )
+            ad.backward(loss)
+            grads.append((out.data.reshape(21, 4), a.grad.reshape(21, 5), b.grad))
+        for stacked, flat in zip(*grads):
+            assert np.array_equal(stacked, flat)
 
     def test_add_bias_sums_over_leading_axes(self, rng):
         x = tensor64(rng, (4, 6))
@@ -199,7 +211,7 @@ class TestGraphMechanics:
 
 
 class TestGelu:
-    """float32 GELU takes a rational erf; float64 keeps scipy's erf."""
+    """float32 GELU takes a rational erf; float64 the standard library's."""
 
     # The accuracy the gelu docstring states for float32 input.
     TOL = 3e-7
@@ -231,9 +243,12 @@ class TestGelu:
         assert np.array_equal(y, np.where(x > 0, x, np.float32(0.0)))
 
     def test_float64_path_is_scipy_erf(self, rng):
+        # math.erf is within 3 ulp of scipy's, so GELU is within a few
+        # spacings of max(1, |x|).
         x = rng.standard_normal((7, 9)) * 4.0
         expect = x * (0.5 * (1.0 + erf(x / float(np.sqrt(2.0)))))
-        assert np.array_equal(ad.gelu(Tensor(x)).data, expect)
+        err = np.abs(ad.gelu(Tensor(x)).data - expect)
+        assert np.all(err <= 4 * np.spacing(np.maximum(1.0, np.abs(x))))
 
     def test_float32_dtype_in_and_out(self, rng):
         x = Tensor(rng.standard_normal((3, 5)).astype(np.float32), requires_grad=True)

@@ -691,6 +691,23 @@ class TestEval:
             assert_one_line_error(err)
             assert "head_output must be 1" in err
 
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_checkpoint_with_a_nan_parameter(self, ws, tmp_path, command):
+        raw = bytearray(ws.ckpt.read_bytes())
+        hlen = struct.unpack_from("<I", raw)[0]
+        offset = json.loads(raw[4 : 4 + hlen])["params"]["head.b"]["offset"]
+        struct.pack_into("<f", raw, 4 + hlen + offset, np.nan)
+        bad = tmp_path / "nan.ckpt"
+        bad.write_bytes(bytes(raw))
+        data_flag = "--data" if command == "eval" else "--in"
+        code, out, err = run_cli(
+            [command, "--config", ws.config, "--ckpt", bad, data_flag, ws.frd]
+        )
+        assert code == 3
+        assert out == ""
+        assert_one_line_error(err)
+        assert "parameter head.b holds a non-finite value" in err
+
     @pytest.mark.parametrize("key", ["config", "params"])
     def test_checkpoint_header_missing_key(self, ws, tmp_path, key):
         bad = checkpoint_with_header(
@@ -890,10 +907,17 @@ class TestMainEntry:
         assert code == 2
 
 
+def run_python(code):
+    """Run ``code`` in a fresh interpreter with this package on its path."""
+    src = str(Path(evtforce.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+
+
 def test_cold_start_never_imports_scipy():
     # Importing scipy.stats and scipy.special costs several times the rest
-    # of start-up; only a float64 GELU needs scipy, so every float32 path
-    # must stay clear of it.
+    # of start-up; numpy is the only runtime dependency, so no path may
+    # load scipy.
     code = (
         "import sys\n"
         "import numpy as np\n"
@@ -905,8 +929,28 @@ def test_cold_start_never_imports_scipy():
         "synthesize_recording(GripperScene(), make_grasp_profile(3, 1.0), noise_rate_hz=100.0)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    src = str(Path(evtforce.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    proc = run_python(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_float64_model_runs_without_scipy():
+    # The gradient checks' float64 path, with scipy made unimportable.
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import numpy as np\n"
+        "import evtforce.cli\n"
+        "from evtforce import autodiff as ad\n"
+        "from evtforce.vit import ViTConfig, forward, init_params\n"
+        "cfg = ViTConfig(image_size=8, patch_size=4, in_channels=1, embed_dim=8,\n"
+        "                depth=1, num_heads=2)\n"
+        "model = init_params(cfg, 0, dtype=np.float64)\n"
+        "pred = forward(np.ones((2, 1, 8, 8)), model)\n"
+        "ad.backward(ad.mean_over_axis(ad.reshape(pred, (2,)), 0))\n"
+        "g = model.params['block0.mlp.fc1.w'].grad\n"
+        "print(pred.dtype, g.dtype, bool(np.isfinite(g).all() and g.any()))\n"
+    )
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["float64", "float64", "True"]

@@ -13,7 +13,7 @@ from evtforce.events import (
     HeaderError,
     InvalidStreamError,
     TruncatedError,
-    _violation_summary,
+    Violation,
     concat_streams,
     read_events,
     slice_window,
@@ -84,22 +84,42 @@ class TestEventStream:
         assert s.duration_us == 41_001
 
 
+def reference_violations(stream):
+    """Every (index, reason) violation, one per broken check per event, by index.
+
+    A per-event reference for ``validate_stream``, written independently of
+    it: on one index the checks keep their documented order.
+    """
+    found = []
+    for i in range(len(stream)):
+        t, x, y, p = (int(c[i]) for c in (stream.t_us, stream.x, stream.y, stream.p))
+        if t < 0:
+            found.append((i, "negative timestamp"))
+        if i > 0 and t < int(stream.t_us[i - 1]):
+            found.append((i, "non-monotonic timestamp"))
+        if not 0 <= x < stream.width:
+            found.append((i, "x out of range"))
+        if not 0 <= y < stream.height:
+            found.append((i, "y out of range"))
+        if p not in (1, -1):
+            found.append((i, "polarity not in {+1, -1}"))
+    return found
+
+
 class TestValidate:
     def test_valid_random_streams(self, rng):
         for _ in range(20):
             assert validate_stream(make_stream(rng)).ok
 
     def test_empty_is_valid(self):
-        assert validate_stream(EventStream(8, 8)).ok
+        rep = validate_stream(EventStream(8, 8))
+        assert rep.ok and (rep.count, rep.first) == (0, None)
 
     def test_non_monotonic_flagged_at_second_index(self):
         s = EventStream(8, 8, t_us=[5, 3], x=[0, 0], y=[0, 0], p=[1, 1])
         rep = validate_stream(s)
         assert not rep.ok
-        assert (rep.violations[0].index, rep.violations[0].reason) == (
-            1,
-            "non-monotonic timestamp",
-        )
+        assert rep.first == Violation(1, "non-monotonic timestamp")
 
     def test_equal_timestamps_allowed(self):
         s = EventStream(8, 8, t_us=[3, 3], x=[0, 1], y=[0, 0], p=[1, -1])
@@ -107,21 +127,26 @@ class TestValidate:
 
     def test_negative_timestamp(self):
         s = EventStream(8, 8, t_us=[-1], x=[0], y=[0], p=[1])
-        assert validate_stream(s).violations[0].reason == "negative timestamp"
+        assert validate_stream(s).first.reason == "negative timestamp"
 
     def test_coordinate_bounds_are_exclusive(self):
         s = EventStream(8, 6, t_us=[0, 1], x=[8, 0], y=[0, 6], p=[1, 1])
-        reasons = [v.reason for v in validate_stream(s).violations]
-        assert reasons == ["x out of range", "y out of range"]
+        assert reference_violations(s) == [(0, "x out of range"), (1, "y out of range")]
+        rep = validate_stream(s)
+        assert (rep.count, rep.first) == (2, Violation(0, "x out of range"))
+        inside = EventStream(8, 6, t_us=[0, 1], x=[7, 0], y=[0, 5], p=[1, 1])
+        assert validate_stream(inside).ok
 
     def test_zero_polarity_flagged(self):
         s = EventStream(8, 8, t_us=[0], x=[0], y=[0], p=[0])
-        assert validate_stream(s).violations[0].reason == "polarity not in {+1, -1}"
+        assert validate_stream(s).first.reason == "polarity not in {+1, -1}"
 
     def test_violations_sorted_by_index(self):
         s = EventStream(8, 8, t_us=[0, 1, 2], x=[0, 8, 0], y=[0, 0, 0], p=[0, 1, 2])
-        idx = [v.index for v in validate_stream(s).violations]
+        idx = [i for i, _ in reference_violations(s)]
         assert idx == sorted(idx) == [0, 1, 2]
+        rep = validate_stream(s)
+        assert (rep.count, rep.first) == (3, Violation(0, "polarity not in {+1, -1}"))
 
 
 # Unsorted rows with values on both sides of every bound, so one event can
@@ -140,38 +165,39 @@ bad_event_tuples = st.lists(
 class TestViolationSummary:
     @given(rows=bad_event_tuples)
     @settings(max_examples=200, deadline=None)
-    def test_matches_validate_stream(self, rows):
+    def test_matches_the_per_event_reference(self, rows):
         cols = list(zip(*rows)) if rows else [(), (), (), ()]
         s = EventStream(8, 6, *cols)
-        violations = validate_stream(s).violations
-        count, first = _violation_summary(s)
-        assert count == len(violations)
-        assert first == (violations[0] if violations else None)
+        expected = reference_violations(s)
+        rep = validate_stream(s)
+        assert rep.count == len(expected)
+        assert rep.ok == (not expected)
+        assert rep.first == (Violation(*expected[0]) if expected else None)
 
     @given(rows=bad_event_tuples)
     @settings(max_examples=100, deadline=None)
     def test_rejection_message_names_first_violation_and_count(self, rows, tmp_path_factory):
         cols = list(zip(*rows)) if rows else [(), (), (), ()]
         s = EventStream(8, 6, *cols)
-        violations = validate_stream(s).violations
+        violations = reference_violations(s)
         path = tmp_path_factory.mktemp("w") / "s.evb1"
         if not violations:
             write_events(s, path)
             return
         with pytest.raises(InvalidStreamError) as err:
             write_events(s, path)
-        first = violations[0]
+        index, reason = violations[0]
         assert str(err.value) == (
             f"refusing to write invalid stream: {len(violations)} violation(s), "
-            f"first is '{first.reason}' at index {first.index}"
+            f"first is '{reason}' at index {index}"
         )
 
     def test_tie_goes_to_the_earlier_check(self):
         # Index 1 is both non-monotonic and out of range in x; the
-        # timestamp check runs first, as in validate_stream.
+        # timestamp check is listed first.
         s = EventStream(8, 8, t_us=[5, 3], x=[0, 9], y=[0, 0], p=[1, 1])
-        assert _violation_summary(s) == (2, validate_stream(s).violations[0])
-        assert _violation_summary(s)[1].reason == "non-monotonic timestamp"
+        rep = validate_stream(s)
+        assert (rep.count, rep.first) == (2, Violation(1, "non-monotonic timestamp"))
 
     def test_read_rejects_a_file_of_bad_events(self, tmp_path):
         n = 100_000
