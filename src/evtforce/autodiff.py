@@ -414,30 +414,3 @@ def zero_grad(params) -> None:
     for p in tensors:
         p.grad = np.zeros_like(p.data)
 
-
-def params_to_bytes(params: dict[str, Tensor]) -> tuple[bytes, dict]:
-    """Flatten named parameters to one little-endian float32 blob.
-
-    Returns the blob and an index {name: {shape, offset}} with byte
-    offsets, so the pair is self-describing and byte-reproducible.
-    """
-    blob = bytearray()
-    index: dict[str, dict] = {}
-    for name, p in params.items():
-        index[name] = {"shape": list(p.data.shape), "offset": len(blob)}
-        blob += np.ascontiguousarray(p.data, dtype="<f4").tobytes()
-    return bytes(blob), index
-
-
-def params_from_bytes(
-    blob: bytes, index: dict, dtype=np.float32, requires_grad: bool = True
-) -> dict[str, Tensor]:
-    params: dict[str, Tensor] = {}
-    for name, entry in index.items():
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        flat = np.frombuffer(blob, dtype="<f4", count=count, offset=entry["offset"])
-        params[name] = Tensor(
-            flat.reshape(shape).astype(dtype), requires_grad=requires_grad
-        )
-    return params

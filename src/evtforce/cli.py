@@ -39,6 +39,7 @@ from .frames import (
 )
 from .synth import (
     GripperScene,
+    SynthProtocol,
     load_profile,
     make_grasp_profile,
     save_profile,
@@ -50,26 +51,6 @@ from .vit import ViTConfig, init_params, load_checkpoint, save_checkpoint
 
 class ConfigError(ValueError):
     """A config document or flag value failed validation."""
-
-
-@dataclass(frozen=True)
-class SynthProtocol:
-    """How many samples each synthetic grasp has and how finely to simulate."""
-
-    rate_hz: float = 10.0
-    samples_per_recording: int = 41
-    substeps_per_sample: int = 4
-    noise_rate_hz: float = 0.0
-
-    def __post_init__(self):
-        if self.rate_hz <= 0:
-            raise ValueError("rate_hz must be positive")
-        if self.samples_per_recording < 2:
-            raise ValueError("samples_per_recording must be at least 2")
-        if self.substeps_per_sample < 1:
-            raise ValueError("substeps_per_sample must be at least 1")
-        if self.noise_rate_hz < 0:
-            raise ValueError("noise_rate_hz must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -140,7 +121,7 @@ def load_config(path: str | None, flags: dict | None = None) -> PipelineConfig:
     if path is not None:
         try:
             document = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or bad UTF-8
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
         if not isinstance(document, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
@@ -254,19 +235,11 @@ def _master_seed(args, cfg: PipelineConfig) -> int:
 
 
 def _print_json(payload) -> None:
-    _assert_finite(payload)
-    print(json.dumps(payload, sort_keys=True))
-
-
-def _assert_finite(payload) -> None:
-    if isinstance(payload, dict):
-        for v in payload.values():
-            _assert_finite(v)
-    elif isinstance(payload, (list, tuple)):
-        for v in payload:
-            _assert_finite(v)
-    elif isinstance(payload, float) and not math.isfinite(payload):
-        raise AssertionError("non-finite value in JSON output")
+    try:
+        text = json.dumps(payload, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise AssertionError("non-finite value in JSON output") from exc
+    print(text)
 
 
 def _event_format(path: Path) -> str:
@@ -404,6 +377,9 @@ def cmd_eval(args) -> int:
     if len(part) == 0:
         raise ConfigError(f"split {args.split!r} of {args.data} is empty")
     metrics = evaluate(model, part, cfg.train.mape_floor_n)
+    # Labels are finite float32, so every metric is finite when the rmse is.
+    if not math.isfinite(metrics.rmse):
+        raise FormatError(f"{args.ckpt}: checkpoint gives a non-finite prediction")
     _print_json(metrics.to_dict())
     return 0
 
@@ -420,7 +396,7 @@ def cmd_predict(args) -> int:
         return 0
     preds = predict_forces(model, frames)
     if not np.all(np.isfinite(preds)):
-        raise AssertionError("prediction produced a non-finite force")
+        raise FormatError(f"{args.ckpt}: checkpoint gives a non-finite prediction")
     for value in preds:
         print(repr(float(value)))
     return 0
@@ -516,7 +492,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        # A finite but huge weight may overflow on the way; the commands
+        # report the outcome (a non-finite prediction) in one line instead.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (FormatError, InvalidStreamError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -304,24 +304,42 @@ def _parse_csv(data: bytes, path) -> EventStream:
     return EventStream(width, height, t, x, y, p)
 
 
-def _parse_evb1(data: bytes, path) -> EventStream:
-    if len(data) < _EVB1_HEADER.size:
-        raise HeaderError(f"{path}: file shorter than the {_EVB1_HEADER.size}-byte header")
-    magic, width, height, count = _EVB1_HEADER.unpack_from(data)
-    if magic != _EVB1_MAGIC:
-        raise HeaderError(f"{path}: bad magic {magic!r}, expected {_EVB1_MAGIC!r}")
-    if width == 0 or height == 0:
-        raise HeaderError(f"{path}: sensor size must be positive")
-    body = len(data) - _EVB1_HEADER.size
-    expected = count * _EVB1_RECORD.itemsize
+def _read_records(data: bytes, path, header: struct.Struct, magic: bytes, record_dtype):
+    """Split a fixed-record file into its header fields and its records.
+
+    The file is ``header`` (magic first, record count last) then exactly
+    count records of ``record_dtype(*fields)``, where ``fields`` are the
+    header fields between the two.  Returns ``fields`` and a read-only
+    structured view of the records; a short header, a wrong magic, a
+    geometry numpy cannot hold, a short payload or trailing bytes is a
+    ``FormatError``.
+    """
+    if len(data) < header.size:
+        raise HeaderError(f"{path}: file shorter than the {header.size}-byte header")
+    found, *fields, count = header.unpack_from(data)
+    if found != magic:
+        raise HeaderError(f"{path}: bad magic {found!r}, expected {magic!r}")
+    try:
+        record = record_dtype(*fields)
+    except ValueError as exc:
+        raise HeaderError(f"{path}: unusable record geometry {fields} ({exc})") from exc
+    body = len(data) - header.size
+    expected = count * record.itemsize
     if body < expected:
         raise TruncatedError(
-            f"{path}: declared {count} records but payload holds "
-            f"{body // _EVB1_RECORD.itemsize}"
+            f"{path}: declared {count} records but payload holds {body // record.itemsize}"
         )
     if body > expected:
         raise FormatError(f"{path}: {body - expected} trailing byte(s) after records")
-    records = np.frombuffer(data, dtype=_EVB1_RECORD, count=count, offset=_EVB1_HEADER.size)
+    return fields, np.frombuffer(data, dtype=record, count=count, offset=header.size)
+
+
+def _parse_evb1(data: bytes, path) -> EventStream:
+    (width, height), records = _read_records(
+        data, path, _EVB1_HEADER, _EVB1_MAGIC, lambda width, height: _EVB1_RECORD
+    )
+    if width == 0 or height == 0:
+        raise HeaderError(f"{path}: sensor size must be positive")
     return EventStream(
         width,
         height,

@@ -29,13 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .events import (
-    EventStream,
-    FormatError,
-    HeaderError,
-    TruncatedError,
-    slice_window,
-)
+from .events import EventStream, FormatError, _read_records, slice_window
+from .synth import GripperScene
 
 MODES = ("binary", "count", "polarity2ch")
 
@@ -218,12 +213,12 @@ def build_dataset(
     recordings: Sequence[EventStream],
     force_tracks: Sequence,
     spec: FrameSpec,
-    force_range: tuple[float, float] = (0.0, 1.6),
+    force_range: tuple[float, float] = (0.0, GripperScene.f_max_n),
     ids: Sequence[str] | None = None,
 ) -> FrameDataset:
     """Window every recording and label frame k with force sample k.
 
-    Each force track must expose ``rate_hz`` and ``samples`` and be
+    Each force track must expose ``period_us`` and ``samples`` and be
     sampled at exactly one sample per window; a track with fewer samples
     than its recording has windows is an error, as is a label outside
     ``force_range``.  With ``out_size`` None every recording must share
@@ -242,13 +237,12 @@ def build_dataset(
     provenance: list[str] = []
     lo, hi = force_range
     for rec_id, stream, track in zip(ids, recordings, force_tracks):
-        period_us = round(1e6 / track.rate_hz)
-        if period_us != spec.window_us:
+        if track.period_us != spec.window_us:
             raise ValueError(
-                f"{rec_id}: track period {period_us} us != window {spec.window_us} us"
+                f"{rec_id}: track period {track.period_us} us != window {spec.window_us} us"
             )
-        rec_frames = frames_from_stream(stream, spec)
-        n = len(rec_frames)
+        # Checked before windowing, so a bogus duration costs no frames.
+        n = stream.duration_us // spec.window_us
         if len(track.samples) < n:
             raise ValueError(
                 f"{rec_id}: track has {len(track.samples)} samples but the "
@@ -258,7 +252,7 @@ def build_dataset(
             if not (lo <= label <= hi):
                 raise ValueError(f"{rec_id}: label {label} outside [{lo}, {hi}]")
             labels.append(label)
-        parts.append(rec_frames)
+        parts.append(frames_from_stream(stream, spec))
         starts.extend(range(0, n * spec.window_us, spec.window_us))
         provenance.extend([rec_id] * n)
     frames = np.concatenate(parts) if parts else np.zeros((0, 0, 0, 0), dtype=np.float32)
@@ -327,18 +321,8 @@ def read_frame_dataset(path) -> FrameDataset:
     """
     path = Path(path)
     data = path.read_bytes()
-    if len(data) < _FRD1_HEADER.size:
-        raise HeaderError(f"{path}: file shorter than the {_FRD1_HEADER.size}-byte header")
-    magic, c, h, w, count = _FRD1_HEADER.unpack_from(data)
-    if magic != _FRD1_MAGIC:
-        raise HeaderError(f"{path}: bad magic {magic!r}, expected {_FRD1_MAGIC!r}")
-    record = _record_dtype(c, h, w)
-    expected = count * record.itemsize
-    body = len(data) - _FRD1_HEADER.size
-    if body < expected:
-        raise TruncatedError(f"{path}: declared {count} frames, payload is short")
-    if body > expected:
-        raise FormatError(f"{path}: {body - expected} trailing byte(s) after frames")
+    (c, h, w), records = _read_records(data, path, _FRD1_HEADER, _FRD1_MAGIC, _record_dtype)
+    count = len(records)
 
     values = np.frombuffer(data, dtype="<f4", offset=_FRD1_HEADER.size)
     finite = np.isfinite(values)
@@ -375,7 +359,6 @@ def read_frame_dataset(path) -> FrameDataset:
                     f"{sidecar}: {field} has {len(rows)} entries for {count} frames"
                 )
 
-    records = np.frombuffer(data, dtype=record, count=count, offset=_FRD1_HEADER.size)
     return FrameDataset(
         records["frame"].copy(), records["label"].copy(), provenance, windows
     )

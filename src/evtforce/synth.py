@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .events import EventStream, validate_stream
+from .events import EventStream, FormatError, validate_stream
 
 Polyline = tuple[tuple[float, float], ...]
 
@@ -87,6 +87,26 @@ class GripperScene:
 
 
 @dataclass(frozen=True)
+class SynthProtocol:
+    """How many samples each synthetic grasp has and how finely to simulate."""
+
+    rate_hz: float = 10.0
+    samples_per_recording: int = 41
+    substeps_per_sample: int = 4
+    noise_rate_hz: float = 0.0
+
+    def __post_init__(self):
+        if self.rate_hz <= 0:
+            raise ValueError("rate_hz must be positive")
+        if self.samples_per_recording < 2:
+            raise ValueError("samples_per_recording must be at least 2")
+        if self.substeps_per_sample < 1:
+            raise ValueError("substeps_per_sample must be at least 1")
+        if self.noise_rate_hz < 0:
+            raise ValueError("noise_rate_hz must be non-negative")
+
+
+@dataclass(frozen=True)
 class ForceProfile:
     """Force samples in newtons at a fixed rate, sample k at t = k / rate."""
 
@@ -95,8 +115,9 @@ class ForceProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", tuple(float(s) for s in self.samples))
-        if self.rate_hz <= 0:
-            raise ValueError("rate_hz must be positive")
+        # ``period_us`` rounds 1e6 / rate_hz, so that must be finite too.
+        if not (0 < self.rate_hz < math.inf and 1e6 / self.rate_hz < math.inf):
+            raise ValueError("rate_hz must be finite and positive")
         if not all(math.isfinite(s) and s >= 0 for s in self.samples):
             raise ValueError("samples must be finite and non-negative")
 
@@ -302,7 +323,7 @@ def events_from_intensity_pair(
 
 
 def make_grasp_profile(
-    n_samples: int, f_max_n: float, rate_hz: float = 10.0, seed: int = 0
+    n_samples: int, f_max_n: float, rate_hz: float = SynthProtocol.rate_hz, seed: int = 0
 ) -> ForceProfile:
     """Seeded monotone grasp: force climbs from 0 to f_max_n in random steps."""
     if n_samples < 2:
@@ -318,8 +339,8 @@ def make_grasp_profile(
 def synthesize_recording(
     scene: GripperScene,
     profile: ForceProfile,
-    substeps_per_sample: int = 4,
-    noise_rate_hz: float = 0.0,
+    substeps_per_sample: int = SynthProtocol.substeps_per_sample,
+    noise_rate_hz: float = SynthProtocol.noise_rate_hz,
     seed: int = 0,
 ) -> tuple[EventStream, ForceProfile]:
     """Simulate one grasp: render the deflecting fingers and emit events.
@@ -392,8 +413,14 @@ def save_profile(profile: ForceProfile, path) -> None:
 
 
 def load_profile(path) -> ForceProfile:
-    payload = json.loads(Path(path).read_text())
+    """Read a ``save_profile`` track; any damage is a ``FormatError`` naming the file."""
     try:
-        return ForceProfile(tuple(payload["samples"]), float(payload["rate_hz"]))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: not a force track (need rate_hz and samples)") from exc
+        payload = json.loads(Path(path).read_bytes())
+        rate, samples = payload["rate_hz"], payload["samples"]
+        if not all(type(v) in (int, float) for v in [rate, *samples]):
+            raise TypeError("rate_hz and samples must be numbers")
+        return ForceProfile(tuple(samples), float(rate))
+    except KeyError as exc:
+        raise FormatError(f"{path}: not a force track (no {exc} key)") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{path}: not a force track ({exc})") from exc

@@ -146,16 +146,6 @@ def adam_step(
     return state
 
 
-def _batch_mse(model: ViTModel, frames: np.ndarray, labels: np.ndarray, batch: int) -> float:
-    total = 0.0
-    with ad.no_grad():
-        for lo in range(0, len(frames), batch):
-            pred = forward(frames[lo : lo + batch], model).data
-            err = pred[:, 0].astype(np.float64) - labels[lo : lo + batch]
-            total += float((err * err).sum())
-    return total / len(frames)
-
-
 def train(
     model: ViTModel, datasets, config: TrainConfig
 ) -> tuple[ViTModel, list[EpochLog]]:
@@ -163,7 +153,8 @@ def train(
 
     Returns the model holding the best-validation parameters and the
     per-epoch log.  With epochs = 0 the model is untouched and the log
-    is empty.
+    is empty.  A non-finite loss or validation MSE (training diverged)
+    is a ``ValueError`` naming the epoch.
     """
     train_ds, val_ds = datasets[0], datasets[1]
     if len(train_ds) == 0:
@@ -187,6 +178,9 @@ def train(
             idx = perm[lo : lo + config.batch_size]
             pred = forward(frames[idx], model)
             loss = mse_loss(pred, Tensor(targets32[idx]))
+            loss_value = float(loss.data)
+            if not math.isfinite(loss_value):
+                raise ValueError(f"training diverged: non-finite loss in epoch {epoch}")
             ad.zero_grad(model.params)
             ad.backward(loss)
             adam_step(
@@ -195,10 +189,17 @@ def train(
                 state,
                 config,
             )
-            sq_sum += float(loss.data) * len(idx)
+            sq_sum += loss_value * len(idx)
         train_mse = sq_sum / n
         if val_frames is not None:
-            val_mse = _batch_mse(model, val_frames, val_labels, max(config.batch_size, 64))
+            batch = max(config.batch_size, 64)
+            sq = (predict_forces(model, val_frames, batch) - val_labels) ** 2
+            # Summed per forward batch, so the logged value keeps its bits.
+            val_mse = sum(
+                float(sq[lo : lo + batch].sum()) for lo in range(0, len(sq), batch)
+            ) / len(sq)
+            if not math.isfinite(val_mse):
+                raise ValueError(f"training diverged: non-finite validation MSE in epoch {epoch}")
             if val_mse < best_val:
                 best_val = val_mse
                 best_params = {k: p.data.copy() for k, p in model.params.items()}
@@ -222,7 +223,9 @@ def predict_forces(model: ViTModel, frames: np.ndarray, batch_size: int = 256) -
     return out
 
 
-def regression_metrics(preds, targets, mape_floor_n: float = 0.05) -> Metrics:
+def regression_metrics(
+    preds, targets, mape_floor_n: float = TrainConfig.mape_floor_n
+) -> Metrics:
     """Metrics from raw prediction/target arrays, computed in float64.
 
     r2 is 1 - SS_res / SS_tot and is undefined (None) when every target
@@ -245,7 +248,9 @@ def regression_metrics(preds, targets, mape_floor_n: float = 0.05) -> Metrics:
     return Metrics(rmse=rmse, r2=r2, mape=mape, n=preds.size)
 
 
-def evaluate(model: ViTModel, dataset: FrameDataset, mape_floor_n: float = 0.05) -> Metrics:
+def evaluate(
+    model: ViTModel, dataset: FrameDataset, mape_floor_n: float = TrainConfig.mape_floor_n
+) -> Metrics:
     """Regression metrics for a model on a labeled dataset."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate an empty dataset")

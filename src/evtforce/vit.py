@@ -150,9 +150,6 @@ class ViTModel:
     def dtype(self):
         return self.params["patch_proj.w"].dtype
 
-    def param_count(self) -> int:
-        return count_params(self.config)
-
 
 def _truncated_normal(rng: np.random.Generator, shape, scale: float) -> np.ndarray:
     """Normal(0, scale) cut at two sigma, by rejection.
@@ -282,10 +279,15 @@ def forward(frames: np.ndarray, model: ViTModel) -> Tensor:
 def save_checkpoint(model: ViTModel, path) -> None:
     """One file: u32 header length, JSON header {config, params index}, blob.
 
-    Parameters are laid out in sorted name order, so the same weights
-    produce the same bytes no matter how the param dict was built.
+    The blob holds every parameter as little-endian float32, in sorted
+    name order, so the same weights produce the same bytes no matter how
+    the param dict was built; the index maps each name to its shape and
+    byte offset.
     """
-    blob, index = ad.params_to_bytes(dict(sorted(model.params.items())))
+    blob, index = bytearray(), {}
+    for name, p in sorted(model.params.items()):
+        index[name] = {"shape": list(p.data.shape), "offset": len(blob)}
+        blob += np.ascontiguousarray(p.data, dtype="<f4").tobytes()
     header = {
         "format": _CKPT_FORMAT,
         "config": model.config.to_dict(),
@@ -326,16 +328,19 @@ def load_checkpoint(path, dtype=np.float32) -> ViTModel:
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: bad model config in checkpoint ({exc})") from exc
     blob = raw[_CKPT_LEN.size + hlen :]
+    params: dict[str, Tensor] = {}
+    used = 0
     try:
-        params = ad.params_from_bytes(blob, header["params"], dtype=dtype)
+        for name, entry in header["params"].items():
+            shape = tuple(entry["shape"])
+            count = int(np.prod(shape))
+            flat = np.frombuffer(blob, dtype="<f4", count=count, offset=entry["offset"])
+            params[name] = Tensor(flat.reshape(shape).astype(dtype), requires_grad=True)
+            used = max(used, int(entry["offset"]) + 4 * flat.size)
     except ValueError as exc:
         raise FormatError(f"{path}: truncated checkpoint blob") from exc
     except (KeyError, TypeError) as exc:
         raise FormatError(f"{path}: malformed parameter index in checkpoint") from exc
-    used = max(
-        (int(e["offset"]) + 4 * params[n].data.size for n, e in header["params"].items()),
-        default=0,
-    )
     if len(blob) > used:
         raise FormatError(f"{path}: {len(blob) - used} trailing byte(s) after the parameters")
     try:

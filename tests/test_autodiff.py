@@ -310,31 +310,3 @@ class TestDtypesAndShapes:
         with pytest.raises(ValueError):
             build(*[tensor64(rng, s) for s in shapes])
 
-
-class TestParamSerialization:
-    def test_round_trip(self, rng):
-        params = {
-            "w": Tensor(rng.random((3, 4)).astype(np.float32), requires_grad=True),
-            "b": Tensor(rng.random(4).astype(np.float32), requires_grad=True),
-        }
-        blob, index = ad.params_to_bytes(params)
-        assert len(blob) == 4 * (12 + 4)
-        assert index["w"]["offset"] == 0
-        assert index["b"]["offset"] == 48
-        back = ad.params_from_bytes(blob, index)
-        assert set(back) == {"w", "b"}
-        for name in params:
-            assert np.array_equal(back[name].data, params[name].data)
-            assert back[name].requires_grad
-
-    def test_blob_is_deterministic(self, rng):
-        params = {"w": Tensor(rng.random((5, 5)).astype(np.float32))}
-        assert ad.params_to_bytes(params)[0] == ad.params_to_bytes(params)[0]
-
-    def test_scalar_and_dtype_options(self):
-        params = {"s": Tensor(np.float32(2.5))}
-        blob, index = ad.params_to_bytes(params)
-        back = ad.params_from_bytes(blob, index, dtype=np.float64, requires_grad=False)
-        assert back["s"].dtype == np.float64
-        assert float(back["s"].data) == 2.5
-        assert back["s"].grad is None

@@ -8,6 +8,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import evtforce
 from evtforce.cli import DEFAULT_CONFIG, ConfigError, load_config, main, sub_seed
-from evtforce.events import EventStream, write_events
+from evtforce.events import EventStream, read_events, write_events
 from evtforce.frames import FrameDataset, read_frame_dataset, write_frame_dataset
 from evtforce.synth import load_profile
 from evtforce.training import predict_forces
@@ -38,11 +39,19 @@ N_FRAMES = N_REC * FRAMES_PER_REC
 
 
 def run_cli(argv):
-    """Invoke the CLI entry point, capturing exit code, stdout, stderr."""
+    """Invoke the CLI entry point, capturing exit code, stdout, stderr.
+
+    Warnings are appended to stderr the way a terminal would show them.
+    """
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main([str(a) for a in argv])
-    return code, out.getvalue(), err.getvalue()
+    shown = "".join(
+        warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught
+    )
+    return code, out.getvalue(), err.getvalue() + shown
 
 
 def assert_one_line_error(err: str) -> None:
@@ -240,11 +249,13 @@ class TestConfig:
         path.write_text(json.dumps({section: {key: value}}))
         assert load_config(str(path)).raw[section][key] == value
 
-    def test_malformed_json(self, tmp_path):
+    @pytest.mark.parametrize("raw", [b"{not json", b'{"train": {"epochs": 1\xff}}'])
+    def test_malformed_json(self, tmp_path, raw):
         path = tmp_path / "c.json"
-        path.write_text("{not json")
+        path.write_bytes(raw)
         code, _, err = run_cli(["synth", "--config", path, "--out", tmp_path / "o"])
-        assert code == 2 and "not valid JSON" in err
+        assert code == 2 and f"{path}: not valid JSON" in err
+        assert_one_line_error(err)
 
     def test_document_must_be_object(self, tmp_path):
         path = tmp_path / "c.json"
@@ -494,6 +505,31 @@ class TestConvert:
         )
         assert code == 3 and "missing label track" in err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda raw: raw[:38],
+            lambda raw: raw.replace(b"10.0", b'"x"'),
+            lambda raw: raw.replace(b"[0.0,", b"[-1.0,"),
+            lambda raw: raw[:5] + b"\xff" + raw[6:],
+        ],
+        ids=["truncated", "rate-not-a-number", "negative-sample", "not-utf8"],
+    )
+    def test_malformed_label_track(self, ws, tmp_path, edit):
+        rec = tmp_path / "rec"
+        rec.mkdir()
+        shutil.copy(ws.rec / "rec000.evb1", rec)
+        labels = rec / "rec000.labels.json"
+        raw = (ws.rec / "rec000.labels.json").read_bytes()
+        labels.write_bytes(edit(raw))
+        assert labels.read_bytes() != raw
+        code, out, err = run_cli(
+            ["convert", "--config", ws.config, "--in", rec, "--out", tmp_path / "x.frd"]
+        )
+        assert (code, out) == (3, "")
+        assert_one_line_error(err)
+        assert str(labels) in err
+
     def test_corrupt_recording(self, ws, tmp_path):
         broken = tmp_path / "broken"
         broken.mkdir()
@@ -559,6 +595,16 @@ class TestTrain:
             Path(str(outs[0]) + ".log.csv").read_bytes()
             == Path(str(outs[1]) + ".log.csv").read_bytes()
         )
+
+    def test_diverging_training_writes_nothing(self, ws, tmp_path):
+        out = tmp_path / "model.ckpt"
+        code, stdout, err = run_cli(
+            ["train", "--config", ws.config, "--data", ws.frd, "--out", out, "--lr", 1e30]
+        )
+        assert (code, stdout) == (2, "")
+        assert_one_line_error(err)
+        assert "training diverged" in err and "epoch 0" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_frame_shape_must_match_model(self, ws, tmp_path):
         # Default model wants 2x64x64, the small dataset is 2x16x16.
@@ -707,6 +753,35 @@ class TestEval:
         assert out == ""
         assert_one_line_error(err)
         assert "parameter head.b holds a non-finite value" in err
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize(
+        "names",
+        [("block0.attn.k.w",), ("block0.attn.out.b",), ("final_ln.b", "head.w")],
+        ids=["attn.k.w", "attn.out.b", "final_ln.b+head.w"],
+    )
+    def test_checkpoint_with_a_huge_weight(self, ws, tmp_path, command, names):
+        # Finite, so the checkpoint loads; the forward pass may overflow.
+        raw = bytearray(ws.ckpt.read_bytes())
+        hlen = struct.unpack_from("<I", raw)[0]
+        index = json.loads(raw[4 : 4 + hlen])["params"]
+        for name in names:
+            struct.pack_into("<f", raw, 4 + hlen + index[name]["offset"], 3e38)
+        big = tmp_path / "big.ckpt"
+        big.write_bytes(bytes(raw))
+        data_flag = "--data" if command == "eval" else "--in"
+        code, out, err = run_cli(
+            [command, "--config", ws.config, "--ckpt", big, data_flag, ws.frd]
+        )
+        if code == 0:
+            assert err == ""
+        else:
+            assert (code, out) == (3, "")
+            assert_one_line_error(err)
+            assert f"{big}: checkpoint gives a non-finite prediction" in err
+        if "head.w" in names:
+            # The readout's first entry is about 3e38, times a 3e38 weight.
+            assert code == 3
 
     @pytest.mark.parametrize("key", ["config", "params"])
     def test_checkpoint_header_missing_key(self, ws, tmp_path, key):
@@ -905,6 +980,92 @@ class TestMainEntry:
     def test_bad_flag_value(self, tmp_path):
         code, _, _ = run_cli(["synth", "--out", tmp_path / "o", "--n-recordings", "many"])
         assert code == 2
+
+
+@pytest.fixture(scope="session")
+def fuzz_inputs(ws, tmp_path_factory):
+    """Valid copies of every input file, each with the command that reads it.
+
+    Maps a file kind to (path, argv); ``convert`` reads recordings and
+    label tracks, ``eval`` the container, its sidecar, the checkpoint and
+    the config.
+    """
+    root = tmp_path_factory.mktemp("fuzz")
+    evb1, csv, data, model = (root / d for d in ("evb1", "csv", "data", "model"))
+    for d in (evb1, csv, data, model):
+        d.mkdir()
+    labels = (ws.rec / "rec000.labels.json").read_bytes()
+    shutil.copy(ws.rec / "rec000.evb1", evb1)
+    (evb1 / "rec000.labels.json").write_bytes(labels)
+    write_events(read_events(ws.rec / "rec000.evb1"), csv / "rec000.csv", "csv")
+    (csv / "rec000.labels.json").write_bytes(labels)
+    write_frame_dataset(read_frame_dataset(ws.frd), data / "data.frd")
+    shutil.copy(ws.ckpt, model / "model.ckpt")
+    # The whole merged document, so a mutation can reach every key.
+    (model / "config.json").write_text(json.dumps(load_config(str(ws.config)).raw))
+
+    def convert(d):
+        return ["convert", "--config", ws.config, "--in", d, "--out", root / "out.frd"]
+
+    evaluate = [
+        "eval", "--config", model / "config.json", "--split", "val",
+        "--ckpt", model / "model.ckpt", "--data", data / "data.frd",
+    ]
+    return {
+        "evb1": (evb1 / "rec000.evb1", convert(evb1)),
+        "csv": (csv / "rec000.csv", convert(csv)),
+        "labels": (evb1 / "rec000.labels.json", convert(evb1)),
+        "frd": (data / "data.frd", evaluate),
+        "sidecar": (data / "data.frd.json", evaluate),
+        "checkpoint": (model / "model.ckpt", evaluate),
+        "config": (model / "config.json", evaluate),
+    }
+
+
+# Byte offsets that flips leave alone, per file kind.  The high bytes of
+# the EVB1 sensor size can declare a 65535 x 65535 sensor, whose dense
+# per-window histogram (2 * 65535**2 counts) would exhaust memory.
+_FROZEN_BYTES = {"evb1": {5, 7}}
+
+_MUTATIONS = st.one_of(
+    st.tuples(
+        st.just("flip"),
+        st.lists(st.tuples(st.integers(0, 2**20), st.integers(1, 255)), min_size=1, max_size=4),
+    ),
+    st.tuples(st.just("truncate"), st.integers(0, 2**20)),
+    st.tuples(st.just("extend"), st.binary(min_size=1, max_size=8)),
+)
+
+
+def mutate(raw: bytes, mutation, frozen=frozenset()) -> bytes:
+    """Flip (xor) some bytes, cut the tail off, or append bytes."""
+    kind, arg = mutation
+    if kind == "truncate":
+        return raw[: arg % len(raw)]
+    if kind == "extend":
+        return raw + arg
+    out = bytearray(raw)
+    for pos, mask in arg:
+        if pos % len(out) not in frozen:
+            out[pos % len(out)] ^= mask
+    return bytes(out)
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=st.sampled_from(["evb1", "csv", "labels", "frd", "sidecar", "checkpoint", "config"]),
+       mutation=_MUTATIONS)
+def test_damaged_input_exits_with_one_line(fuzz_inputs, kind, mutation):
+    path, argv = fuzz_inputs[kind]
+    raw = path.read_bytes()
+    path.write_bytes(mutate(raw, mutation, _FROZEN_BYTES.get(kind, frozenset())))
+    try:
+        code, _, err = run_cli(argv)
+    finally:
+        path.write_bytes(raw)
+    assert code in (0, 2, 3), err
+    assert err.count("\n") <= 1 and "Traceback" not in err, err
+    if code:
+        assert_one_line_error(err)
 
 
 def run_python(code):

@@ -11,14 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evtforce.events import EventStream
+from evtforce.events import (
+    EventStream,
+    FormatError,
+    HeaderError,
+    TruncatedError,
+    read_events,
+    write_events,
+)
 from evtforce.frames import (
     MODES,
     FrameDataset,
     FrameSpec,
-    FormatError,
-    HeaderError,
-    TruncatedError,
     accumulate_frame,
     build_dataset,
     frames_from_stream,
@@ -34,6 +38,10 @@ from conftest import make_stream
 class FakeTrack:
     rate_hz: float
     samples: tuple
+
+    @property
+    def period_us(self) -> int:
+        return round(1e6 / self.rate_hz)
 
 
 def native_spec(mode, normalize=False):
@@ -343,6 +351,14 @@ class TestBuildDataset:
         track = FakeTrack(10.0, (0.0, 0.1, 0.2, 0.3))
         assert len(build_dataset([rec], [track], FrameSpec(out_size=8))) == 2
 
+    def test_samples_are_counted_before_windowing(self):
+        # A last event at 10**15 us would need 10**10 frames; the short
+        # track is reported without building any of them.
+        rec = EventStream(8, 8, t_us=[0, 10**15], x=[0, 1], y=[0, 1], p=[1, -1])
+        track = FakeTrack(10.0, (0.0, 0.1))
+        with pytest.raises(ValueError, match="windows into 10000000000 frames"):
+            build_dataset([rec], [track], FrameSpec(out_size=None))
+
     def test_rate_must_match_window(self, rng):
         rec = self.make_recording(rng, 2)
         track = FakeTrack(20.0, (0.0, 0.1))
@@ -496,6 +512,13 @@ class TestFrdContainer:
         with pytest.raises(HeaderError):
             read_frame_dataset(path)
 
+    def test_unusable_geometry(self, tmp_path):
+        # 65535**3 float32 values do not fit one numpy record.
+        path = tmp_path / "d.frd"
+        path.write_bytes(struct.pack("<4sHHHQ", b"FRD1", 65535, 65535, 65535, 0))
+        with pytest.raises(HeaderError, match="unusable record geometry"):
+            read_frame_dataset(path)
+
     def test_truncated(self, tmp_path, rng):
         ds = TestFrameDataset().make_dataset(rng, n=2)
         path = tmp_path / "d.frd"
@@ -511,6 +534,25 @@ class TestFrdContainer:
         path.write_bytes(path.read_bytes() + b"\x01")
         with pytest.raises(FormatError):
             read_frame_dataset(path)
+
+    @pytest.mark.parametrize(
+        "damage,message",
+        [
+            ("short", "declared 3 records but payload holds 2"),
+            ("long", "5 trailing byte(s) after records"),
+        ],
+    )
+    def test_damage_reads_as_in_an_event_file(self, tmp_path, rng, damage, message):
+        # FRD1 and EVB1 share one fixed-record reader, hence one wording.
+        frd, evb1 = tmp_path / "d.frd", tmp_path / "s.evb1"
+        write_frame_dataset(TestFrameDataset().make_dataset(rng, n=3), frd)
+        write_events(make_stream(rng, n=3), evb1)
+        for path, read in ((frd, read_frame_dataset), (evb1, read_events)):
+            raw = path.read_bytes()
+            path.write_bytes(raw[:-1] if damage == "short" else raw + bytes(5))
+            with pytest.raises(FormatError) as info:
+                read(path)
+            assert str(info.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize(
         "frame,index,value,what",

@@ -65,9 +65,11 @@ class TestSceneAndProfile:
         with pytest.raises(ValueError):
             ForceProfile(samples, rate_hz=10.0)
 
-    def test_profile_rejects_bad_rate(self):
-        with pytest.raises(ValueError):
-            ForceProfile((0.0,), rate_hz=0.0)
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf, 5e-324])
+    def test_profile_rejects_bad_rate(self, rate):
+        # 5e-324 Hz is positive, but its period overflows to infinity.
+        with pytest.raises(ValueError, match="rate_hz"):
+            ForceProfile((0.0,), rate_hz=rate)
 
 
 class TestDeflection:
