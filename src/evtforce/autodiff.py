@@ -399,7 +399,7 @@ def backward(loss: Tensor) -> None:
         if g is None:
             continue
         if node._backward is None:
-            node.grad = g.copy() if node.grad is None else node.grad + g
+            node.grad += g
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
             if pg is None or not parent.requires_grad:
@@ -409,8 +409,8 @@ def backward(loss: Tensor) -> None:
 
 
 def zero_grad(params) -> None:
-    """Reset stored gradients; accepts an iterable or a name -> Tensor dict."""
+    """Zero stored gradients in place; accepts an iterable or a name -> Tensor dict."""
     tensors = params.values() if isinstance(params, dict) else params
     for p in tensors:
-        p.grad = np.zeros_like(p.data)
+        p.grad[...] = 0
 

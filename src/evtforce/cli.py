@@ -384,21 +384,32 @@ def cmd_eval(args) -> int:
     return 0
 
 
+# Windows per chunk when ``predict`` streams an event file: memory stays
+# bounded however many windows the recording spans, and as a multiple of
+# the ``predict_forces`` batch the chunks leave every prediction unchanged.
+_PREDICT_CHUNK = 256
+
+
 def cmd_predict(args) -> int:
     cfg = _config(args)
     model = load_checkpoint(args.ckpt)
     in_path = Path(args.in_path)
     if in_path.suffix == ".frd":
-        frames = read_frame_dataset(in_path).frames
+        chunks = [read_frame_dataset(in_path).frames]
     else:
-        frames = frames_from_stream(read_events(in_path, _event_format(in_path)), cfg.frame)
-    if len(frames) == 0:
-        return 0
-    preds = predict_forces(model, frames)
-    if not np.all(np.isfinite(preds)):
-        raise FormatError(f"{args.ckpt}: checkpoint gives a non-finite prediction")
-    for value in preds:
-        print(repr(float(value)))
+        stream = read_events(in_path, _event_format(in_path))
+        n = stream.duration_us // cfg.frame.window_us
+        chunks = (
+            frames_from_stream(stream, cfg.frame, lo, lo + _PREDICT_CHUNK)
+            for lo in range(0, n, _PREDICT_CHUNK)
+        )
+    for batch in chunks:
+        preds = predict_forces(model, batch)
+        if not np.all(np.isfinite(preds)):
+            raise FormatError(f"{args.ckpt}: checkpoint gives a non-finite prediction")
+        for value in preds:
+            print(repr(float(value)))
+        sys.stdout.flush()
     return 0
 
 

@@ -194,18 +194,23 @@ class FrameDataset:
         )
 
 
-def frames_from_stream(stream: EventStream, spec: FrameSpec) -> np.ndarray:
-    """Cut a recording into every full window it covers, in time order.
+def frames_from_stream(
+    stream: EventStream, spec: FrameSpec, start: int = 0, stop: int | None = None
+) -> np.ndarray:
+    """Frames of the full windows ``start <= k < stop`` of a recording, in order.
 
-    Returns a float32 (n, C, H, W) array, four-dimensional even for
-    n = 0.  The recording spans [0, stream.duration_us); a trailing
-    stretch shorter than the window is dropped.
+    Window k is [k * window_us, (k + 1) * window_us).  Returns a float32
+    (n, C, H, W) array, four-dimensional even for n = 0.  The recording
+    spans [0, stream.duration_us); a trailing stretch shorter than the
+    window is dropped, and ``stop`` (None: every window) is clipped to
+    the windows the recording holds.
     """
     n_windows = stream.duration_us // spec.window_us
+    ks = range(start, n_windows if stop is None else min(stop, n_windows))
     side = (stream.height, stream.width) if spec.out_size is None else (spec.out_size,) * 2
-    out = np.empty((n_windows, spec.channels, *side), dtype=np.float32)
-    for k in range(n_windows):
-        out[k] = accumulate_frame(stream, spec, k * spec.window_us)
+    out = np.empty((len(ks), spec.channels, *side), dtype=np.float32)
+    for i, k in enumerate(ks):
+        out[i] = accumulate_frame(stream, spec, k * spec.window_us)
     return out
 
 

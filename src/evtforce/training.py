@@ -113,36 +113,28 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
 
-def init_adam_state(params: dict[str, Tensor]) -> AdamState:
-    return AdamState(
-        m={k: np.zeros_like(p.data) for k, p in params.items()},
-        v={k: np.zeros_like(p.data) for k, p in params.items()},
-    )
+def init_adam_state(weights: np.ndarray) -> AdamState:
+    return AdamState(m=np.zeros_like(weights), v=np.zeros_like(weights))
 
 
 def adam_step(
-    params: dict[str, Tensor],
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-    config: TrainConfig,
+    weights: np.ndarray, grads: np.ndarray, state: AdamState, config: TrainConfig
 ) -> AdamState:
-    """One bias-corrected Adam update, applied in place."""
+    """One bias-corrected Adam update of ``weights``, in place and elementwise."""
     state.t += 1
     b1, b2 = config.beta1, config.beta2
     bias1 = 1.0 - b1**state.t
     bias2 = 1.0 - b2**state.t
-    for name, p in params.items():
-        g = grads[name]
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
-        m_hat = state.m[name] / bias1
-        v_hat = state.v[name] / bias2
-        p.data = p.data - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+    state.m *= b1
+    state.m += (1.0 - b1) * grads
+    state.v *= b2
+    state.v += (1.0 - b2) * grads * grads
+    weights -= config.learning_rate * (state.m / bias1) / (np.sqrt(state.v / bias2) + config.eps)
     return state
 
 
@@ -159,16 +151,16 @@ def train(
     train_ds, val_ds = datasets[0], datasets[1]
     if len(train_ds) == 0:
         raise ValueError("train split is empty")
-    frames = train_ds.frames.astype(model.dtype, copy=False)
-    targets32 = train_ds.labels.astype(model.dtype).reshape(-1, 1)
-    val_frames = val_ds.frames.astype(model.dtype, copy=False) if len(val_ds) else None
+    frames = train_ds.frames.astype(model.weights.dtype, copy=False)
+    targets32 = train_ds.labels.astype(model.weights.dtype).reshape(-1, 1)
+    val_frames = val_ds.frames.astype(model.weights.dtype, copy=False) if len(val_ds) else None
     val_labels = val_ds.labels.astype(np.float64) if len(val_ds) else None
 
     rng = np.random.default_rng(config.seed)
-    state = init_adam_state(model.params)
+    state = init_adam_state(model.weights)
     log: list[EpochLog] = []
     best_val = math.inf
-    best_params: dict[str, np.ndarray] | None = None
+    best_weights: np.ndarray | None = None
 
     n = len(train_ds)
     for epoch in range(config.epochs):
@@ -183,12 +175,7 @@ def train(
                 raise ValueError(f"training diverged: non-finite loss in epoch {epoch}")
             ad.zero_grad(model.params)
             ad.backward(loss)
-            adam_step(
-                model.params,
-                {k: p.grad for k, p in model.params.items()},
-                state,
-                config,
-            )
+            adam_step(model.weights, model.grads, state, config)
             sq_sum += loss_value * len(idx)
         train_mse = sq_sum / n
         if val_frames is not None:
@@ -202,14 +189,13 @@ def train(
                 raise ValueError(f"training diverged: non-finite validation MSE in epoch {epoch}")
             if val_mse < best_val:
                 best_val = val_mse
-                best_params = {k: p.data.copy() for k, p in model.params.items()}
+                best_weights = model.weights.copy()
         else:
             val_mse = math.nan
         log.append(EpochLog(epoch, train_mse, val_mse))
 
-    if best_params is not None:
-        for name, p in model.params.items():
-            p.data = best_params[name]
+    if best_weights is not None:
+        model.weights[...] = best_weights
     return model, log
 
 
@@ -218,7 +204,7 @@ def predict_forces(model: ViTModel, frames: np.ndarray, batch_size: int = 256) -
     out = np.empty(len(frames), dtype=np.float64)
     with ad.no_grad():
         for lo in range(0, len(frames), batch_size):
-            chunk = np.asarray(frames[lo : lo + batch_size], dtype=model.dtype)
+            chunk = np.asarray(frames[lo : lo + batch_size], dtype=model.weights.dtype)
             out[lo : lo + len(chunk)] = forward(chunk, model).data[:, 0]
     return out
 

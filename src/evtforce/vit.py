@@ -14,8 +14,8 @@ frames are (B, C, H, W), and a single frame is a batch of one.  Weights
 start from a numpy truncated-normal sampler (``init_params``); numpy is
 the only dependency.
 
-Parameters live in a flat name -> Tensor dict so the optimizer, the
-checkpoint format, and the gradient checks all see one namespace.
+Parameters live in a flat name -> Tensor dict, one namespace for the
+checkpoint and the gradient checks, as views into one ``ViTModel.weights``.
 """
 
 from __future__ import annotations
@@ -129,26 +129,37 @@ def count_params(config: ViTConfig) -> int:
 
 
 class ViTModel:
-    """A config plus its parameter dict, with shapes checked on construction."""
+    """A config plus its parameters, names and shapes checked on construction.
 
-    def __init__(self, config: ViTConfig, params: dict[str, Tensor]):
+    The arrays are copied into one flat ``weights`` in sorted-name order,
+    beside a same-shaped ``grads``; each ``params[name]`` is a Tensor whose
+    ``data`` and ``grad`` are views into them, so write it in place.
+    """
+
+    def __init__(self, config: ViTConfig, params: dict[str, np.ndarray]):
         expected = expected_param_shapes(config)
         if set(params) != set(expected):
             missing = sorted(set(expected) - set(params))
             extra = sorted(set(params) - set(expected))
             raise ValueError(f"parameter names mismatch: missing {missing}, extra {extra}")
         for name, shape in expected.items():
-            if params[name].data.shape != shape:
+            if np.shape(params[name]) != shape:
                 raise ValueError(
-                    f"parameter {name} has shape {params[name].data.shape}, "
+                    f"parameter {name} has shape {np.shape(params[name])}, "
                     f"expected {shape}"
                 )
+        names = sorted(expected)
         self.config = config
-        self.params = params
-
-    @property
-    def dtype(self):
-        return self.params["patch_proj.w"].dtype
+        self.weights = np.concatenate([np.ravel(params[name]) for name in names])
+        if self.weights.dtype not in (np.float32, np.float64):
+            raise ValueError(f"parameters must be float32 or float64, got {self.weights.dtype}")
+        self.grads = np.zeros_like(self.weights)
+        bounds = np.cumsum([np.prod(expected[name]) for name in names])[:-1]
+        self.params: dict[str, Tensor] = {}
+        for name, w, g in zip(names, np.split(self.weights, bounds), np.split(self.grads, bounds)):
+            p = Tensor(w.reshape(expected[name]), requires_grad=True)
+            p.grad = g.reshape(expected[name])
+            self.params[name] = p
 
 
 def _truncated_normal(rng: np.random.Generator, shape, scale: float) -> np.ndarray:
@@ -177,7 +188,7 @@ def init_params(config: ViTConfig, seed: int, dtype=np.float32) -> ViTModel:
     order from one ``default_rng(seed)``, so a seed fixes every byte.
     """
     rng = np.random.default_rng(seed)
-    params: dict[str, Tensor] = {}
+    params: dict[str, np.ndarray] = {}
     for name, shape in expected_param_shapes(config).items():
         if name.endswith(".g"):
             data = np.ones(shape)
@@ -187,7 +198,7 @@ def init_params(config: ViTConfig, seed: int, dtype=np.float32) -> ViTModel:
             data = rng.normal(0.0, 0.02, size=shape)
         else:
             data = _truncated_normal(rng, shape, 0.02)
-        params[name] = Tensor(np.asarray(data, dtype=dtype), requires_grad=True)
+        params[name] = np.asarray(data, dtype=dtype)
     return ViTModel(config, params)
 
 
@@ -247,7 +258,7 @@ def encoder_block(x: Tensor, model: ViTModel, block: int) -> Tensor:
 def patch_embed(frames: np.ndarray, model: ViTModel) -> Tensor:
     """Project (B, C, H, W) frames to (B, num_patches, embed_dim) tokens."""
     cfg = model.config
-    frames = np.asarray(frames, dtype=model.dtype)
+    frames = np.asarray(frames, dtype=model.weights.dtype)
     if frames.ndim != 4:
         raise ValueError("frames must have shape (B, C, H, W)")
     b, c, h, w = frames.shape
@@ -279,15 +290,15 @@ def forward(frames: np.ndarray, model: ViTModel) -> Tensor:
 def save_checkpoint(model: ViTModel, path) -> None:
     """One file: u32 header length, JSON header {config, params index}, blob.
 
-    The blob holds every parameter as little-endian float32, in sorted
-    name order, so the same weights produce the same bytes no matter how
-    the param dict was built; the index maps each name to its shape and
-    byte offset.
+    The blob is ``model.weights`` as little-endian float32: every
+    parameter in sorted name order, so the same weights produce the same
+    bytes no matter how the param dict was built; the index maps each
+    name to its shape and byte offset.
     """
-    blob, index = bytearray(), {}
-    for name, p in sorted(model.params.items()):
-        index[name] = {"shape": list(p.data.shape), "offset": len(blob)}
-        blob += np.ascontiguousarray(p.data, dtype="<f4").tobytes()
+    index, offset = {}, 0
+    for name, p in model.params.items():
+        index[name] = {"shape": list(p.data.shape), "offset": offset}
+        offset += 4 * p.data.size
     header = {
         "format": _CKPT_FORMAT,
         "config": model.config.to_dict(),
@@ -297,7 +308,7 @@ def save_checkpoint(model: ViTModel, path) -> None:
     with open(path, "wb") as fh:
         fh.write(_CKPT_LEN.pack(len(encoded)))
         fh.write(encoded)
-        fh.write(blob)
+        fh.write(model.weights.astype("<f4").tobytes())
 
 
 def load_checkpoint(path, dtype=np.float32) -> ViTModel:
@@ -328,14 +339,14 @@ def load_checkpoint(path, dtype=np.float32) -> ViTModel:
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: bad model config in checkpoint ({exc})") from exc
     blob = raw[_CKPT_LEN.size + hlen :]
-    params: dict[str, Tensor] = {}
+    params: dict[str, np.ndarray] = {}
     used = 0
     try:
         for name, entry in header["params"].items():
             shape = tuple(entry["shape"])
             count = int(np.prod(shape))
             flat = np.frombuffer(blob, dtype="<f4", count=count, offset=entry["offset"])
-            params[name] = Tensor(flat.reshape(shape).astype(dtype), requires_grad=True)
+            params[name] = flat.reshape(shape).astype(dtype)
             used = max(used, int(entry["offset"]) + 4 * flat.size)
     except ValueError as exc:
         raise FormatError(f"{path}: truncated checkpoint blob") from exc
@@ -347,7 +358,7 @@ def load_checkpoint(path, dtype=np.float32) -> ViTModel:
         model = ViTModel(config, params)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    for name, p in params.items():
+    for name, p in model.params.items():
         if not np.isfinite(p.data).all():
             raise FormatError(f"{path}: parameter {name} holds a non-finite value")
     return model

@@ -1,4 +1,4 @@
-"""Shared test helpers: random stream construction and numeric gradients."""
+"""Shared test helpers: random streams, numeric gradients, flat-buffer views."""
 
 import numpy as np
 import pytest
@@ -41,6 +41,19 @@ def numeric_grad(loss_fn, tensor, h=1e-5):
         flat[i] = orig
         grad[i] = (f_plus - f_minus) / (2.0 * h)
     return grad.reshape(tensor.data.shape)
+
+
+def assert_flat_views(model):
+    """Each parameter's data and grad are views of its sorted-order slice
+    of ``model.weights`` and ``model.grads``, which they tile exactly."""
+    offset = 0
+    for name in sorted(model.params):
+        p = model.params[name]
+        end = offset + p.data.size
+        assert np.shares_memory(p.data, model.weights[offset:end]), name
+        assert np.shares_memory(p.grad, model.grads[offset:end]), name
+        offset = end
+    assert offset == model.weights.size == model.grads.size
 
 
 def tensor64(rng, shape, requires_grad=True, scale=1.0):

@@ -8,6 +8,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -20,7 +21,12 @@ from hypothesis import strategies as st
 import evtforce
 from evtforce.cli import DEFAULT_CONFIG, ConfigError, load_config, main, sub_seed
 from evtforce.events import EventStream, read_events, write_events
-from evtforce.frames import FrameDataset, read_frame_dataset, write_frame_dataset
+from evtforce.frames import (
+    FrameDataset,
+    frames_from_stream,
+    read_frame_dataset,
+    write_frame_dataset,
+)
 from evtforce.synth import load_profile
 from evtforce.training import predict_forces
 from evtforce.vit import load_checkpoint
@@ -868,6 +874,64 @@ class TestPredict:
         lines = out.splitlines()
         assert len(lines) == FRAMES_PER_REC
         assert all(np.isfinite(float(line)) for line in lines)
+
+    def test_long_inputs_stream_in_chunks_with_unchanged_values(self, ws, tmp_path):
+        # 600 frames or windows cross two chunk boundaries; every value
+        # must equal the one-call library prediction.
+        model = load_checkpoint(ws.ckpt)
+        ds = read_frame_dataset(ws.frd)
+        frames = np.concatenate([ds.frames] * 40)
+        frd = tmp_path / "long.frd"
+        write_frame_dataset(FrameDataset(frames, np.zeros(len(frames)), [""] * len(frames)), frd)
+        rec = ws.rec / "rec000.evb1"
+        spec = load_config(str(ws.config), {"frame": {"window_us": 800}}).frame
+        for argv, want in [
+            (["--in", frd], predict_forces(model, frames)),
+            (["--in", rec, "--window-us", 800],
+             predict_forces(model, frames_from_stream(read_events(rec), spec))),
+        ]:
+            code, out, err = run_cli(["predict", "--config", ws.config, "--ckpt", ws.ckpt, *argv])
+            assert code == 0, err
+            assert len(want) > 512
+            np.testing.assert_array_equal([float(line) for line in out.splitlines()], want)
+
+    def test_huge_last_timestamp_streams_in_bounded_memory(self, ws, tmp_path):
+        # A valid recording whose last event is at 10**15 us spans 10**10
+        # windows.  Under a 1 GiB address-space limit the child must keep
+        # printing finite predictions rather than allocate every frame.
+        stream = read_events(ws.rec / "rec000.evb1")
+        t_us = stream.t_us.copy()
+        t_us[-1] = 10**15
+        path = tmp_path / "long.evb1"
+        write_events(
+            EventStream(stream.width, stream.height, t_us, stream.x, stream.y, stream.p), path
+        )
+
+        # The limit is set in the child itself, before numpy is imported.
+        child = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from evtforce.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = str(Path(evtforce.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-c", child, "predict", "--config", str(ws.config),
+             "--ckpt", str(ws.ckpt), "--in", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        watchdog = threading.Timer(120, proc.kill)
+        watchdog.start()
+        try:
+            lines = [proc.stdout.readline() for _ in range(512)]
+        finally:
+            watchdog.cancel()
+            proc.kill()
+            _, err = proc.communicate(timeout=60)
+        assert all(line.endswith("\n") for line in lines), err
+        assert np.isfinite([float(line) for line in lines]).all()
+        assert err == ""
 
     def test_window_longer_than_recording_prints_nothing(self, ws):
         code, out, err = run_cli(

@@ -287,6 +287,16 @@ class TestWindowing:
         native = FrameSpec(mode="count", out_size=None)
         assert frames_from_stream(EventStream(5, 4), native).shape == (0, 1, 4, 5)
 
+    def test_window_range_is_a_slice_of_every_window(self, rng):
+        s = make_stream(rng, n=400, t_max=1_000_000)
+        spec = FrameSpec(window_us=100_000, mode="count", out_size=None, normalize=False)
+        every = frames_from_stream(s, spec)
+        assert len(every) == 9
+        for start, stop in [(0, None), (2, 5), (7, 100), (9, 12), (20, None)]:
+            part = frames_from_stream(s, spec, start, stop)
+            assert part.shape[1:] == every.shape[1:]
+            assert np.array_equal(part, every[start:stop]), (start, stop)
+
     def test_events_conserved_across_windows(self, rng):
         s = make_stream(rng, n=400, t_max=1_000_000)
         spec = FrameSpec(window_us=100_000, mode="count", out_size=None, normalize=False)

@@ -9,7 +9,6 @@ from evtforce import autodiff as ad
 from evtforce.autodiff import Tensor
 from evtforce.frames import FrameDataset
 from evtforce.training import (
-    AdamState,
     EpochLog,
     Metrics,
     TrainConfig,
@@ -24,7 +23,7 @@ from evtforce.training import (
 )
 from evtforce.vit import ViTConfig, init_params
 
-from conftest import rel_err
+from conftest import assert_flat_views, rel_err
 
 TINY = ViTConfig(image_size=8, patch_size=4, in_channels=1, embed_dim=8,
                  depth=1, num_heads=2)
@@ -132,23 +131,23 @@ class TestMseLoss:
 
 
 class TestAdam:
-    def one_param(self, grad):
-        params = {"w": Tensor(np.zeros_like(grad), requires_grad=True)}
-        state = init_adam_state(params)
-        new_state = adam_step(params, {"w": np.asarray(grad)}, state, TrainConfig())
+    def one_step(self, grad):
+        weights = np.zeros_like(grad)
+        state = init_adam_state(weights)
+        new_state = adam_step(weights, np.asarray(grad), state, TrainConfig())
         assert new_state is state
-        return params["w"].data
+        return weights
 
     def test_first_step_closed_form(self, rng):
         g = rng.normal(size=(3, 4))
         lr, eps = TrainConfig().learning_rate, TrainConfig().eps
         # After bias correction the first step is exactly -lr * g / (|g| + eps).
         expected = -lr * g / (np.abs(g) + eps)
-        assert rel_err(self.one_param(g), expected) < 1e-12
+        assert rel_err(self.one_step(g), expected) < 1e-12
 
     def test_first_step_is_signed_learning_rate(self, rng):
         g = rng.normal(size=(50,)) * 10.0
-        step = self.one_param(g)
+        step = self.one_step(g)
         lr = TrainConfig().learning_rate
         assert np.all(np.sign(step) == -np.sign(g))
         assert np.max(np.abs(np.abs(step) - lr)) < 1e-6 * lr
@@ -157,31 +156,35 @@ class TestAdam:
         g = rng.normal(size=(20,))
         # eps shifts the step by about eps / |g|, nothing more.
         tol = 2.0 * TrainConfig().eps / np.min(np.abs(g))
-        assert rel_err(self.one_param(g), self.one_param(g * 1000.0)) < tol
+        assert rel_err(self.one_step(g), self.one_step(g * 1000.0)) < tol
 
     def test_constant_gradient_keeps_unit_steps(self, rng):
         g = rng.normal(size=(8,))
-        params = {"w": Tensor(np.zeros(8), requires_grad=True)}
-        state = init_adam_state(params)
+        weights = np.zeros(8)
+        state = init_adam_state(weights)
         cfg = TrainConfig()
-        prev = params["w"].data.copy()
+        prev = weights.copy()
         for t in range(1, 4):
-            adam_step(params, {"w": g}, state, cfg)
+            adam_step(weights, g, state, cfg)
             assert state.t == t
-            delta = params["w"].data - prev
-            prev = params["w"].data.copy()
+            delta = weights - prev
+            prev = weights.copy()
             assert np.max(np.abs(np.abs(delta) - cfg.learning_rate)) < 1e-6
 
-    def test_moments_accumulate_per_parameter(self, rng):
-        params = {
-            "a": Tensor(np.zeros(2), requires_grad=True),
-            "b": Tensor(np.zeros(3), requires_grad=True),
-        }
-        state = init_adam_state(params)
-        adam_step(params, {"a": np.ones(2), "b": -np.ones(3)}, state, TrainConfig())
-        assert state.m["a"].shape == (2,)
-        assert state.v["b"].shape == (3,)
-        assert np.all(params["a"].data < 0) and np.all(params["b"].data > 0)
+    def test_each_element_is_updated_independently(self, rng):
+        grads = rng.normal(size=(3, 7)) * np.logspace(-3, 3, 7)
+        cfg = TrainConfig()
+        weights = np.zeros(7)
+        state = init_adam_state(weights)
+        for g in grads:
+            adam_step(weights, g, state, cfg)
+        assert state.m.shape == state.v.shape == (7,)
+        for i in range(7):
+            alone = np.zeros(1)
+            alone_state = init_adam_state(alone)
+            for g in grads:
+                adam_step(alone, g[i : i + 1], alone_state, cfg)
+            assert alone[0] == weights[i], i
 
 
 class TestMetrics:
@@ -293,6 +296,13 @@ class TestTrainLoop:
         best = min(e.val_mse for e in log)
         rmse = evaluate(model, va).rmse
         assert abs(rmse * rmse - best) <= 1e-4 * max(best, 1e-12)
+
+    def test_restored_best_epoch_stays_in_the_flat_buffer(self, rng):
+        tr, va, _ = self.split_toy(rng, n=48)
+        cfg = TrainConfig(epochs=12, batch_size=8, learning_rate=3e-3)
+        model, log = train(init_params(TINY, seed=0), (tr, va), cfg)
+        assert min(log, key=lambda e: e.val_mse).epoch < log[-1].epoch
+        assert_flat_views(model)
 
     def test_without_validation_keeps_final_epoch(self, rng):
         ds = toy_dataset(rng, n=16)

@@ -21,7 +21,7 @@ from evtforce.vit import (
     save_checkpoint,
 )
 
-from conftest import numeric_grad, rel_err
+from conftest import assert_flat_views, numeric_grad, rel_err
 
 TINY = ViTConfig(image_size=8, patch_size=4, in_channels=1, embed_dim=8,
                  depth=1, num_heads=2)
@@ -127,8 +127,8 @@ class TestParameters:
         assert abs(pos.std() - 0.02) < 0.002
 
     def test_init_dtype(self):
-        assert init_params(TINY, seed=0).dtype == np.float32
-        assert init_params(TINY, seed=0, dtype=np.float64).dtype == np.float64
+        assert init_params(TINY, seed=0).weights.dtype == np.float32
+        assert init_params(TINY, seed=0, dtype=np.float64).weights.dtype == np.float64
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_truncated_normal_properties(self, dtype):
@@ -164,19 +164,59 @@ class TestParameters:
 
     def test_model_validates_namespace(self):
         model = init_params(TINY, seed=0)
-        good = dict(model.params)
+        good = {name: p.data for name, p in model.params.items()}
         missing = dict(good)
         del missing["head.b"]
         with pytest.raises(ValueError, match="head.b"):
             ViTModel(TINY, missing)
         extra = dict(good)
-        extra["rogue"] = Tensor(np.zeros(1))
+        extra["rogue"] = np.zeros(1)
         with pytest.raises(ValueError, match="rogue"):
             ViTModel(TINY, extra)
         bad_shape = dict(good)
-        bad_shape["head.w"] = Tensor(np.zeros((3, 3)))
+        bad_shape["head.w"] = np.zeros((3, 3))
         with pytest.raises(ValueError, match="head.w"):
             ViTModel(TINY, bad_shape)
+
+
+class TestFlatBuffer:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_init_params_views_one_buffer(self, dtype):
+        model = init_params(TINY, seed=0, dtype=dtype)
+        assert model.weights.dtype == model.grads.dtype == dtype
+        assert model.weights.size == count_params(TINY)
+        assert_flat_views(model)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_loaded_checkpoint_views_one_buffer(self, tmp_path, dtype):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(TINY, seed=8), path)
+        model = load_checkpoint(path, dtype=dtype)
+        assert model.weights.dtype == dtype
+        assert_flat_views(model)
+
+    def test_constructor_copies_in_sorted_name_order(self):
+        arrays = {n: p.data.copy() for n, p in init_params(TINY, seed=0).params.items()}
+        model = ViTModel(TINY, arrays)
+        assert not any(np.shares_memory(model.weights, a) for a in arrays.values())
+        want = np.concatenate([arrays[n].ravel() for n in sorted(arrays)])
+        assert np.array_equal(model.weights, want)
+        assert not model.grads.any()
+
+    def test_backward_fills_grads_and_zero_grad_clears_them(self, rng):
+        model = init_params(TINY, seed=0)
+        pred = forward(rng.random((2, 1, 8, 8), dtype=np.float32), model)
+        ad.backward(ad.mean_over_axis(ad.reshape(pred, (2,)), 0))
+        assert model.params["head.b"].grad[0] == 1.0
+        assert np.count_nonzero(model.grads) > model.grads.size // 2
+        ad.zero_grad(model.params)
+        assert not model.grads.any()
+        assert_flat_views(model)
+
+    def test_rejects_non_float_parameters(self):
+        ints = {n: np.zeros(s, dtype=np.int32) for n, s in expected_param_shapes(TINY).items()}
+        with pytest.raises(ValueError, match="float32 or float64"):
+            ViTModel(TINY, ints)
 
 
 class TestPatchify:
@@ -239,7 +279,7 @@ class TestEncoderBlock:
         model = init_params(TINY, seed=0)
         for name in ("attn.out.w", "attn.out.b", "mlp.fc2.w", "mlp.fc2.b"):
             p = model.params[f"block0.{name}"]
-            p.data = np.zeros_like(p.data)
+            p.data[...] = 0
         x = Tensor(rng.normal(size=(2, 5, 8)).astype(np.float32))
         out = encoder_block(x, model, 0)
         assert np.array_equal(out.data, x.data)
@@ -287,8 +327,7 @@ class TestForward:
     def wild_model(cfg, rng):
         # Large random weights so any order sensitivity shows up at O(1).
         params = {
-            name: Tensor(rng.normal(0.0, 0.5, size=shape).astype(np.float32),
-                         requires_grad=True)
+            name: rng.normal(0.0, 0.5, size=shape).astype(np.float32)
             for name, shape in expected_param_shapes(cfg).items()
         }
         return ViTModel(cfg, params)
@@ -298,7 +337,7 @@ class TestForward:
                         embed_dim=32, depth=2, num_heads=2)
         model = self.wild_model(cfg, rng)
         pe = model.params["pos_embed"]
-        pe.data = np.zeros_like(pe.data)
+        pe.data[...] = 0
         frames = rng.random((4, 1, 16, 16), dtype=np.float32)
         shuffled = self.permute_patch_grid(frames, 8, [2, 0, 3, 1])
         assert not np.array_equal(frames, shuffled)
@@ -359,7 +398,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         back = load_checkpoint(path, dtype=np.float64)
-        assert back.dtype == np.float64
+        assert back.weights.dtype == np.float64
         for name, p in model.params.items():
             assert back.params[name].dtype == np.float64
             assert np.array_equal(back.params[name].data, p.data.astype(np.float64))
@@ -386,7 +425,9 @@ class TestCheckpoint:
 
     def test_same_weights_give_the_same_bytes(self, tmp_path):
         model = init_params(TINY, seed=8)
-        shuffled = ViTModel(TINY, dict(reversed(list(model.params.items()))))
+        shuffled = ViTModel(
+            TINY, {name: p.data for name, p in reversed(list(model.params.items()))}
+        )
         p1, p2, p3 = tmp_path / "a.ckpt", tmp_path / "b.ckpt", tmp_path / "c.ckpt"
         save_checkpoint(model, p1)
         save_checkpoint(model, p2)
