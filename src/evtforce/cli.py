@@ -398,6 +398,16 @@ def cmd_predict(args) -> int:
         chunks = [read_frame_dataset(in_path).frames]
     else:
         stream = read_events(in_path, _event_format(in_path))
+        # Checked before any frame is built: a native-size frame of a huge
+        # declared sensor would not fit in memory.
+        side = (stream.height, stream.width) if cfg.frame.out_size is None else (
+            cfg.frame.out_size, cfg.frame.out_size)
+        m = model.config
+        if (cfg.frame.channels, *side) != (m.in_channels, m.image_size, m.image_size):
+            raise ConfigError(
+                f"frames are {cfg.frame.channels}x{side[0]}x{side[1]}, model expects "
+                f"{m.in_channels}x{m.image_size}x{m.image_size}"
+            )
         n = stream.duration_us // cfg.frame.window_us
         chunks = (
             frames_from_stream(stream, cfg.frame, lo, lo + _PREDICT_CHUNK)

@@ -15,14 +15,16 @@ start from a numpy truncated-normal sampler (``init_params``); numpy is
 the only dependency.
 
 Parameters live in a flat name -> Tensor dict, one namespace for the
-checkpoint and the gradient checks, as views into one ``ViTModel.weights``.
+checkpoint and the gradient checks, as views into one ``ViTModel.weights``
+whose layout the config alone fixes (``_layout``).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -45,6 +47,12 @@ class ViTConfig:
     mlp_ratio: float = 4.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(f.default) is int and (
+                isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            ):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if self.image_size <= 0:
             raise ValueError("image_size must be positive")
         if self.patch_size <= 0:
@@ -59,8 +67,8 @@ class ViTConfig:
             raise ValueError("depth must be positive")
         if self.num_heads <= 0 or self.embed_dim % self.num_heads != 0:
             raise ValueError("num_heads must divide embed_dim")
-        if self.mlp_ratio <= 0:
-            raise ValueError("mlp_ratio must be positive")
+        if not 0 < self.mlp_ratio < math.inf:
+            raise ValueError("mlp_ratio must be positive and finite")
 
     @property
     def num_patches(self) -> int:
@@ -95,6 +103,22 @@ class ViTConfig:
         return cls(**d)
 
 
+def _block_shapes(config: ViTConfig) -> dict[str, tuple[int, ...]]:
+    """One encoder block's parameters, by name within the block."""
+    d, hidden = config.embed_dim, config.hidden_dim
+    shapes: dict[str, tuple[int, ...]] = {"ln1.g": (d,), "ln1.b": (d,)}
+    for name in ("q", "k", "v", "out"):
+        shapes[f"attn.{name}.w"] = (d, d)
+        shapes[f"attn.{name}.b"] = (d,)
+    shapes["ln2.g"] = (d,)
+    shapes["ln2.b"] = (d,)
+    shapes["mlp.fc1.w"] = (d, hidden)
+    shapes["mlp.fc1.b"] = (hidden,)
+    shapes["mlp.fc2.w"] = (hidden, d)
+    shapes["mlp.fc2.b"] = (d,)
+    return shapes
+
+
 def expected_param_shapes(config: ViTConfig) -> dict[str, tuple[int, ...]]:
     """The full parameter namespace; the single source of truth for shapes."""
     d = config.embed_dim
@@ -104,19 +128,9 @@ def expected_param_shapes(config: ViTConfig) -> dict[str, tuple[int, ...]]:
         "reg_token": (1, 1, d),
         "pos_embed": (config.num_tokens, d),
     }
+    block = _block_shapes(config)
     for i in range(config.depth):
-        prefix = f"block{i}."
-        shapes[prefix + "ln1.g"] = (d,)
-        shapes[prefix + "ln1.b"] = (d,)
-        for name in ("q", "k", "v", "out"):
-            shapes[prefix + f"attn.{name}.w"] = (d, d)
-            shapes[prefix + f"attn.{name}.b"] = (d,)
-        shapes[prefix + "ln2.g"] = (d,)
-        shapes[prefix + "ln2.b"] = (d,)
-        shapes[prefix + "mlp.fc1.w"] = (d, config.hidden_dim)
-        shapes[prefix + "mlp.fc1.b"] = (config.hidden_dim,)
-        shapes[prefix + "mlp.fc2.w"] = (config.hidden_dim, d)
-        shapes[prefix + "mlp.fc2.b"] = (d,)
+        shapes.update({f"block{i}.{name}": shape for name, shape in block.items()})
     shapes["final_ln.g"] = (d,)
     shapes["final_ln.b"] = (d,)
     shapes["head.w"] = (d, 1)
@@ -124,41 +138,62 @@ def expected_param_shapes(config: ViTConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def _size(shapes: dict[str, tuple[int, ...]]) -> int:
+    return sum(math.prod(shape) for shape in shapes.values())
+
+
 def count_params(config: ViTConfig) -> int:
-    return sum(int(np.prod(s)) for s in expected_param_shapes(config).values())
+    """The number of weights, in time independent of ``depth``, so that a
+    checkpoint header can be checked against its blob before anything is
+    built per block."""
+    one_block = _size(expected_param_shapes(replace(config, depth=1)))
+    return one_block + (config.depth - 1) * _size(_block_shapes(config))
+
+
+def _layout(config: ViTConfig) -> dict[str, tuple[tuple[int, ...], int]]:
+    """Each parameter's shape and start in the flat buffer, in sorted-name
+    order: the one layout of ``ViTModel.weights`` and the checkpoint blob."""
+    shapes = expected_param_shapes(config)
+    layout, start = {}, 0
+    for name in sorted(shapes):
+        layout[name] = (shapes[name], start)
+        start += math.prod(shapes[name])
+    return layout
+
+
+def _index(config: ViTConfig) -> dict[str, dict]:
+    """The checkpoint header's parameter index: shape and byte offset per name."""
+    return {
+        name: {"shape": list(shape), "offset": 4 * start}
+        for name, (shape, start) in _layout(config).items()
+    }
 
 
 class ViTModel:
-    """A config plus its parameters, names and shapes checked on construction.
+    """A config plus its parameters, held in one flat buffer.
 
-    The arrays are copied into one flat ``weights`` in sorted-name order,
+    ``weights`` is a copy of the 1-D float32 or float64 array of
+    ``count_params(config)`` values, in sorted-name order (``_layout``),
     beside a same-shaped ``grads``; each ``params[name]`` is a Tensor whose
     ``data`` and ``grad`` are views into them, so write it in place.
     """
 
-    def __init__(self, config: ViTConfig, params: dict[str, np.ndarray]):
-        expected = expected_param_shapes(config)
-        if set(params) != set(expected):
-            missing = sorted(set(expected) - set(params))
-            extra = sorted(set(params) - set(expected))
-            raise ValueError(f"parameter names mismatch: missing {missing}, extra {extra}")
-        for name, shape in expected.items():
-            if np.shape(params[name]) != shape:
-                raise ValueError(
-                    f"parameter {name} has shape {np.shape(params[name])}, "
-                    f"expected {shape}"
-                )
-        names = sorted(expected)
+    def __init__(self, config: ViTConfig, weights: np.ndarray):
         self.config = config
-        self.weights = np.concatenate([np.ravel(params[name]) for name in names])
+        self.weights = np.array(weights)
         if self.weights.dtype not in (np.float32, np.float64):
             raise ValueError(f"parameters must be float32 or float64, got {self.weights.dtype}")
+        n = count_params(config)
+        if self.weights.shape != (n,):
+            raise ValueError(
+                f"weights must be a 1-D array of {n} values, got shape {self.weights.shape}"
+            )
         self.grads = np.zeros_like(self.weights)
-        bounds = np.cumsum([np.prod(expected[name]) for name in names])[:-1]
         self.params: dict[str, Tensor] = {}
-        for name, w, g in zip(names, np.split(self.weights, bounds), np.split(self.grads, bounds)):
-            p = Tensor(w.reshape(expected[name]), requires_grad=True)
-            p.grad = g.reshape(expected[name])
+        for name, (shape, start) in _layout(config).items():
+            end = start + math.prod(shape)
+            p = Tensor(self.weights[start:end].reshape(shape), requires_grad=True)
+            p.grad = self.grads[start:end].reshape(shape)
             self.params[name] = p
 
 
@@ -184,22 +219,21 @@ def init_params(config: ViTConfig, seed: int, dtype=np.float32) -> ViTModel:
     (scale 0.02, cut at two sigma, so |w| <= 0.04 and the std is
     0.02 * 0.8796; drawn by ``_truncated_normal``), position embeddings
     are plain normal (std 0.02), all biases start at zero, and layer-norm
-    scales at one.  Parameters are drawn in ``expected_param_shapes``
-    order from one ``default_rng(seed)``, so a seed fixes every byte.
+    scales at one.  Parameters are drawn in float64, in
+    ``expected_param_shapes`` order from one ``default_rng(seed)``, and
+    cast into the model's buffer, so a seed fixes every byte.
     """
+    model = ViTModel(config, np.zeros(count_params(config), dtype=dtype))
     rng = np.random.default_rng(seed)
-    params: dict[str, np.ndarray] = {}
     for name, shape in expected_param_shapes(config).items():
+        data = model.params[name].data
         if name.endswith(".g"):
-            data = np.ones(shape)
-        elif name.endswith(".b"):
-            data = np.zeros(shape)
+            data[...] = 1.0
         elif name == "pos_embed":
-            data = rng.normal(0.0, 0.02, size=shape)
-        else:
-            data = _truncated_normal(rng, shape, 0.02)
-        params[name] = np.asarray(data, dtype=dtype)
-    return ViTModel(config, params)
+            data[...] = rng.normal(0.0, 0.02, size=shape)
+        elif not name.endswith(".b"):
+            data[...] = _truncated_normal(rng, shape, 0.02)
+    return model
 
 
 def patchify(frames: np.ndarray, patch_size: int) -> np.ndarray:
@@ -290,19 +324,14 @@ def forward(frames: np.ndarray, model: ViTModel) -> Tensor:
 def save_checkpoint(model: ViTModel, path) -> None:
     """One file: u32 header length, JSON header {config, params index}, blob.
 
-    The blob is ``model.weights`` as little-endian float32: every
-    parameter in sorted name order, so the same weights produce the same
-    bytes no matter how the param dict was built; the index maps each
-    name to its shape and byte offset.
+    The blob is ``model.weights`` as little-endian float32, every
+    parameter in sorted name order; the index maps each name to its shape
+    and byte offset, the layout the config fixes.
     """
-    index, offset = {}, 0
-    for name, p in model.params.items():
-        index[name] = {"shape": list(p.data.shape), "offset": offset}
-        offset += 4 * p.data.size
     header = {
         "format": _CKPT_FORMAT,
         "config": model.config.to_dict(),
-        "params": index,
+        "params": _index(model.config),
     }
     encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
     with open(path, "wb") as fh:
@@ -314,7 +343,8 @@ def save_checkpoint(model: ViTModel, path) -> None:
 def load_checkpoint(path, dtype=np.float32) -> ViTModel:
     """Read a ``save_checkpoint`` file.
 
-    Any damage, and any NaN or infinite weight, is a ``FormatError``.
+    Any damage, an index other than the one the config fixes, and any NaN
+    or infinite weight is a ``FormatError``.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -336,28 +366,17 @@ def load_checkpoint(path, dtype=np.float32) -> ViTModel:
             raise FormatError(f"{path}: checkpoint header has no {key!r} object")
     try:
         config = ViTConfig.from_dict(header["config"])
-    except (TypeError, ValueError) as exc:
+        nbytes = 4 * count_params(config)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: bad model config in checkpoint ({exc})") from exc
     blob = raw[_CKPT_LEN.size + hlen :]
-    params: dict[str, np.ndarray] = {}
-    used = 0
-    try:
-        for name, entry in header["params"].items():
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape))
-            flat = np.frombuffer(blob, dtype="<f4", count=count, offset=entry["offset"])
-            params[name] = flat.reshape(shape).astype(dtype)
-            used = max(used, int(entry["offset"]) + 4 * flat.size)
-    except ValueError as exc:
-        raise FormatError(f"{path}: truncated checkpoint blob") from exc
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: malformed parameter index in checkpoint") from exc
-    if len(blob) > used:
-        raise FormatError(f"{path}: {len(blob) - used} trailing byte(s) after the parameters")
-    try:
-        model = ViTModel(config, params)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    if len(blob) < nbytes:
+        raise FormatError(f"{path}: truncated checkpoint blob")
+    if len(blob) > nbytes:
+        raise FormatError(f"{path}: {len(blob) - nbytes} trailing byte(s) after the parameters")
+    if header["params"] != _index(config):
+        raise FormatError(f"{path}: parameter index does not match the model config")
+    model = ViTModel(config, np.frombuffer(blob, "<f4").astype(dtype))
     for name, p in model.params.items():
         if not np.isfinite(p.data).all():
             raise FormatError(f"{path}: parameter {name} holds a non-finite value")

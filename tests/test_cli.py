@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -73,6 +74,45 @@ def checkpoint_with_header(src: Path, dst: Path, edit) -> Path:
     encoded = json.dumps(header).encode("ascii")
     dst.write_bytes(struct.pack("<I", len(encoded)) + encoded + raw[4 + hlen :])
     return dst
+
+
+# The address-space limit is set in the child itself, before numpy is
+# imported, so an allocation bomb fails in the child instead of swapping.
+_LIMITED_CHILD = (
+    "import resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    "from evtforce.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+def start_limited(argv) -> subprocess.Popen:
+    """Start the CLI in a child process limited to 1 GiB of address space."""
+    src = str(Path(evtforce.__file__).resolve().parents[1])
+    return subprocess.Popen(
+        [sys.executable, "-c", _LIMITED_CHILD, *map(str, argv)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+    )
+
+
+def run_limited(argv, budget_s: float):
+    """Run ``start_limited(argv)`` for at most ``budget_s`` seconds.
+
+    Returns the exit code (None when the budget ran out and the child was
+    killed), the complete stdout lines, stderr and the wall time.
+    """
+    start = time.perf_counter()
+    proc = start_limited(argv)
+    try:
+        out, err = proc.communicate(timeout=budget_s)
+        code = proc.returncode
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        out, err = proc.communicate()
+        code = None
+    elapsed = time.perf_counter() - start
+    return code, out[: out.rfind("\n") + 1].splitlines(), err, elapsed
 
 
 def write_config(dir_path: Path, overrides=None) -> Path:
@@ -789,6 +829,39 @@ class TestEval:
             # The readout's first entry is about 3e38, times a 3e38 weight.
             assert code == 3
 
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_checkpoint_index_pointing_two_parameters_at_one_place(self, ws, tmp_path, command):
+        # The blob length still matches; head.b would read the first weights.
+        def alias(header):
+            header["params"]["head.b"]["offset"] = 0
+            return header
+
+        bad = checkpoint_with_header(ws.ckpt, tmp_path / "alias.ckpt", alias)
+        data_flag = "--data" if command == "eval" else "--in"
+        code, out, err = run_cli(
+            [command, "--config", ws.config, "--ckpt", bad, data_flag, ws.frd]
+        )
+        assert (code, out) == (3, "")
+        assert_one_line_error(err)
+        assert "parameter index does not match the model config" in err
+
+    @pytest.mark.parametrize("depth", [10**6, 10**9])
+    def test_checkpoint_declaring_a_huge_model(self, ws, tmp_path, depth):
+        # The blob is checked against the declared size before anything
+        # is built per block.
+        def deepen(header):
+            header["config"]["depth"] = depth
+            return header
+
+        bad = checkpoint_with_header(ws.ckpt, tmp_path / "deep.ckpt", deepen)
+        code, out, err, elapsed = run_limited(
+            ["predict", "--config", ws.config, "--ckpt", bad, "--in", ws.frd], budget_s=60
+        )
+        assert (code, out) == (3, [])
+        assert_one_line_error(err)
+        assert "truncated checkpoint blob" in err
+        assert elapsed < 5.0  # interpreter start-up included
+
     @pytest.mark.parametrize("key", ["config", "params"])
     def test_checkpoint_header_missing_key(self, ws, tmp_path, key):
         bad = checkpoint_with_header(
@@ -907,20 +980,7 @@ class TestPredict:
             EventStream(stream.width, stream.height, t_us, stream.x, stream.y, stream.p), path
         )
 
-        # The limit is set in the child itself, before numpy is imported.
-        child = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-            "from evtforce.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n"
-        )
-        src = str(Path(evtforce.__file__).resolve().parents[1])
-        proc = subprocess.Popen(
-            [sys.executable, "-c", child, "predict", "--config", str(ws.config),
-             "--ckpt", str(ws.ckpt), "--in", str(path)],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
-        )
+        proc = start_limited(["predict", "--config", ws.config, "--ckpt", ws.ckpt, "--in", path])
         watchdog = threading.Timer(120, proc.kill)
         watchdog.start()
         try:
@@ -963,6 +1023,20 @@ class TestPredict:
         )
         assert code == 0, err
         assert out == ""
+
+    def test_native_frames_of_a_huge_sensor_are_refused_before_windowing(self, ws, tmp_path):
+        # Native 65535 x 65535 frames would take 64 GiB per chunk of two;
+        # the geometry is compared with the model's before any is built.
+        stream = read_events(ws.rec / "rec000.evb1")
+        path = tmp_path / "huge.evb1"
+        write_events(EventStream(65535, 65535, stream.t_us, stream.x, stream.y, stream.p), path)
+        code, out, err, _ = run_limited(
+            ["predict", "--config", ws.config, "--ckpt", ws.ckpt, "--in", path, "--out-size", 0],
+            budget_s=60,
+        )
+        assert (code, out) == (2, [])
+        assert_one_line_error(err)
+        assert "frames are 2x65535x65535, model expects 2x16x16" in err
 
     def test_event_frames_must_match_model(self, ws):
         # Without the config the default spec makes 2x64x64 frames.
@@ -1052,7 +1126,7 @@ def fuzz_inputs(ws, tmp_path_factory):
 
     Maps a file kind to (path, argv); ``convert`` reads recordings and
     label tracks, ``eval`` the container, its sidecar, the checkpoint and
-    the config.
+    the config, and ``predict`` (kind "predict") the EVB1 recording.
     """
     root = tmp_path_factory.mktemp("fuzz")
     evb1, csv, data, model = (root / d for d in ("evb1", "csv", "data", "model"))
@@ -1083,6 +1157,10 @@ def fuzz_inputs(ws, tmp_path_factory):
         "sidecar": (data / "data.frd.json", evaluate),
         "checkpoint": (model / "model.ckpt", evaluate),
         "config": (model / "config.json", evaluate),
+        "predict": (evb1 / "rec000.evb1", [
+            "predict", "--config", ws.config, "--ckpt", model / "model.ckpt",
+            "--in", evb1 / "rec000.evb1",
+        ]),
     }
 
 
@@ -1130,6 +1208,48 @@ def test_damaged_input_exits_with_one_line(fuzz_inputs, kind, mutation):
     assert err.count("\n") <= 1 and "Traceback" not in err, err
     if code:
         assert_one_line_error(err)
+
+
+# One to two flipped bytes of EVB1 record timestamps (u64 at the start of
+# each 16-byte record), the record counted from either end: a later last
+# timestamp leaves a valid recording that spans very many windows.
+_TIMESTAMP_FLIPS = st.tuples(
+    st.just("timestamp"),
+    st.lists(
+        st.tuples(st.integers(-2, 1) | st.integers(0, 2**20), st.integers(0, 7),
+                  st.integers(1, 255)),
+        min_size=1, max_size=2,
+    ),
+)
+
+# Per child; a recording that streams for longer passes when every line
+# printed until then is a finite force.
+_PREDICT_BUDGET_S = 1.0
+
+
+@settings(max_examples=16, deadline=None)
+@given(mutation=_MUTATIONS | _TIMESTAMP_FLIPS)
+def test_damaged_recording_predicts_or_exits_with_one_line(fuzz_inputs, mutation):
+    # Each example runs in a child under a 1 GiB address-space limit, so
+    # an allocation bomb fails here rather than swapping.
+    path, argv = fuzz_inputs["predict"]
+    raw = path.read_bytes()
+    if mutation[0] == "timestamp":
+        n = (len(raw) - 16) // 16
+        mutation = ("flip", [(16 + 16 * (k % n) + b, mask) for k, b, mask in mutation[1]])
+    path.write_bytes(mutate(raw, mutation, _FROZEN_BYTES["evb1"]))
+    try:
+        code, lines, err, _ = run_limited(argv, _PREDICT_BUDGET_S)
+    finally:
+        path.write_bytes(raw)
+    assert np.isfinite([float(line) for line in lines]).all(), err
+    if code is None:
+        assert err == ""
+    else:
+        assert code in (0, 2, 3), err
+        assert err.count("\n") <= 1 and "Traceback" not in err, err
+        if code:
+            assert_one_line_error(err)
 
 
 def run_python(code):

@@ -75,6 +75,10 @@ class TestConfig:
             {"in_channels": 0},
             {"depth": 0},
             {"mlp_ratio": 0.0},
+            {"mlp_ratio": float("inf")},
+            {"mlp_ratio": float("nan")},
+            {"depth": 2.0},
+            {"embed_dim": True},
         ],
     )
     def test_validation(self, kwargs):
@@ -162,21 +166,12 @@ class TestParameters:
             # One float64 draw, cast to the requested dtype.
             assert np.array_equal(a[name].data, wide[name].data.astype(np.float32)), name
 
-    def test_model_validates_namespace(self):
-        model = init_params(TINY, seed=0)
-        good = {name: p.data for name, p in model.params.items()}
-        missing = dict(good)
-        del missing["head.b"]
-        with pytest.raises(ValueError, match="head.b"):
-            ViTModel(TINY, missing)
-        extra = dict(good)
-        extra["rogue"] = np.zeros(1)
-        with pytest.raises(ValueError, match="rogue"):
-            ViTModel(TINY, extra)
-        bad_shape = dict(good)
-        bad_shape["head.w"] = np.zeros((3, 3))
-        with pytest.raises(ValueError, match="head.w"):
-            ViTModel(TINY, bad_shape)
+    def test_model_checks_the_weight_count(self):
+        # The layout comes from the config, so the count is all there is to check.
+        n = count_params(TINY)
+        for shape in [(n - 1,), (n + 1,), (1, n), ()]:
+            with pytest.raises(ValueError, match=f"1-D array of {n} values"):
+                ViTModel(TINY, np.zeros(shape, np.float32))
 
 
 class TestFlatBuffer:
@@ -196,12 +191,15 @@ class TestFlatBuffer:
         assert_flat_views(model)
 
     def test_constructor_copies_in_sorted_name_order(self):
-        arrays = {n: p.data.copy() for n, p in init_params(TINY, seed=0).params.items()}
-        model = ViTModel(TINY, arrays)
-        assert not any(np.shares_memory(model.weights, a) for a in arrays.values())
-        want = np.concatenate([arrays[n].ravel() for n in sorted(arrays)])
+        source = init_params(TINY, seed=0)
+        model = ViTModel(TINY, source.weights)
+        assert not np.shares_memory(model.weights, source.weights)
+        want = np.concatenate([source.params[n].data.ravel() for n in sorted(source.params)])
         assert np.array_equal(model.weights, want)
+        for name, p in model.params.items():
+            assert np.array_equal(p.data, source.params[name].data), name
         assert not model.grads.any()
+        assert_flat_views(model)
 
     def test_backward_fills_grads_and_zero_grad_clears_them(self, rng):
         model = init_params(TINY, seed=0)
@@ -214,9 +212,8 @@ class TestFlatBuffer:
         assert_flat_views(model)
 
     def test_rejects_non_float_parameters(self):
-        ints = {n: np.zeros(s, dtype=np.int32) for n, s in expected_param_shapes(TINY).items()}
         with pytest.raises(ValueError, match="float32 or float64"):
-            ViTModel(TINY, ints)
+            ViTModel(TINY, np.zeros(count_params(TINY), dtype=np.int32))
 
 
 class TestPatchify:
@@ -326,11 +323,7 @@ class TestForward:
     @staticmethod
     def wild_model(cfg, rng):
         # Large random weights so any order sensitivity shows up at O(1).
-        params = {
-            name: rng.normal(0.0, 0.5, size=shape).astype(np.float32)
-            for name, shape in expected_param_shapes(cfg).items()
-        }
-        return ViTModel(cfg, params)
+        return ViTModel(cfg, rng.normal(0.0, 0.5, size=count_params(cfg)).astype(np.float32))
 
     def test_patch_permutation_invariant_without_position_embedding(self, rng):
         cfg = ViTConfig(image_size=16, patch_size=8, in_channels=1,
@@ -425,14 +418,46 @@ class TestCheckpoint:
 
     def test_same_weights_give_the_same_bytes(self, tmp_path):
         model = init_params(TINY, seed=8)
-        shuffled = ViTModel(
-            TINY, {name: p.data for name, p in reversed(list(model.params.items()))}
-        )
+        wide = ViTModel(TINY, model.weights.astype(np.float64))
         p1, p2, p3 = tmp_path / "a.ckpt", tmp_path / "b.ckpt", tmp_path / "c.ckpt"
         save_checkpoint(model, p1)
         save_checkpoint(model, p2)
-        save_checkpoint(shuffled, p3)
+        save_checkpoint(wide, p3)
         assert p1.read_bytes() == p2.read_bytes() == p3.read_bytes()
+
+    @staticmethod
+    def with_header(path, edit):
+        """Pass a checkpoint's JSON header dict through ``edit``, in place."""
+        import json
+        import struct
+
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack_from("<I", raw)
+        header = json.loads(raw[4 : 4 + hlen])
+        edit(header)
+        encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
+        path.write_bytes(struct.pack("<I", len(encoded)) + encoded + raw[4 + hlen :])
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda index: index["head.b"].update(offset=0),
+            lambda index: index["head.b"].update(offset=index["head.b"]["offset"] + 4),
+            lambda index: index["head.w"].update(shape=[1, 8]),
+            lambda index: index.pop("head.b"),
+            lambda index: index.update(rogue={"shape": [0], "offset": 0}),
+            lambda index: index["head.b"].pop("offset"),
+            lambda index: index.update({"head.b": [1]}),
+        ],
+        ids=["overlap", "gap", "shape", "missing", "extra", "no-offset", "not-object"],
+    )
+    def test_index_must_be_the_config_layout(self, tmp_path, edit):
+        # The blob length still matches, so only the index is wrong.
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(TINY, seed=8), path)
+        self.with_header(path, lambda header: edit(header["params"]))
+        with pytest.raises(FormatError, match="parameter index does not match the model config"):
+            load_checkpoint(path)
 
     def test_rejects_damage(self, tmp_path):
         model = init_params(TINY, seed=8)
@@ -472,6 +497,12 @@ class TestCheckpoint:
             {"format": "evtforce-checkpoint-v1", "config": {"wings": 2}, "params": {}},
             {"format": "evtforce-checkpoint-v1", "config": {}, "params": {"w": {}}},
             {"format": "evtforce-checkpoint-v1", "config": {}, "params": {}},
+            {"format": "evtforce-checkpoint-v1", "config": {"depth": 1.0}, "params": {}},
+            {"format": "evtforce-checkpoint-v1", "config": {"patch_size": 8.0}, "params": {}},
+            {"format": "evtforce-checkpoint-v1", "config": {"num_heads": True}, "params": {}},
+            {"format": "evtforce-checkpoint-v1", "config": {"mlp_ratio": float("inf")},
+             "params": {}},
+            {"format": "evtforce-checkpoint-v1", "config": {"embed_dim": 10**400}, "params": {}},
         ],
     )
     def test_rejects_malformed_header(self, tmp_path, header):
