@@ -257,19 +257,26 @@ def cmd_synth(args) -> int:
 
     entries = []
     for r in range(n):
-        profile = make_grasp_profile(
-            cfg.protocol.samples_per_recording,
-            cfg.scene.f_max_n,
-            cfg.protocol.rate_hz,
-            seed=sub_seed(seed, f"profile:{r}"),
-        )
-        stream, _ = synthesize_recording(
-            cfg.scene,
-            profile,
-            cfg.protocol.substeps_per_sample,
-            noise_rate_hz=cfg.protocol.noise_rate_hz,
-            seed=sub_seed(seed, f"noise:{r}"),
-        )
+        try:
+            profile = make_grasp_profile(
+                cfg.protocol.samples_per_recording,
+                cfg.scene.f_max_n,
+                cfg.protocol.rate_hz,
+                seed=sub_seed(seed, f"profile:{r}"),
+            )
+            stream, _ = synthesize_recording(
+                cfg.scene,
+                profile,
+                cfg.protocol.substeps_per_sample,
+                noise_rate_hz=cfg.protocol.noise_rate_hz,
+                seed=sub_seed(seed, f"noise:{r}"),
+            )
+        except MemoryError as exc:
+            # A valid but extreme scene config (a huge noise rate, sample
+            # count or event count per pixel) asks for more than there is.
+            raise ConfigError(
+                f"the scene config needs more memory than is available ({str(exc) or 'out of memory'})"
+            ) from exc
         events_name = f"rec{r:03d}.evb1"
         labels_name = f"rec{r:03d}.labels.json"
         write_events(stream, out_dir / events_name, "binary")

@@ -17,10 +17,19 @@ segment stays inside the union of its boxes at zero and at full
 deflection.  Outside those fixed boxes every render is exactly
 ``background``, the log change is exactly zero and no event can fire, so
 ``synthesize_recording`` renders and differences only the boxes.
+
+Renders are stacked: one call renders R deflections of a box as an
+``(R, h, w)`` array, and one call turns such a stack of log intensities
+into the events of its R - 1 consecutive pairs.  A single image is the
+R = 1 case and a single image pair the R = 2 case.  A recording walks
+its substeps in chunks of about ``_RENDER_PIXELS`` pixels, each chunk
+starting with the previous chunk's last render, so memory stays bounded
+however many substeps a recording has.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -76,6 +85,13 @@ class GripperScene:
             raise ValueError("foreground intensity must be positive")
         if self.contrast <= 0:
             raise ValueError("contrast must be positive")
+        # A pixel's log intensity stays between ln background and ln
+        # foreground, so this bounds its event count between two renders,
+        # which the event model holds in int64.
+        if not abs(math.log(self.foreground) - math.log(self.background)) / self.contrast < 2**63:
+            raise ValueError(
+                f"contrast {self.contrast!r} gives a pixel more than 2**63 events between renders"
+            )
         if self.thickness_px <= 0:
             raise ValueError("thickness_px must be positive")
         for finger in fingers:
@@ -134,19 +150,22 @@ def force_to_deflection(force_n: float, scene: GripperScene) -> float:
     return scene.delta_max_px * (force_n / scene.f_max_n)
 
 
-def _deflected_points(finger: Polyline, deflection: float, center_y: float) -> np.ndarray:
+def _deflected_points(finger: Polyline, deflections: np.ndarray, center_y: float) -> np.ndarray:
+    """A finger's control points at each of R tip deflections, shape (R, n, 2)."""
     pts = np.asarray(finger, dtype=np.float64)
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     arc = np.concatenate([[0.0], np.cumsum(seg)])
     frac = arc / arc[-1] if arc[-1] > 0 else arc
     direction = 1.0 if pts[:, 1].mean() < center_y else -1.0
-    out = pts.copy()
-    out[:, 1] += direction * deflection * frac
+    out = np.repeat(pts[None], len(deflections), axis=0)
+    out[:, :, 1] += direction * deflections[:, None] * frac
     return out
 
 
-def _deflected_fingers(scene: GripperScene, deflection: float) -> list[np.ndarray]:
-    return [_deflected_points(f, deflection, scene.height / 2.0) for f in scene.fingers]
+def _deflected_fingers(scene: GripperScene, forces) -> list[np.ndarray]:
+    """Each finger's (R, n, 2) control points at R forces."""
+    deflections = np.array([force_to_deflection(f, scene) for f in forces])
+    return [_deflected_points(f, deflections, scene.height / 2.0) for f in scene.fingers]
 
 
 # A half-open pixel rectangle (y0, y1, x0, x1) in sensor coordinates.
@@ -180,9 +199,7 @@ def _reachable_boxes(scene: GripperScene) -> tuple[Box, ...]:
     box until no two share a pixel.
     """
     boxes = []
-    for rest, full in zip(
-        _deflected_fingers(scene, 0.0), _deflected_fingers(scene, scene.delta_max_px)
-    ):
+    for rest, full in _deflected_fingers(scene, (0.0, scene.f_max_n)):
         for i in range(len(rest) - 1):
             ys = (rest[i, 1], rest[i + 1, 1], full[i, 1], full[i + 1, 1])
             xs = (rest[i, 0], rest[i + 1, 0])
@@ -203,36 +220,68 @@ def _reachable_boxes(scene: GripperScene) -> tuple[Box, ...]:
 
 
 def _render_box(scene: GripperScene, fingers: list[np.ndarray], box: Box) -> np.ndarray:
-    """Render one box of pixels as a contiguous float64 array.
+    """Render R deflections of one box of pixels as a float64 (R, h, w) stack.
 
-    ``fingers`` holds the deflected control points.  Every pixel gets the
-    same arithmetic as in a whole-sensor render, so a box render equals
-    the matching slice of ``render_intensity``.
+    ``fingers`` holds each finger's (R, n, 2) deflected control points.
+    Every pixel gets the same arithmetic as in a single whole-sensor
+    render, so a box stack equals the matching slices of R
+    ``render_intensity`` images.
+
+    Each segment's distances are computed over the union of its R clamped
+    boxes (``_clamped_box``).  A pixel outside one render's own clamped
+    box lies more than ``thickness_px / 2 + 1.5`` px from that render's
+    segment, because the box reaches that margin past the segment's
+    coordinate range on every side (or the sensor edge).  Its coverage
+    ``thickness_px / 2 + 0.5 - dist`` is then below -1 and clips to
+    exactly 0, as it would with the distance left at ``inf``; and a
+    smaller distance from another segment wins the minimum either way.
+    So the union changes no pixel.
     """
     by0, by1, bx0, bx1 = box
-    dist = np.full((by1 - by0, bx1 - bx0), np.inf)
+    dist = np.full((len(fingers[0]), by1 - by0, bx1 - bx0), np.inf)
     for pts in fingers:
-        for (ax, ay), (bx, by) in zip(pts[:-1], pts[1:]):
+        for i in range(pts.shape[1] - 1):
+            ax, ay, bx, by = pts[:, i, 0], pts[:, i, 1], pts[:, i + 1, 0], pts[:, i + 1, 1]
             y_lo, y_hi, x_lo, x_hi = _clamped_box(
-                scene, min(ay, by), max(ay, by), min(ax, bx), max(ax, bx)
+                scene,
+                min(ay.min(), by.min()), max(ay.max(), by.max()),
+                min(ax.min(), bx.min()), max(ax.max(), bx.max()),
             )
             y_lo, y_hi = max(y_lo, by0), min(y_hi, by1)
             x_lo, x_hi = max(x_lo, bx0), min(x_hi, bx1)
             if x_lo >= x_hi or y_lo >= y_hi:
                 continue
-            ys, xs = np.mgrid[y_lo:y_hi, x_lo:x_hi]
+            ys = np.arange(y_lo, y_hi, dtype=np.float64)[:, None]
+            xs = np.arange(x_lo, x_hi, dtype=np.float64)
+            ax, ay, bx, by = (v[:, None, None] for v in (ax, ay, bx, by))
             abx, aby = bx - ax, by - ay
             length2 = abx * abx + aby * aby
-            if length2 == 0:
-                d = np.hypot(xs - ax, ys - ay)
-            else:
-                tpar = ((xs - ax) * abx + (ys - ay) * aby) / length2
-                tpar = np.clip(tpar, 0.0, 1.0)
-                d = np.hypot(xs - (ax + tpar * abx), ys - (ay + tpar * aby))
-            view = dist[y_lo - by0 : y_hi - by0, x_lo - bx0 : x_hi - bx0]
-            np.minimum(view, d, out=view)
-    coverage = np.clip(scene.thickness_px / 2 + 0.5 - dist, 0.0, 1.0)
-    return scene.background + (scene.foreground - scene.background) * coverage
+            # The nearest point of the segment is a + tpar * (b - a), tpar
+            # clipped to [0, 1]; a zero-length segment is a point, and
+            # clipping to [0, 0] pins its tpar to 0.  The steps run in
+            # place but keep each element's arithmetic, xs - (ax + tpar *
+            # abx) and so on, so the bytes match a scalar render.
+            point = length2 == 0
+            tpar = (xs - ax) * abx + (ys - ay) * aby
+            tpar /= np.where(point, 1.0, length2)
+            np.maximum(tpar, 0.0, out=tpar)
+            np.minimum(tpar, np.where(point, 0.0, 1.0), out=tpar)
+            dx = tpar * abx
+            dx += ax
+            np.subtract(xs, dx, out=dx)
+            dy = tpar  # its last use, so its buffer is reused
+            dy *= aby
+            dy += ay
+            np.subtract(ys, dy, out=dy)
+            view = dist[:, y_lo - by0 : y_hi - by0, x_lo - bx0 : x_hi - bx0]
+            np.minimum(view, np.hypot(dx, dy, out=dx), out=view)
+    # intensity = background + (foreground - background) * coverage, in place.
+    img = np.subtract(scene.thickness_px / 2 + 0.5, dist, out=dist)
+    np.maximum(img, 0.0, out=img)
+    np.minimum(img, 1.0, out=img)
+    img *= scene.foreground - scene.background
+    img += scene.background
+    return img
 
 
 def render_intensity(scene: GripperScene, force_n: float) -> np.ndarray:
@@ -244,8 +293,8 @@ def render_intensity(scene: GripperScene, force_n: float) -> np.ndarray:
     boxes the fingers can reach (``_reachable_boxes``) is exactly
     ``scene.background``, so no event ever fires there.
     """
-    fingers = _deflected_fingers(scene, force_to_deflection(force_n, scene))
-    return _render_box(scene, fingers, (0, scene.height, 0, scene.width))
+    fingers = _deflected_fingers(scene, (force_n,))
+    return _render_box(scene, fingers, (0, scene.height, 0, scene.width))[0]
 
 
 def _log_intensity(img: np.ndarray) -> np.ndarray:
@@ -255,30 +304,31 @@ def _log_intensity(img: np.ndarray) -> np.ndarray:
 
 
 def _log_change_events(
-    log_prev: np.ndarray,
-    log_next: np.ndarray,
-    t_prev_us: int,
-    t_next_us: int,
+    log_stack: np.ndarray,
+    times_us: np.ndarray,
     contrast: float,
     y0: int = 0,
     x0: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Unsorted (t, x, y, p) columns of the events of one log-intensity change.
+    """Unsorted (t, x, y, p) columns of the events of a stack of renders.
 
-    The arrays cover a box whose top-left pixel is (y0, x0) on the sensor;
-    coordinates come out in sensor pixels.
+    ``log_stack`` holds R log-intensity images, shape (R, h, w), rendered
+    at the R int64 ``times_us``; each consecutive pair emits its events.
+    The images cover a box whose top-left pixel is (y0, x0) on the
+    sensor; coordinates come out in sensor pixels.
     """
-    delta = log_next - log_prev
-    counts = np.floor(np.abs(delta) / contrast).astype(np.int64)
-    ys, xs = np.nonzero(counts)
-    per_pixel = counts[ys, xs]
-    pol = np.where(delta[ys, xs] > 0, 1, -1).astype(np.int8)
+    delta = np.diff(log_stack, axis=0)
+    counts = np.floor(np.abs(delta) / contrast)
+    pair, ys, xs = np.nonzero(counts)
+    per_pixel = counts[pair, ys, xs].astype(np.int64)
+    pol = np.where(delta[pair, ys, xs] > 0, 1, -1).astype(np.int8)
 
     rep_n = np.repeat(per_pixel, per_pixel)
     starts = np.cumsum(per_pixel) - per_pixel
     ordinal = np.arange(per_pixel.sum()) - np.repeat(starts, per_pixel)
-    span = t_next_us - t_prev_us
-    t = t_prev_us + np.ceil(span * (ordinal + 1) / rep_n).astype(np.int64)
+    t_prev = np.repeat(times_us[:-1][pair], per_pixel)
+    span = np.repeat(np.diff(times_us)[pair], per_pixel)
+    t = t_prev + np.ceil(span * (ordinal + 1) / rep_n).astype(np.int64)
     return (
         t,
         np.repeat(xs + x0, per_pixel),
@@ -311,14 +361,14 @@ def events_from_intensity_pair(
     next_img = np.asarray(next_img, dtype=np.float64)
     if prev_img.shape != next_img.shape or prev_img.ndim != 2:
         raise ValueError("images must be two equal-shape 2-D arrays")
-    log_prev, log_next = _log_intensity(prev_img), _log_intensity(next_img)
+    log_stack = _log_intensity(np.stack([prev_img, next_img]))
     if t_prev_us >= t_next_us:
         raise ValueError("t_prev_us must precede t_next_us")
     if contrast <= 0:
         raise ValueError("contrast must be positive")
 
     height, width = prev_img.shape
-    columns = _log_change_events(log_prev, log_next, t_prev_us, t_next_us, contrast)
+    columns = _log_change_events(log_stack, np.array([t_prev_us, t_next_us]), contrast)
     return _sorted_stream(width, height, *columns)
 
 
@@ -334,6 +384,31 @@ def make_grasp_profile(
     # Normalize before scaling so the top sample is exactly f_max_n.
     samples = f_max_n * (ramp / ramp[-1])
     return ForceProfile(tuple(samples), rate_hz)
+
+
+# Pixels rendered per chunk of a recording, over all its boxes: enough
+# renders that numpy's per-call cost is spread thin, few enough that the
+# stack's temporaries stay small.
+_RENDER_PIXELS = 1 << 18
+
+
+def _render_schedule(samples: tuple[float, ...], period_us: int, substeps: int):
+    """Yield (force, t_us) of each render of a recording, lazily.
+
+    Sample 0 comes first, at t = 0, then ``substeps`` renders per sample
+    interval with the force interpolated linearly between its samples.
+    """
+    yield samples[0], 0
+    for k in range(len(samples) - 1):
+        lo, hi = sorted((samples[k], samples[k + 1]))
+        for j in range(1, substeps + 1):
+            if j == substeps:
+                force = samples[k + 1]
+            else:
+                # Clamp away interpolation dust; endpoints are already range-checked.
+                frac = j / substeps
+                force = min(max(samples[k] + (samples[k + 1] - samples[k]) * frac, lo), hi)
+            yield force, k * period_us + round(j * period_us / substeps)
 
 
 def synthesize_recording(
@@ -358,30 +433,22 @@ def synthesize_recording(
     period_us = profile.period_us
     samples = profile.samples
     boxes = _reachable_boxes(scene)
-    fingers = _deflected_fingers(scene, force_to_deflection(samples[0], scene))
-    log_prev = [_log_intensity(_render_box(scene, fingers, box)) for box in boxes]
+    box_pixels = sum((y1 - y0) * (x1 - x0) for y0, y1, x0, x1 in boxes)
+    # Render pairs per chunk; a chunk holds one render more than pairs.
+    chunk = max(_RENDER_PIXELS // box_pixels - 1, 1)
+    schedule = _render_schedule(samples, period_us, substeps_per_sample)
+    renders = list(itertools.islice(schedule, chunk + 1))
     columns = []
-    t_prev = 0
-    for k in range(len(samples) - 1):
-        lo, hi = sorted((samples[k], samples[k + 1]))
-        for j in range(1, substeps_per_sample + 1):
-            if j == substeps_per_sample:
-                force = samples[k + 1]
-            else:
-                # Clamp away interpolation dust; endpoints are already range-checked.
-                frac = j / substeps_per_sample
-                force = min(max(samples[k] + (samples[k + 1] - samples[k]) * frac, lo), hi)
-            t_next = k * period_us + round(j * period_us / substeps_per_sample)
-            fingers = _deflected_fingers(scene, force_to_deflection(force, scene))
-            for b, box in enumerate(boxes):
-                log_next = _log_intensity(_render_box(scene, fingers, box))
-                columns.append(
-                    _log_change_events(
-                        log_prev[b], log_next, t_prev, t_next, scene.contrast, box[0], box[2]
-                    )
-                )
-                log_prev[b] = log_next
-            t_prev = t_next
+    while len(renders) > 1:
+        forces, times = zip(*renders)
+        fingers = _deflected_fingers(scene, forces)
+        for box in boxes:
+            log_stack = _log_intensity(_render_box(scene, fingers, box))
+            columns.append(
+                _log_change_events(log_stack, np.array(times), scene.contrast, box[0], box[2])
+            )
+        # The next chunk starts from this chunk's last render.
+        renders = renders[-1:] + list(itertools.islice(schedule, chunk))
 
     duration_us = (len(samples) - 1) * period_us
     if noise_rate_hz > 0 and duration_us > 0:

@@ -1,10 +1,12 @@
-"""Acceptance gate: eight oracle-backed criteria, one test per criterion.
+"""Acceptance gate: eight oracle-backed criteria, one test per criterion,
+and the pinned bytes of the default corpus.
 
 Each test prints one terminal line, `[criterion N] <label>: PASS|FAIL`, so
 the suite's verdict is readable straight off the pytest log.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import time
@@ -221,6 +223,26 @@ def test_criterion_4_default_corpus_geometry(corpus, capsys):
             profile = load_profile(corpus.rec / (name[: -len(".evb1")] + ".labels.json"))
             assert profile.rate_hz == 10.0
             assert len(profile.samples) == 41
+
+
+# sha256 of the default corpus (`synth --seed 0`, then `convert`); "*.evb1"
+# is the 25 event files concatenated in name order.
+DEFAULT_CORPUS_SHA256 = {
+    "data.frd": "f98d3124620167ae4ec3636c69de75aeb53c51926cb08cd28d0a93bbef79d0b1",
+    "data.frd.json": "f39041127435745e75fd705f83a0cfe0c90eb72eb4c01745ed991ac0817fad4a",
+    "rec/manifest.json": "cbaaba92504a0028b0b9bf3c69b77a7916c68948261785464fb3e5ecedeef937",
+    "*.evb1": "09b80f3f8067b0aae5321fab5d478676518c2cf71bac969bb5cfa4c4f4b11541",
+}
+
+
+def test_default_corpus_bytes(corpus):
+    root = corpus.frd.parent
+    events = b"".join(p.read_bytes() for p in sorted(corpus.rec.glob("*.evb1")))
+    digests = {
+        name: hashlib.sha256(events if name == "*.evb1" else (root / name).read_bytes()).hexdigest()
+        for name in DEFAULT_CORPUS_SHA256
+    }
+    assert digests == DEFAULT_CORPUS_SHA256
 
 
 def test_criterion_5_end_to_end_learning(corpus, capsys):

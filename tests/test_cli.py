@@ -229,6 +229,7 @@ class TestConfig:
             ("train", "epochs", -3),
             ("scene", "height", 0),
             ("scene", "foreground", -1),
+            ("scene", "contrast", 1e-300),
             ("model", "depth", 0),
             ("model", "patch_size", 0),
             ("train", "beta2", 1.0),
@@ -475,6 +476,28 @@ class TestSynth:
             ["synth", "--config", ws.config, "--out", tmp_path / "o", "--n-recordings", -1]
         )
         assert code == 2 and "non-negative" in err
+
+    @pytest.mark.parametrize(
+        "scene",
+        [
+            {"noise_rate_hz": 1e12},
+            {"noise_rate_hz": 1e6, "rate_hz": 1e-6},
+            {"contrast": 1e-6},
+            {"samples_per_recording": 10**9},
+            {"foreground": 1e308},
+        ],
+        ids=["noise", "noise-long-period", "contrast", "samples", "foreground"],
+    )
+    def test_scene_too_large_for_memory(self, tmp_path, scene):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"scene": scene}))
+        code, out, err, _ = run_limited(
+            ["synth", "--config", config, "--out", tmp_path / "o", "--n-recordings", 1],
+            budget_s=60,
+        )
+        assert (code, out) == (2, [])
+        assert_one_line_error(err)
+        assert "the scene config needs more memory than is available" in err
 
 
 class TestConvert:

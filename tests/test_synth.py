@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evtforce import synth
 from evtforce.events import EventStream, concat_streams, slice_window, validate_stream
 from evtforce.frames import FrameSpec, frames_from_stream
 from evtforce.synth import (
@@ -44,6 +45,8 @@ class TestSceneAndProfile:
             {"width": 0},
             {"contrast": 0.0},
             {"contrast": -0.1},
+            # Up to 2.8e301 events per pixel between two renders.
+            {"contrast": 1e-300},
             {"delta_max_px": -1.0},
             {"f_max_n": 0.0},
             {"thickness_px": 0.0},
@@ -432,3 +435,58 @@ class TestBoxLimitedSynthesis:
         stream, _ = synthesize_recording(scene, profile, 4)
         assert len(stream) > 0
         assert stream == full_frame_recording(scene, profile, 4)
+
+
+def chunked_recording(scene, profile, substeps, pixels):
+    """``synthesize_recording`` with ``_RENDER_PIXELS`` set to ``pixels``.
+
+    Also returns the number of renders in each stack that was rendered.
+    """
+    stacks = []
+    render_box = synth._render_box
+
+    def spy(scene, fingers, box):
+        stacks.append(len(fingers[0]))
+        return render_box(scene, fingers, box)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synth, "_RENDER_PIXELS", pixels)
+        mp.setattr(synth, "_render_box", spy)
+        stream, _ = synthesize_recording(scene, profile, substeps)
+    return stream, stacks
+
+
+def box_pixels(scene):
+    return sum((y1 - y0) * (x1 - x0) for y0, y1, x0, x1 in _reachable_boxes(scene))
+
+
+class TestChunkedSynthesis:
+    """Chunk boundaries change no event.
+
+    ``_RENDER_PIXELS`` = 1 gives one render pair per chunk; four box areas
+    give chunks of four renders (three pairs), whose boundaries fall
+    inside sample intervals of two or more substeps.
+    """
+
+    def test_default_scene(self):
+        scene = GripperScene()
+        profile = make_grasp_profile(6, scene.f_max_n, seed=11)
+        whole, stacks = chunked_recording(scene, profile, 4, synth._RENDER_PIXELS)
+        assert stacks == [21, 21]
+        pairs, stacks = chunked_recording(scene, profile, 4, 1)
+        assert pairs == whole and stacks == [2] * 40
+        split, stacks = chunked_recording(scene, profile, 4, 4 * box_pixels(scene))
+        assert split == whole and stacks == [4] * 12 + [3] * 2
+
+    @given(
+        scene=odd_scenes(),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+        substeps=st.integers(1, 5),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_odd_scenes(self, scene, fractions, substeps):
+        samples = tuple(min(f * scene.f_max_n, scene.f_max_n) for f in fractions)
+        profile = ForceProfile(samples + (scene.f_max_n,), rate_hz=10.0)
+        whole, _ = synthesize_recording(scene, profile, substeps)
+        for pixels in (1, 4 * box_pixels(scene)):
+            assert chunked_recording(scene, profile, substeps, pixels)[0] == whole
