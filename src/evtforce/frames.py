@@ -1,7 +1,7 @@
 """Fixed-interval event frames and labeled frame datasets.
 
 A recording is cut into consecutive half-open windows [k*T, (k+1)*T) and
-each window's events are accumulated into a dense frame.  Three pixel
+each window's events are accumulated into a frame.  Three pixel
 encodings are supported:
 
 binary       one channel, 1.0 where the pixel fired at least once
@@ -9,8 +9,11 @@ count        one channel, number of events per pixel
 polarity2ch  two channels: positive-event count, negative-event count
 
 The native sensor frame may then be box-resampled to a square model input
-(mass preserving) and normalized by its maximum element.  Frames are
-float32 throughout so container round trips are byte-exact.
+(mass preserving) and normalized by its maximum element.  No native frame
+is built for that: events are counted straight into a small histogram of
+pixel classes, whose two weight products give the resampled frame
+exactly (``_axis_classes``).  Frames are float32 throughout so container
+round trips are byte-exact.
 
 A dataset holds all its frames as one (N, C, H, W) array, with the
 window bounds, labels and recording ids as per-frame rows beside it.  An
@@ -29,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .events import EventStream, FormatError, _read_records, slice_window
+from .events import EventStream, FormatError, _read_records
 from .synth import GripperScene
 
 MODES = ("binary", "count", "polarity2ch")
@@ -82,64 +85,131 @@ def accumulate_frame(stream: EventStream, spec: FrameSpec, t0_us: int) -> np.nda
     """Accumulate the events of the window [t0, t0 + window) into a frame.
 
     Returns the float32 (C, H, W) frame; its ``.data`` is the same array.
-    The window is taken from ``stream`` with ``slice_window``, so the
-    stream may span the whole recording; an event in the window outside
-    the sensor raises ``ValueError``.  Unnormalized, unresized count and
-    polarity2ch frames hold exact non-negative integers.
+    The stream may span the whole recording; an event in the window
+    outside the sensor raises ``ValueError``.  Unnormalized, unresized
+    count and polarity2ch frames hold exact non-negative integers.
     """
-    events = slice_window(stream, t0_us, t0_us + spec.window_us)
-    h, w = events.height, events.width
+    return _frames(stream, spec, t0_us, 1)[0].view(_FrameArray)
+
+
+def _box_matrix(n_in: int, n_out: int, cells=None) -> np.ndarray:
+    """Area-overlap resampling weights; every input cell's weights sum to 1.
+
+    Returns the (n_out, len(cells)) weights of the given input cells (by
+    default every cell).  On an axis of n_in * n_out units, input cell k
+    spans [k n_out, (k + 1) n_out) and output cell i spans
+    [i n_in, (i + 1) n_in), so each weight is an integer overlap / n_out.
+    """
+    k = np.arange(n_in, dtype=np.int64) if cells is None else cells
+    i = np.arange(n_out, dtype=np.int64)[:, None]
+    overlap = np.minimum((k + 1) * n_out, (i + 1) * n_in) - np.maximum(k * n_out, i * n_in)
+    return np.maximum(overlap, 0) / n_out
+
+
+def _axis_classes(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """Class of each of n_in input cells of one axis, and the classes' weights.
+
+    A cell inside one output cell takes that cell's class, with weight 1;
+    a cell that straddles a boundary is a class of its own, split by its
+    two overlaps.  So an axis has at most 2 n_out - 1 classes, however
+    large n_in.  Classes are merged only when every weight is dyadic:
+    integer counts times dyadic weights then sum exactly in float64, in
+    any order, so ``weights @ class counts`` equals ``_box_matrix`` times
+    the per-cell counts bit for bit.  Otherwise (upsampling past two
+    output cells, a non-dyadic split) each cell is its own class and the
+    weights are ``_box_matrix``.  Returns the (n_in,) class index and the
+    (n_out, classes) weights.
+    """
+    k = np.arange(n_in, dtype=np.int64)
+    first = k * n_out // n_in
+    straddle = ((k + 1) * n_out - 1) // n_in - first
+    head = np.minimum((k + 1) * n_out, (first + 1) * n_in) - k * n_out
+    denominator = n_out // np.gcd(head, n_out)
+    if straddle.max() > 1 or np.any(denominator & (denominator - 1)):
+        return k, _box_matrix(n_in, n_out)
+    _, cells, classes = np.unique(2 * first + straddle, return_index=True, return_inverse=True)
+    return classes, _box_matrix(n_in, n_out, k[cells])
+
+
+@lru_cache(maxsize=8)
+def _geometry(height: int, width: int, out_size: int | None, binary: bool):
+    """Index tables and weights that take a sensor's events to frame pixels.
+
+    An event at (x, y) counts in bin ``rows[y] + cols[x]`` of an
+    (n_rows, n_cols) class grid, and the frame is
+    ``row_weights @ grid @ col_weights.T``, where a None weight is the
+    identity.  Binary frames mark native pixels, so they keep one class
+    per pixel.
+    """
+
+    def axis(n_in):
+        if out_size is None or out_size == n_in:
+            return np.arange(n_in, dtype=np.int64), None
+        if binary:
+            return np.arange(n_in, dtype=np.int64), _box_matrix(n_in, out_size)
+        return _axis_classes(n_in, out_size)
+
+    (rows, row_weights), (cols, col_weights) = axis(height), axis(width)
+    shape = (int(rows.max()) + 1, int(cols.max()) + 1)
+    rows = rows * shape[1]
+    for table in (rows, cols, row_weights, col_weights):
+        if table is not None:
+            table.setflags(write=False)  # shared by every caller of the cache
+    return rows, cols, shape, row_weights, col_weights
+
+
+# A window range is histogrammed this many bins at a time (16 MB of int64
+# counts), so memory stays bounded however many windows it spans.
+_CHUNK_BINS = 2**21
+
+
+def _frames(stream: EventStream, spec: FrameSpec, t0_us: int, n: int) -> np.ndarray:
+    """Frames of the n windows [t0 + j T, t0 + (j + 1) T), T = window_us.
+
+    One integer ``bincount`` over (window, channel, row class, column
+    class), one float64 product with the class weights, one float32 cast
+    and a per-frame normalize.  Where ``_axis_classes`` merges cells, the
+    cost follows the events and the output size, not the sensor size.
+    The stream must be time-ordered.
+    """
+    h, w = stream.height, stream.width
+    t = stream.t_us
+    i0 = int(np.searchsorted(t, t0_us, side="left"))
+    i1 = int(np.searchsorted(t, t0_us + n * spec.window_us, side="left"))
+    x, y, p = stream.x[i0:i1], stream.y[i0:i1], stream.p[i0:i1]
     # Only an in-memory stream can hold such events (``read_events``
     # validates); unchecked, x would wrap into the next row.  As unsigned,
     # a negative coordinate is huge, so one max per axis catches both ends.
-    if events.x.size and (
-        events.x.view(np.uint32).max() >= w or events.y.view(np.uint32).max() >= h
-    ):
+    if x.size and (x.view(np.uint32).max() >= w or y.view(np.uint32).max() >= h):
         raise ValueError("event coordinates outside the sensor")
-    lin = events.y.astype(np.int64) * w + events.x.astype(np.int64)
+    rows, cols, shape, row_weights, col_weights = _geometry(
+        h, w, spec.out_size, spec.mode == "binary"
+    )
+    plane = shape[0] * shape[1]
+    idx = np.take(rows, y)
+    idx += np.take(cols, x)
     if spec.mode == "polarity2ch":
-        # One bincount over (channel, pixel): negative events land one
-        # channel up.  Zero polarity (only in an invalid stream) counts in
-        # neither channel.
-        lin += (events.p < 0) * (h * w)
-        if not events.p.all():
-            lin = lin[events.p != 0]
-        data = np.bincount(lin, minlength=2 * h * w).reshape(2, h, w).astype(np.float32)
-    else:
-        counts = np.bincount(lin, minlength=h * w).reshape(1, h, w)
-        data = counts.astype(np.float32)
-        if spec.mode == "binary":
-            data = (data > 0).astype(np.float32)
-    if spec.out_size is not None and (h, w) != (spec.out_size, spec.out_size):
-        data = _box_resize(data, spec.out_size)
+        # Negative events land one channel up.  Zero polarity (only in an
+        # invalid stream) counts in neither channel.
+        idx += (p < 0) * plane
+    if n > 1:
+        idx += (t[i0:i1] - t0_us) // spec.window_us * (spec.channels * plane)
+    if spec.mode == "polarity2ch" and not p.all():
+        idx = idx[p != 0]
+    hist = np.bincount(idx, minlength=n * spec.channels * plane)
+    hist = hist.reshape(n, spec.channels, *shape)
+    if spec.mode == "binary":
+        hist = hist > 0
+    data = hist.astype(np.float64)
+    if row_weights is not None:
+        data = row_weights @ data
+    if col_weights is not None:
+        data = data @ col_weights.T
+    frames = data.astype(np.float32)
     if spec.normalize:
-        peak = data.max() if data.size else 0.0
-        if peak > 0:
-            data = data / peak
-    return data.view(_FrameArray)
-
-
-@lru_cache(maxsize=None)
-def _box_matrix(n_in: int, n_out: int) -> np.ndarray:
-    """Area-overlap resampling weights; every input cell's weights sum to 1."""
-    s = n_out / n_in
-    m = np.zeros((n_out, n_in))
-    for k in range(n_in):
-        a, b = k * s, (k + 1) * s
-        for i in range(int(np.floor(a)), min(int(np.ceil(b)), n_out)):
-            overlap = min(b, i + 1.0) - max(a, float(i))
-            if overlap > 0:
-                m[i, k] = overlap / s
-    m.setflags(write=False)
-    return m
-
-
-def _box_resize(data: np.ndarray, out_size: int) -> np.ndarray:
-    """Box-resample a (C, H, W) frame to out_size x out_size, preserving mass."""
-    rows = _box_matrix(data.shape[1], out_size)
-    cols = _box_matrix(data.shape[2], out_size)
-    out = rows @ data.astype(np.float64) @ cols.T
-    return out.astype(np.float32)
+        peak = frames.max(axis=(1, 2, 3), keepdims=True)
+        frames /= np.where(peak > 0, peak, np.float32(1))
+    return frames
 
 
 class FrameDataset:
@@ -206,11 +276,14 @@ def frames_from_stream(
     the windows the recording holds.
     """
     n_windows = stream.duration_us // spec.window_us
-    ks = range(start, n_windows if stop is None else min(stop, n_windows))
+    stop = n_windows if stop is None else min(stop, n_windows)
+    shape = _geometry(stream.height, stream.width, spec.out_size, spec.mode == "binary")[2]
+    step = max(1, _CHUNK_BINS // (spec.channels * shape[0] * shape[1]))
     side = (stream.height, stream.width) if spec.out_size is None else (spec.out_size,) * 2
-    out = np.empty((len(ks), spec.channels, *side), dtype=np.float32)
-    for i, k in enumerate(ks):
-        out[i] = accumulate_frame(stream, spec, k * spec.window_us)
+    out = np.empty((max(stop - start, 0), spec.channels, *side), dtype=np.float32)
+    for k in range(start, stop, step):
+        n = min(step, stop - k)
+        out[k - start : k - start + n] = _frames(stream, spec, k * spec.window_us, n)
     return out
 
 

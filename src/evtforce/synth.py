@@ -303,6 +303,12 @@ def _log_intensity(img: np.ndarray) -> np.ndarray:
     return np.log(img)
 
 
+# A recording of more events than this would not fit in a 64-bit address
+# space (each takes at least 16 bytes).  An event total past it is a
+# MemoryError, raised before int64 arithmetic on the total could wrap.
+_MAX_EVENTS = 2**60
+
+
 def _log_change_events(
     log_stack: np.ndarray,
     times_us: np.ndarray,
@@ -321,6 +327,11 @@ def _log_change_events(
     counts = np.floor(np.abs(delta) / contrast)
     pair, ys, xs = np.nonzero(counts)
     per_pixel = counts[pair, ys, xs].astype(np.int64)
+    # Each count fits in int64 (``GripperScene`` checks); their sum may not.
+    if per_pixel.size and per_pixel.max() > _MAX_EVENTS // per_pixel.size and (
+        sum(per_pixel.tolist()) > _MAX_EVENTS
+    ):
+        raise MemoryError("the renders give more than 2**60 events")
     pol = np.where(delta[pair, ys, xs] > 0, 1, -1).astype(np.int8)
 
     rep_n = np.repeat(per_pixel, per_pixel)
@@ -452,8 +463,12 @@ def synthesize_recording(
 
     duration_us = (len(samples) - 1) * period_us
     if noise_rate_hz > 0 and duration_us > 0:
+        mean = noise_rate_hz * duration_us / 1e6
+        if mean > _MAX_EVENTS:
+            # Past numpy's own bound the Poisson draw fails with no word of memory.
+            raise MemoryError(f"a mean of {mean:.3g} noise events is more than 2**60")
         rng = np.random.default_rng(seed)
-        n_noise = rng.poisson(noise_rate_hz * duration_us / 1e6)
+        n_noise = rng.poisson(mean)
         if n_noise > 0:
             nt = rng.integers(0, duration_us, n_noise)
             nx = rng.integers(0, scene.width, n_noise)

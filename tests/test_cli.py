@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import evtforce
@@ -485,8 +485,11 @@ class TestSynth:
             {"contrast": 1e-6},
             {"samples_per_recording": 10**9},
             {"foreground": 1e308},
+            {"noise_rate_hz": 1e12, "rate_hz": 1e-6},
+            {"contrast": 1e-17},
         ],
-        ids=["noise", "noise-long-period", "contrast", "samples", "foreground"],
+        ids=["noise", "noise-long-period", "contrast", "samples", "foreground",
+             "noise-past-the-poisson-bound", "event-total-past-int64"],
     )
     def test_scene_too_large_for_memory(self, tmp_path, scene):
         config = tmp_path / "c.json"
@@ -1061,6 +1064,20 @@ class TestPredict:
         assert_one_line_error(err)
         assert "frames are 2x65535x65535, model expects 2x16x16" in err
 
+    def test_huge_declared_sensor_predicts_in_bounded_memory(self, ws, tmp_path):
+        # A 16-px frame of a declared 65535 x 65535 sensor costs no more
+        # than one of an 80 x 60 sensor: frames are built from class
+        # histograms, never from a native-size one.
+        stream = read_events(ws.rec / "rec000.evb1")
+        path = tmp_path / "huge.evb1"
+        write_events(EventStream(65535, 65535, stream.t_us, stream.x, stream.y, stream.p), path)
+        code, lines, err, _ = run_limited(
+            ["predict", "--config", ws.config, "--ckpt", ws.ckpt, "--in", path], budget_s=60
+        )
+        assert code == 0, err
+        assert len(lines) == stream.duration_us // 100_000
+        assert np.isfinite([float(line) for line in lines]).all()
+
     def test_event_frames_must_match_model(self, ws):
         # Without the config the default spec makes 2x64x64 frames.
         code, _, err = run_cli(
@@ -1187,11 +1204,6 @@ def fuzz_inputs(ws, tmp_path_factory):
     }
 
 
-# Byte offsets that flips leave alone, per file kind.  The high bytes of
-# the EVB1 sensor size can declare a 65535 x 65535 sensor, whose dense
-# per-window histogram (2 * 65535**2 counts) would exhaust memory.
-_FROZEN_BYTES = {"evb1": {5, 7}}
-
 _MUTATIONS = st.one_of(
     st.tuples(
         st.just("flip"),
@@ -1202,8 +1214,12 @@ _MUTATIONS = st.one_of(
 )
 
 
-def mutate(raw: bytes, mutation, frozen=frozenset()) -> bytes:
-    """Flip (xor) some bytes, cut the tail off, or append bytes."""
+def mutate(raw: bytes, mutation) -> bytes:
+    """Flip (xor) some bytes, cut the tail off, or append bytes.
+
+    Every byte may flip, the EVB1 sensor size included: a frame's cost
+    does not follow the sensor size a header declares.
+    """
     kind, arg = mutation
     if kind == "truncate":
         return raw[: arg % len(raw)]
@@ -1211,18 +1227,23 @@ def mutate(raw: bytes, mutation, frozen=frozenset()) -> bytes:
         return raw + arg
     out = bytearray(raw)
     for pos, mask in arg:
-        if pos % len(out) not in frozen:
-            out[pos % len(out)] ^= mask
+        out[pos % len(out)] ^= mask
     return bytes(out)
+
+
+# Flips the high bytes of the EVB1 width and height: 80 x 60 becomes a
+# declared 65360 x 65340 sensor.
+_HUGE_SENSOR = ("flip", [(5, 255), (7, 255)])
 
 
 @settings(max_examples=400, deadline=None)
 @given(kind=st.sampled_from(["evb1", "csv", "labels", "frd", "sidecar", "checkpoint", "config"]),
        mutation=_MUTATIONS)
+@example(kind="evb1", mutation=_HUGE_SENSOR)
 def test_damaged_input_exits_with_one_line(fuzz_inputs, kind, mutation):
     path, argv = fuzz_inputs[kind]
     raw = path.read_bytes()
-    path.write_bytes(mutate(raw, mutation, _FROZEN_BYTES.get(kind, frozenset())))
+    path.write_bytes(mutate(raw, mutation))
     try:
         code, _, err = run_cli(argv)
     finally:
@@ -1252,6 +1273,7 @@ _PREDICT_BUDGET_S = 1.0
 
 @settings(max_examples=16, deadline=None)
 @given(mutation=_MUTATIONS | _TIMESTAMP_FLIPS)
+@example(mutation=_HUGE_SENSOR)
 def test_damaged_recording_predicts_or_exits_with_one_line(fuzz_inputs, mutation):
     # Each example runs in a child under a 1 GiB address-space limit, so
     # an allocation bomb fails here rather than swapping.
@@ -1260,7 +1282,7 @@ def test_damaged_recording_predicts_or_exits_with_one_line(fuzz_inputs, mutation
     if mutation[0] == "timestamp":
         n = (len(raw) - 16) // 16
         mutation = ("flip", [(16 + 16 * (k % n) + b, mask) for k, b, mask in mutation[1]])
-    path.write_bytes(mutate(raw, mutation, _FROZEN_BYTES["evb1"]))
+    path.write_bytes(mutate(raw, mutation))
     try:
         code, lines, err, _ = run_limited(argv, _PREDICT_BUDGET_S)
     finally:

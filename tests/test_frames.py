@@ -17,6 +17,7 @@ from evtforce.events import (
     HeaderError,
     TruncatedError,
     read_events,
+    slice_window,
     write_events,
 )
 from evtforce.frames import (
@@ -28,7 +29,9 @@ from evtforce.frames import (
     frames_from_stream,
     read_frame_dataset,
     write_frame_dataset,
-    _box_resize,
+    _CHUNK_BINS,
+    _axis_classes,
+    _box_matrix,
 )
 
 from conftest import make_stream
@@ -149,6 +152,14 @@ class TestAccumulate:
         assert accumulate_frame(s, spec, 300).sum() == 0.0
 
 
+def _box_resize(data: np.ndarray, out_size: int) -> np.ndarray:
+    """Box-resample a (C, H, W) frame to out_size x out_size, preserving mass."""
+    rows = _box_matrix(data.shape[1], out_size)
+    cols = _box_matrix(data.shape[2], out_size)
+    out = rows @ data.astype(np.float64) @ cols.T
+    return out.astype(np.float32)
+
+
 def two_bincount_accumulate(events, spec):
     """The earlier accumulate_frame: masks and one bincount per polarity.
 
@@ -264,6 +275,99 @@ class TestBoxResize:
         data = rng.random((1, 17, 31)).astype(np.float32)
         out = _box_resize(data, 64)
         assert np.all(out >= 0)
+
+
+class TestClassHistogram:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        width=st.integers(1, 400),
+        height=st.integers(1, 400),
+        n_events=st.sampled_from([0, 1, 50, 3000]),
+        n_windows=st.integers(1, 6),
+        mode=st.sampled_from(MODES),
+        out_size=st.sampled_from([None, 7, 8, 16, 32, 64]),
+        normalize=st.booleans(),
+        start=st.integers(0, 8),
+        length=st.none() | st.integers(0, 8),
+    )
+    def test_window_range_equals_dense_frames(
+        self, seed, width, height, n_events, n_windows, mode, out_size, normalize, start, length
+    ):
+        # Each window against a dense per-pixel bincount plus the
+        # ``_box_matrix`` product.  Polarity 0 (only in an invalid stream)
+        # counts in count and binary frames and in neither polarity2ch
+        # channel.  The range may run past the recording's last full
+        # window, and the last window may be cut.
+        rng = np.random.default_rng(seed)
+        stream = EventStream(
+            width,
+            height,
+            t_us=np.sort(rng.integers(0, n_windows * 100 + 50, n_events)),
+            x=rng.integers(0, width, n_events),
+            y=rng.integers(0, height, n_events),
+            p=rng.choice(np.array([-1, 0, 1]), n_events),
+        )
+        spec = FrameSpec(window_us=100, mode=mode, out_size=out_size, normalize=normalize)
+        stop = None if length is None else start + length
+        got = frames_from_stream(stream, spec, start, stop)
+        last = stream.duration_us // 100
+        ks = range(start, last if stop is None else min(stop, last))
+        side = (height, width) if out_size is None else (out_size, out_size)
+        want = np.zeros((0, spec.channels, *side), dtype=np.float32)
+        if len(ks):
+            want = np.stack([
+                two_bincount_accumulate(slice_window(stream, k * 100, (k + 1) * 100), spec)
+                for k in ks
+            ])
+        assert got.dtype == want.dtype == np.float32
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_a_range_is_built_in_chunks_of_windows(self, rng):
+        # A native window of this sensor would hold 2 * 65535**2 counts;
+        # its class histogram holds at most 2 * 127**2, and the 99 windows
+        # take more than one chunk of bins.
+        s = make_stream(rng, n=3000, width=65535, height=65535, t_max=1_000_000)
+        spec = FrameSpec(window_us=10_000, mode="polarity2ch", out_size=64)
+        frames = frames_from_stream(s, spec)
+        assert frames.shape == (99, 2, 64, 64)
+        for k in (0, 50, 98):
+            assert np.array_equal(frames[k], accumulate_frame(s, spec, k * 10_000))
+        assert 99 * 2 * 127**2 > _CHUNK_BINS
+
+    @settings(max_examples=200, deadline=None)
+    @given(n_in=st.integers(1, 5000), n_out=st.integers(1, 128))
+    def test_classes_carry_the_box_weights(self, n_in, n_out):
+        classes, weights = _axis_classes(n_in, n_out)
+        assert np.array_equal(weights[:, classes], _box_matrix(n_in, n_out))
+        if n_out & (n_out - 1) == 0:
+            assert weights.shape[1] <= 2 * n_out - 1
+
+    @pytest.mark.parametrize("n_out", [16, 64])
+    def test_class_count_does_not_follow_the_sensor_size(self, n_out):
+        classes, weights = _axis_classes(65535, n_out)
+        assert classes.shape == (65535,)
+        assert weights.shape == (n_out, classes.max() + 1)
+        assert weights.shape[1] <= 2 * n_out - 1
+
+    def test_non_dyadic_weights_keep_one_class_per_cell(self):
+        # 30 -> 7 splits cells into sevenths, whose sums round by order;
+        # 14 -> 7 splits none, so its classes merge with weight 1.
+        classes, weights = _axis_classes(30, 7)
+        assert np.array_equal(classes, np.arange(30))
+        assert np.array_equal(weights, _box_matrix(30, 7))
+        classes, weights = _axis_classes(14, 7)
+        assert np.array_equal(classes, np.arange(14) // 2)
+        assert np.array_equal(weights, np.eye(7))
+
+    def test_box_weights_are_integer_overlaps(self):
+        # Computed in floating point, 98 -> 8 leaked about 1e-14 of a
+        # cell's mass into an output cell it does not overlap.
+        m = _box_matrix(98, 8)
+        assert np.array_equal(m * 8, np.round(m * 8))
+        assert np.array_equal(m.sum(axis=0), np.ones(98))
+        assert ((m > 0).sum(axis=0) <= 2).all()
 
 
 class TestWindowing:
