@@ -162,6 +162,29 @@ def _geometry(height: int, width: int, out_size: int | None, binary: bool):
 # counts), so memory stays bounded however many windows it spans.
 _CHUNK_BINS = 2**21
 
+# One window's histogram may hold at most this many bins (128 MB of int64
+# counts); a 2-channel native 2048 x 2048 frame takes half of it.
+_WINDOW_BINS = 2**24
+
+
+def _stream_geometry(stream: EventStream, spec: FrameSpec):
+    """``_geometry`` of a stream's frames, and its bins per window.
+
+    A geometry whose one window passes ``_WINDOW_BINS`` is a
+    ``FormatError`` naming the frame config and the sensor size declared
+    in the stream's header, raised before any histogram is allocated.
+    """
+    geometry = _geometry(stream.height, stream.width, spec.out_size, spec.mode == "binary")
+    shape = geometry[2]
+    bins = spec.channels * shape[0] * shape[1]
+    if bins > _WINDOW_BINS:
+        raise FormatError(
+            f"frame.mode {spec.mode!r} at frame.out_size {spec.out_size} needs {bins} histogram "
+            f"bins per window for the declared {stream.width}x{stream.height} sensor, more than "
+            f"{_WINDOW_BINS}"
+        )
+    return geometry, bins
+
 
 def _frames(stream: EventStream, spec: FrameSpec, t0_us: int, n: int) -> np.ndarray:
     """Frames of the n windows [t0 + j T, t0 + (j + 1) T), T = window_us.
@@ -182,9 +205,7 @@ def _frames(stream: EventStream, spec: FrameSpec, t0_us: int, n: int) -> np.ndar
     # a negative coordinate is huge, so one max per axis catches both ends.
     if x.size and (x.view(np.uint32).max() >= w or y.view(np.uint32).max() >= h):
         raise ValueError("event coordinates outside the sensor")
-    rows, cols, shape, row_weights, col_weights = _geometry(
-        h, w, spec.out_size, spec.mode == "binary"
-    )
+    (rows, cols, shape, row_weights, col_weights), _ = _stream_geometry(stream, spec)
     plane = shape[0] * shape[1]
     idx = np.take(rows, y)
     idx += np.take(cols, x)
@@ -277,8 +298,7 @@ def frames_from_stream(
     """
     n_windows = stream.duration_us // spec.window_us
     stop = n_windows if stop is None else min(stop, n_windows)
-    shape = _geometry(stream.height, stream.width, spec.out_size, spec.mode == "binary")[2]
-    step = max(1, _CHUNK_BINS // (spec.channels * shape[0] * shape[1]))
+    step = max(1, _CHUNK_BINS // _stream_geometry(stream, spec)[1])
     side = (stream.height, stream.width) if spec.out_size is None else (spec.out_size,) * 2
     out = np.empty((max(stop - start, 0), spec.channels, *side), dtype=np.float32)
     for k in range(start, stop, step):

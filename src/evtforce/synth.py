@@ -25,6 +25,13 @@ R = 1 case and a single image pair the R = 2 case.  A recording walks
 its substeps in chunks of about ``_RENDER_PIXELS`` pixels, each chunk
 starting with the previous chunk's last render, so memory stays bounded
 however many substeps a recording has.
+
+Only a few percent of (pair, pixel) entries change between renders, so
+events are extracted sparsely: one ``flatnonzero`` over the changed-entry
+mask, then counts, polarities and coordinates at those entries alone.
+All events of a recording are then ordered by (t, y, x, p) in one
+``argsort`` of a packed int64 key, with ``lexsort`` as the fallback when
+a key would not fit (``_sorted_stream``).
 """
 
 from __future__ import annotations
@@ -322,17 +329,26 @@ def _log_change_events(
     at the R int64 ``times_us``; each consecutive pair emits its events.
     The images cover a box whose top-left pixel is (y0, x0) on the
     sensor; coordinates come out in sensor pixels.
+
+    Counts are computed at the changed entries alone.  Their C-order flat
+    indices give (pair, y, x) in the order ``np.nonzero`` gives, and
+    ``!= 0`` is the test it applies, so a NaN change is kept as it would
+    be there.
     """
     delta = np.diff(log_stack, axis=0)
-    counts = np.floor(np.abs(delta) / contrast)
-    pair, ys, xs = np.nonzero(counts)
-    per_pixel = counts[pair, ys, xs].astype(np.int64)
+    flat = np.flatnonzero(delta != 0)
+    d = delta.ravel()[flat]
+    counts = np.floor(np.abs(d) / contrast)
+    fires = counts != 0
+    flat, d, counts = flat[fires], d[fires], counts[fires]
+    pair, ys, xs = np.unravel_index(flat, delta.shape)
+    per_pixel = counts.astype(np.int64)
     # Each count fits in int64 (``GripperScene`` checks); their sum may not.
     if per_pixel.size and per_pixel.max() > _MAX_EVENTS // per_pixel.size and (
         sum(per_pixel.tolist()) > _MAX_EVENTS
     ):
         raise MemoryError("the renders give more than 2**60 events")
-    pol = np.where(delta[pair, ys, xs] > 0, 1, -1).astype(np.int8)
+    pol = np.where(d > 0, 1, -1).astype(np.int8)
 
     rep_n = np.repeat(per_pixel, per_pixel)
     starts = np.cumsum(per_pixel) - per_pixel
@@ -349,8 +365,30 @@ def _log_change_events(
 
 
 def _sorted_stream(width: int, height: int, t, x, y, p) -> EventStream:
-    """Build a stream ordered by timestamp, then y, x, polarity."""
-    order = np.lexsort((p, x, y, t))
+    """Build a stream ordered by timestamp, then y, x, polarity.
+
+    The order is one ``argsort`` of the packed int64 key
+    ``((t * height + y) * width + x) * 2 + (p > 0)``, which orders events
+    as the (t, y, x, p) tuple does: coordinates lie inside the sensor by
+    construction (boxes lie inside it and noise is drawn inside it), and
+    polarity is -1 or +1.  Equal keys are equal events, so neither
+    stability nor the sort kind can change a byte.  When a timestamp is
+    negative or the largest key would not fit in int64 (checked in
+    Python ints, since int64 arithmetic wraps silently), a 4-key
+    ``np.lexsort`` gives the same order instead.
+    """
+    if t.size and (
+        int(t.min()) < 0 or (int(t.max()) + 1) * height * width * 2 > np.iinfo(np.int64).max
+    ):
+        order = np.lexsort((p, x, y, t))
+    else:
+        key = t * height
+        key += y
+        key *= width
+        key += x
+        key *= 2
+        key += p > 0
+        order = np.argsort(key)
     return EventStream(width, height, t[order], x[order], y[order], p[order])
 
 

@@ -30,7 +30,7 @@ from evtforce.frames import (
 )
 from evtforce.synth import load_profile
 from evtforce.training import predict_forces
-from evtforce.vit import load_checkpoint
+from evtforce.vit import ViTConfig, init_params, load_checkpoint, save_checkpoint
 
 # Small enough that the full synth -> convert -> train chain runs in well
 # under a second: 3 recordings x 5 windows, 16 px frames, one tiny block.
@@ -1077,6 +1077,36 @@ class TestPredict:
         assert code == 0, err
         assert len(lines) == stream.duration_us // 100_000
         assert np.isfinite([float(line) for line in lines]).all()
+
+    @pytest.mark.parametrize("command", ["convert", "predict"])
+    @pytest.mark.parametrize("mode, out_size", [("binary", 16), ("count", 7)])
+    def test_unbounded_window_of_a_huge_sensor_is_refused(
+        self, ws, tmp_path, command, mode, out_size
+    ):
+        # Binary frames and the non-dyadic 65535 -> 7 split keep one
+        # histogram bin per native pixel: 4 Gi bins for one window.
+        stream = read_events(ws.rec / "rec000.evb1")
+        rec = tmp_path / "rec"
+        rec.mkdir()
+        write_events(
+            EventStream(65535, 65535, stream.t_us, stream.x, stream.y, stream.p),
+            rec / "rec000.evb1",
+        )
+        shutil.copy(ws.rec / "rec000.labels.json", rec)
+        flags = ["--config", ws.config, "--mode", mode, "--out-size", out_size]
+        if command == "convert":
+            argv = ["convert", *flags, "--in", rec, "--out", tmp_path / "x.frd"]
+        else:
+            ckpt = tmp_path / "model.ckpt"
+            config = ViTConfig(image_size=out_size, patch_size=out_size, in_channels=1,
+                               embed_dim=8, depth=1, num_heads=2)
+            save_checkpoint(init_params(config, 0), ckpt)
+            argv = ["predict", *flags, "--ckpt", ckpt, "--in", rec / "rec000.evb1"]
+        code, out, err, _ = run_limited(argv, budget_s=60)
+        assert (code, out) == (3, [])
+        assert_one_line_error(err)
+        assert f"frame.mode '{mode}' at frame.out_size {out_size}" in err
+        assert "declared 65535x65535 sensor" in err
 
     def test_event_frames_must_match_model(self, ws):
         # Without the config the default spec makes 2x64x64 frames.

@@ -336,6 +336,30 @@ class TestClassHistogram:
             assert np.array_equal(frames[k], accumulate_frame(s, spec, k * 10_000))
         assert 99 * 2 * 127**2 > _CHUNK_BINS
 
+    @pytest.mark.parametrize(
+        "mode, out_size, height, width, refused",
+        [
+            ("polarity2ch", None, 2048, 2048, False),
+            ("count", None, 4096, 4096, False),
+            ("count", None, 4096, 4097, True),
+            ("binary", 16, 4097, 4096, True),
+            ("count", 7, 4097, 4096, True),
+            # Dyadic classes: at most 2 * (2 * 16 - 1)**2 bins, whatever the sensor.
+            ("polarity2ch", 16, 65535, 65535, False),
+        ],
+    )
+    def test_window_bins_are_bounded(self, mode, out_size, height, width, refused):
+        s = EventStream(width, height, t_us=[5], x=[width - 1], y=[height - 1], p=[-1])
+        spec = FrameSpec(window_us=10, mode=mode, out_size=out_size)
+        # An empty range: only the geometry is checked, no histogram built.
+        if refused:
+            with pytest.raises(FormatError, match=f"declared {width}x{height} sensor"):
+                frames_from_stream(s, spec, 1)
+            with pytest.raises(FormatError, match=f"frame.mode '{mode}'"):
+                accumulate_frame(s, spec, 0)
+        else:
+            assert len(frames_from_stream(s, spec, 1)) == 0
+
     @settings(max_examples=200, deadline=None)
     @given(n_in=st.integers(1, 5000), n_out=st.integers(1, 128))
     def test_classes_carry_the_box_weights(self, n_in, n_out):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evtforce import synth
@@ -290,11 +290,53 @@ class TestProfileFiles:
             load_profile(path)
 
 
+# The event model before sparse extraction and the packed sort key, kept
+# here unchanged so that the reference synthesis below shares no event
+# code with ``synth``.
+def frozen_log_change_events(log_stack, times_us, contrast, y0=0, x0=0):
+    delta = np.diff(log_stack, axis=0)
+    counts = np.floor(np.abs(delta) / contrast)
+    pair, ys, xs = np.nonzero(counts)
+    per_pixel = counts[pair, ys, xs].astype(np.int64)
+    # Each count fits in int64 (``GripperScene`` checks); their sum may not.
+    if per_pixel.size and per_pixel.max() > synth._MAX_EVENTS // per_pixel.size and (
+        sum(per_pixel.tolist()) > synth._MAX_EVENTS
+    ):
+        raise MemoryError("the renders give more than 2**60 events")
+    pol = np.where(delta[pair, ys, xs] > 0, 1, -1).astype(np.int8)
+
+    rep_n = np.repeat(per_pixel, per_pixel)
+    starts = np.cumsum(per_pixel) - per_pixel
+    ordinal = np.arange(per_pixel.sum()) - np.repeat(starts, per_pixel)
+    t_prev = np.repeat(times_us[:-1][pair], per_pixel)
+    span = np.repeat(np.diff(times_us)[pair], per_pixel)
+    t = t_prev + np.ceil(span * (ordinal + 1) / rep_n).astype(np.int64)
+    return (
+        t,
+        np.repeat(xs + x0, per_pixel),
+        np.repeat(ys + y0, per_pixel),
+        np.repeat(pol, per_pixel),
+    )
+
+
+def frozen_sorted_stream(width, height, t, x, y, p):
+    order = np.lexsort((p, x, y, t))
+    return EventStream(width, height, t[order], x[order], y[order], p[order])
+
+
+def frozen_events_from_pair(prev_img, next_img, t_prev_us, t_next_us, contrast):
+    """``events_from_intensity_pair`` on the frozen event model."""
+    log_stack = np.log(np.stack([prev_img, next_img]))
+    columns = frozen_log_change_events(log_stack, np.array([t_prev_us, t_next_us]), contrast)
+    return frozen_sorted_stream(prev_img.shape[1], prev_img.shape[0], *columns)
+
+
 def full_frame_recording(scene, profile, substeps_per_sample, noise_rate_hz=0.0, seed=0):
     """Reference synthesis: whole-sensor renders and differences every substep.
 
     This is the recording loop before renders were limited to the boxes
-    the fingers can reach; ``synthesize_recording`` must match it exactly.
+    the fingers can reach, on the frozen event model;
+    ``synthesize_recording`` must match it exactly.
     """
     period_us = profile.period_us
     samples = profile.samples
@@ -311,9 +353,7 @@ def full_frame_recording(scene, profile, substeps_per_sample, noise_rate_hz=0.0,
                 force = min(max(samples[k] + (samples[k + 1] - samples[k]) * frac, lo), hi)
             t_next = k * period_us + round(j * period_us / substeps_per_sample)
             img = render_intensity(scene, force)
-            parts.append(
-                events_from_intensity_pair(prev_img, img, t_prev, t_next, scene.contrast)
-            )
+            parts.append(frozen_events_from_pair(prev_img, img, t_prev, t_next, scene.contrast))
             prev_img, t_prev = img, t_next
     stream = concat_streams(parts) if parts else EventStream(scene.width, scene.height)
 
@@ -330,8 +370,7 @@ def full_frame_recording(scene, profile, substeps_per_sample, noise_rate_hz=0.0,
             x = np.concatenate([stream.x, nx.astype(np.int32)])
             y = np.concatenate([stream.y, ny.astype(np.int32)])
             p = np.concatenate([stream.p, npol])
-            order = np.lexsort((p, x, y, t))
-            stream = EventStream(scene.width, scene.height, t[order], x[order], y[order], p[order])
+            stream = frozen_sorted_stream(scene.width, scene.height, t, x, y, p)
     return stream
 
 
@@ -490,3 +529,128 @@ class TestChunkedSynthesis:
         whole, _ = synthesize_recording(scene, profile, substeps)
         for pixels in (1, 4 * box_pixels(scene)):
             assert chunked_recording(scene, profile, substeps, pixels)[0] == whole
+
+
+@st.composite
+def log_stacks(draw):
+    """(log_stack, times_us, contrast, y0, x0) arguments of ``_log_change_events``.
+
+    Log values that are small multiples of the contrast give changes at
+    exact thresholds (exact in float for a power-of-two contrast) and just
+    off them, of both signs; some stacks do not change at all.
+    """
+    contrast = draw(st.one_of(st.sampled_from([0.25, 0.05, float(np.log(7.0))]),
+                              st.floats(0.01, 1.0)))
+    r, h, w = draw(st.integers(2, 5)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    value = st.one_of(st.integers(-4, 4).map(lambda k: k * contrast), st.floats(-3.0, 3.0))
+    stack = np.array(draw(st.lists(value, min_size=r * h * w, max_size=r * h * w)))
+    stack = stack.reshape(r, h, w)
+    if draw(st.booleans()):
+        stack[1:] = stack[0]
+    steps = draw(st.lists(st.integers(1, 10**6), min_size=r - 1, max_size=r - 1))
+    times = draw(st.integers(-10**9, 10**9)) + np.concatenate([[0], np.cumsum(steps)])
+    return stack, times, contrast, draw(st.integers(0, 1000)), draw(st.integers(0, 1000))
+
+
+def assert_same_columns(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+class TestSparseEventModel:
+    """``_log_change_events`` equals the frozen dense body byte for byte."""
+
+    @given(case=log_stacks())
+    @example(case=(np.array([[[0.0, 0.0]], [[0.25, -0.5]]]), np.array([0, 10]), 0.25, 3, 5))
+    @example(case=(np.zeros((2, 3, 4)), np.array([5, 9]), 0.05, 0, 0))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_frozen_body(self, case):
+        assert_same_columns(synth._log_change_events(*case), frozen_log_change_events(*case))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_log_values_behave_as_before(self, bad):
+        stack = np.zeros((3, 2, 2))
+        stack[1, 0, 1] = bad
+        outcomes = []
+        with np.errstate(invalid="ignore"):
+            for f in (synth._log_change_events, frozen_log_change_events):
+                try:
+                    outcomes.append(f(stack, np.array([0, 10, 20]), 0.1))
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+        if isinstance(outcomes[0], str):
+            assert outcomes[0] == outcomes[1]
+        else:
+            assert_same_columns(*outcomes)
+
+
+def lexsort_counter(monkeypatch):
+    """Count the calls of ``np.lexsort`` from here on."""
+    calls = []
+    lexsort = np.lexsort
+
+    def spy(keys, *args, **kwargs):
+        calls.append(1)
+        return lexsort(keys, *args, **kwargs)
+
+    monkeypatch.setattr(np, "lexsort", spy)
+    return calls
+
+
+def random_columns(rng, n, width, height, t_lo, t_hi):
+    """Unsorted event columns with many duplicate events."""
+    pool = 1 + n // 3
+    t = rng.integers(t_lo, t_hi, pool, endpoint=True)
+    x, y = rng.integers(0, width, pool), rng.integers(0, height, pool)
+    p = rng.choice(np.array([-1, 1], dtype=np.int8), pool)
+    pick = rng.integers(0, pool, n)
+    return t[pick], x[pick], y[pick], p[pick]
+
+
+class TestSortKey:
+    """``_sorted_stream`` gives ``np.lexsort``'s order, with or without the key."""
+
+    @given(
+        n=st.integers(0, 300),
+        width=st.integers(1, 70),
+        height=st.integers(1, 50),
+        t_hi=st.integers(0, 10**6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_lexsort_with_duplicates(self, n, width, height, t_hi, seed):
+        columns = random_columns(np.random.default_rng(seed), n, width, height, 0, t_hi)
+        got = synth._sorted_stream(width, height, *columns)
+        assert got == frozen_sorted_stream(width, height, *columns)
+
+    @pytest.mark.parametrize("past", [0, 1])
+    def test_key_bound_on_a_huge_sensor(self, rng, monkeypatch, past):
+        # Up to t_max every key fits in int64, the largest just below
+        # 2**63; one microsecond later the last row's keys would wrap.
+        side = 65535
+        t_max = 2**63 // (side * side * 2) - 1
+        t, x, y, p = random_columns(rng, 500, side, side, t_max - 50, t_max)
+        t[0], x[0], y[0], p[0] = t_max + past, side - 1, side - 1, 1
+        want = frozen_sorted_stream(side, side, t, x, y, p)
+        calls = lexsort_counter(monkeypatch)
+        assert synth._sorted_stream(side, side, t, x, y, p) == want
+        assert calls == [1] * past
+
+    @pytest.mark.parametrize("t_lo, t_hi", [(2**32, 2**40), (2**62, 2**63 - 1)])
+    def test_huge_sensor_falls_back_to_lexsort(self, rng, monkeypatch, t_lo, t_hi):
+        side = 65535
+        columns = random_columns(rng, 500, side, side, t_lo, t_hi)
+        want = frozen_sorted_stream(side, side, *columns)
+        calls = lexsort_counter(monkeypatch)
+        assert synth._sorted_stream(side, side, *columns) == want
+        assert calls == [1]
+
+    @pytest.mark.parametrize("t_prev_us", [2**62, 2**63 - 2000, -1000, -(2**62)])
+    def test_pairs_past_the_key_fall_back_to_lexsort(self, rng, monkeypatch, t_prev_us):
+        prev = rng.uniform(50.0, 200.0, size=(12, 9))
+        nxt = rng.uniform(50.0, 200.0, size=(12, 9))
+        want = frozen_events_from_pair(prev, nxt, t_prev_us, t_prev_us + 1500, 0.05)
+        assert len(want) > 0 and (t_prev_us > 0 or want.t_us.min() < 0)
+        calls = lexsort_counter(monkeypatch)
+        assert events_from_intensity_pair(prev, nxt, t_prev_us, t_prev_us + 1500, 0.05) == want
+        assert calls == [1]
