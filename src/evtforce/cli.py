@@ -33,7 +33,7 @@ from .frames import (
     FrameSpec,
     accumulate_frame,
     build_dataset,
-    frames_from_stream,
+    frame_chunks,
     read_frame_dataset,
     write_frame_dataset,
 )
@@ -46,7 +46,7 @@ from .synth import (
     synthesize_recording,
 )
 from .training import TrainConfig, evaluate, predict_forces, split_dataset, train
-from .vit import ViTConfig, init_params, load_checkpoint, save_checkpoint
+from .vit import ViTConfig, check_frame_shape, init_params, load_checkpoint, save_checkpoint
 
 
 class ConfigError(ValueError):
@@ -327,13 +327,7 @@ def cmd_train(args) -> int:
     dataset = read_frame_dataset(args.data)
     if len(dataset) == 0:
         raise ConfigError(f"{args.data} holds no frames")
-    shape = dataset.frames.shape[1:]
-    expect = (cfg.model.in_channels, cfg.model.image_size, cfg.model.image_size)
-    if shape != expect:
-        raise ConfigError(
-            f"dataset frames are {shape[0]}x{shape[1]}x{shape[2]} but model.in_channels/"
-            f"image_size expect {expect[0]}x{expect[1]}x{expect[2]}"
-        )
+    check_frame_shape(cfg.model, dataset.frames.shape[1:])
     splits = split_dataset(dataset, train_cfg.split, sub_seed(seed, "split"))
     model = init_params(cfg.model, sub_seed(seed, "init"))
     model, log = train(model, splits, train_cfg)
@@ -391,12 +385,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-# Windows per chunk when ``predict`` streams an event file: memory stays
-# bounded however many windows the recording spans, and as a multiple of
-# the ``predict_forces`` batch the chunks leave every prediction unchanged.
-_PREDICT_CHUNK = 256
-
-
 def cmd_predict(args) -> int:
     cfg = _config(args)
     model = load_checkpoint(args.ckpt)
@@ -407,19 +395,8 @@ def cmd_predict(args) -> int:
         stream = read_events(in_path, _event_format(in_path))
         # Checked before any frame is built: a native-size frame of a huge
         # declared sensor would not fit in memory.
-        side = (stream.height, stream.width) if cfg.frame.out_size is None else (
-            cfg.frame.out_size, cfg.frame.out_size)
-        m = model.config
-        if (cfg.frame.channels, *side) != (m.in_channels, m.image_size, m.image_size):
-            raise ConfigError(
-                f"frames are {cfg.frame.channels}x{side[0]}x{side[1]}, model expects "
-                f"{m.in_channels}x{m.image_size}x{m.image_size}"
-            )
-        n = stream.duration_us // cfg.frame.window_us
-        chunks = (
-            frames_from_stream(stream, cfg.frame, lo, lo + _PREDICT_CHUNK)
-            for lo in range(0, n, _PREDICT_CHUNK)
-        )
+        check_frame_shape(model.config, cfg.frame.frame_shape(stream.height, stream.width))
+        chunks = frame_chunks(stream, cfg.frame)
     for batch in chunks:
         preds = predict_forces(model, batch)
         if not np.all(np.isfinite(preds)):
@@ -529,6 +506,9 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # numpy names the array it could not allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -264,7 +264,7 @@ def read_events(path, format: str = "binary") -> EventStream:
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
-    data = Path(path).read_bytes()
+    data = _read_file(path, None if format == "csv" else _EVB1_HEADER)
     stream = _parse_csv(data, path) if format == "csv" else _parse_evb1(data, path)
     _require_valid(stream, f"invalid stream in {path}")
     return stream
@@ -332,6 +332,21 @@ def _read_records(data: bytes, path, header: struct.Struct, magic: bytes, record
     if body > expected:
         raise FormatError(f"{path}: {body - expected} trailing byte(s) after records")
     return fields, np.frombuffer(data, dtype=record, count=count, offset=header.size)
+
+
+def _read_file(path, header: struct.Struct | None) -> bytes:
+    """A whole input file.  One too large for memory is a ``FormatError`` naming the
+    record count its ``header`` declares, or its size if it has none (CSV)."""
+    try:
+        return Path(path).read_bytes()
+    except MemoryError:
+        size = Path(path).stat().st_size
+    with open(path, "rb") as fh:
+        head = fh.read(header.size if header is not None else 0)
+    if header is not None and len(head) == header.size:
+        count = header.unpack(head)[-1]
+        raise FormatError(f"{path}: its {count} declared records do not fit in memory")
+    raise FormatError(f"{path}: its {size} bytes do not fit in memory")
 
 
 def _parse_evb1(data: bytes, path) -> EventStream:

@@ -1,8 +1,9 @@
 """Fixed-interval event frames and labeled frame datasets.
 
 A recording is cut into consecutive half-open windows [k*T, (k+1)*T) and
-each window's events are accumulated into a frame.  Three pixel
-encodings are supported:
+each window's events are accumulated into a frame; ``frame_chunks`` is
+the one loop over a recording's windows.  Three pixel encodings are
+supported:
 
 binary       one channel, 1.0 where the pixel fired at least once
 count        one channel, number of events per pixel
@@ -12,8 +13,9 @@ The native sensor frame may then be box-resampled to a square model input
 (mass preserving) and normalized by its maximum element.  No native frame
 is built for that: events are counted straight into a small histogram of
 pixel classes, whose two weight products give the resampled frame
-exactly (``_axis_classes``).  Frames are float32 throughout so container
-round trips are byte-exact.
+exactly (``_axis_classes``); a geometry whose window or weight tables
+would pass ``_WINDOW_BINS`` is refused before any is built.  Frames are
+float32 throughout so container round trips are byte-exact.
 
 A dataset holds all its frames as one (N, C, H, W) array, with the
 window bounds, labels and recording ids as per-frame rows beside it.  An
@@ -24,15 +26,16 @@ a fixed header; a JSON sidecar carries the windows and provenance.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .events import EventStream, FormatError, _read_records
+from .events import EventStream, FormatError, _read_file, _read_records
 from .synth import GripperScene
 
 MODES = ("binary", "count", "polarity2ch")
@@ -67,6 +70,11 @@ class FrameSpec:
     @property
     def channels(self) -> int:
         return 2 if self.mode == "polarity2ch" else 1
+
+    def frame_shape(self, height: int, width: int) -> tuple[int, int, int]:
+        """(C, H, W) of a height x width sensor's frames: native, or out_size squared."""
+        side = (height, width) if self.out_size is None else (self.out_size, self.out_size)
+        return (self.channels, *side)
 
 
 class _FrameArray(np.ndarray):
@@ -107,7 +115,7 @@ def _box_matrix(n_in: int, n_out: int, cells=None) -> np.ndarray:
 
 
 def _axis_classes(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
-    """Class of each of n_in input cells of one axis, and the classes' weights.
+    """Class of each of n_in input cells of one axis, and each class's first cell.
 
     A cell inside one output cell takes that cell's class, with weight 1;
     a cell that straddles a boundary is a class of its own, split by its
@@ -116,9 +124,9 @@ def _axis_classes(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
     integer counts times dyadic weights then sum exactly in float64, in
     any order, so ``weights @ class counts`` equals ``_box_matrix`` times
     the per-cell counts bit for bit.  Otherwise (upsampling past two
-    output cells, a non-dyadic split) each cell is its own class and the
-    weights are ``_box_matrix``.  Returns the (n_in,) class index and the
-    (n_out, classes) weights.
+    output cells, a non-dyadic split) each cell is its own class.  Returns
+    the (n_in,) class index and the first cell of each class, whose
+    weights ``_box_matrix(n_in, n_out, cells)`` are the classes'.
     """
     k = np.arange(n_in, dtype=np.int64)
     first = k * n_out // n_in
@@ -126,64 +134,64 @@ def _axis_classes(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
     head = np.minimum((k + 1) * n_out, (first + 1) * n_in) - k * n_out
     denominator = n_out // np.gcd(head, n_out)
     if straddle.max() > 1 or np.any(denominator & (denominator - 1)):
-        return k, _box_matrix(n_in, n_out)
+        return k, k
     _, cells, classes = np.unique(2 * first + straddle, return_index=True, return_inverse=True)
-    return classes, _box_matrix(n_in, n_out, k[cells])
+    return classes, k[cells]
+
+
+# A window range is built at most this many bins or output values at a
+# time (16 MB of int64 counts), however many windows it spans.
+_CHUNK_BINS = 2**21
+
+# One window's histogram or output, and each weight table, may hold at most
+# this many values; a 2-channel native 2048 x 2048 frame takes half of it.
+_WINDOW_BINS = 2**24
 
 
 @lru_cache(maxsize=8)
-def _geometry(height: int, width: int, out_size: int | None, binary: bool):
+def _geometry(height: int, width: int, spec: FrameSpec):
     """Index tables and weights that take a sensor's events to frame pixels.
 
     An event at (x, y) counts in bin ``rows[y] + cols[x]`` of an
     (n_rows, n_cols) class grid, and the frame is
     ``row_weights @ grid @ col_weights.T``, where a None weight is the
     identity.  Binary frames mark native pixels, so they keep one class
-    per pixel.
+    per pixel.  Last comes the larger of a window's bins and output values.
+    A geometry past ``_WINDOW_BINS`` is a ``FormatError`` naming the frame
+    config and the declared sensor size, raised before any table is built.
     """
+    out_size = spec.out_size
 
-    def axis(n_in):
+    def axis(n_in):  # each cell's class, and each class's first cell
+        k = np.arange(n_in, dtype=np.int64)
         if out_size is None or out_size == n_in:
-            return np.arange(n_in, dtype=np.int64), None
-        if binary:
-            return np.arange(n_in, dtype=np.int64), _box_matrix(n_in, out_size)
+            return k, None
+        if spec.mode == "binary":
+            return k, k
         return _axis_classes(n_in, out_size)
 
-    (rows, row_weights), (cols, col_weights) = axis(height), axis(width)
+    (rows, row_cells), (cols, col_cells) = axis(height), axis(width)
     shape = (int(rows.max()) + 1, int(cols.max()) + 1)
+    bins = spec.channels * shape[0] * shape[1]
+    values = math.prod(spec.frame_shape(height, width))
+    entries = max((out_size * len(c) for c in (row_cells, col_cells) if c is not None), default=0)
+    for size, what in (
+        (bins, "histogram bins per window"),
+        (values, "output values per window"),
+        (entries, "entries in one weight table"),
+    ):
+        if size > _WINDOW_BINS:
+            raise FormatError(
+                f"frame.mode {spec.mode!r} at frame.out_size {out_size} needs {size} {what} "
+                f"for the declared {width}x{height} sensor, more than {_WINDOW_BINS}"
+            )
+    row_weights = None if row_cells is None else _box_matrix(height, out_size, row_cells)
+    col_weights = None if col_cells is None else _box_matrix(width, out_size, col_cells)
     rows = rows * shape[1]
     for table in (rows, cols, row_weights, col_weights):
         if table is not None:
             table.setflags(write=False)  # shared by every caller of the cache
-    return rows, cols, shape, row_weights, col_weights
-
-
-# A window range is histogrammed this many bins at a time (16 MB of int64
-# counts), so memory stays bounded however many windows it spans.
-_CHUNK_BINS = 2**21
-
-# One window's histogram may hold at most this many bins (128 MB of int64
-# counts); a 2-channel native 2048 x 2048 frame takes half of it.
-_WINDOW_BINS = 2**24
-
-
-def _stream_geometry(stream: EventStream, spec: FrameSpec):
-    """``_geometry`` of a stream's frames, and its bins per window.
-
-    A geometry whose one window passes ``_WINDOW_BINS`` is a
-    ``FormatError`` naming the frame config and the sensor size declared
-    in the stream's header, raised before any histogram is allocated.
-    """
-    geometry = _geometry(stream.height, stream.width, spec.out_size, spec.mode == "binary")
-    shape = geometry[2]
-    bins = spec.channels * shape[0] * shape[1]
-    if bins > _WINDOW_BINS:
-        raise FormatError(
-            f"frame.mode {spec.mode!r} at frame.out_size {spec.out_size} needs {bins} histogram "
-            f"bins per window for the declared {stream.width}x{stream.height} sensor, more than "
-            f"{_WINDOW_BINS}"
-        )
-    return geometry, bins
+    return rows, cols, shape, row_weights, col_weights, max(bins, values)
 
 
 def _frames(stream: EventStream, spec: FrameSpec, t0_us: int, n: int) -> np.ndarray:
@@ -205,7 +213,7 @@ def _frames(stream: EventStream, spec: FrameSpec, t0_us: int, n: int) -> np.ndar
     # a negative coordinate is huge, so one max per axis catches both ends.
     if x.size and (x.view(np.uint32).max() >= w or y.view(np.uint32).max() >= h):
         raise ValueError("event coordinates outside the sensor")
-    (rows, cols, shape, row_weights, col_weights), _ = _stream_geometry(stream, spec)
+    rows, cols, shape, row_weights, col_weights, _ = _geometry(h, w, spec)
     plane = shape[0] * shape[1]
     idx = np.take(rows, y)
     idx += np.take(cols, x)
@@ -231,6 +239,31 @@ def _frames(stream: EventStream, spec: FrameSpec, t0_us: int, n: int) -> np.ndar
         peak = frames.max(axis=(1, 2, 3), keepdims=True)
         frames /= np.where(peak > 0, peak, np.float32(1))
     return frames
+
+
+# Windows per chunk of ``frame_chunks``: memory stays bounded however many
+# windows the recording spans, and as a multiple of the ``predict_forces``
+# batch the chunks leave every prediction unchanged.
+_CHUNK_FRAMES = 256
+
+
+def frame_chunks(stream: EventStream, spec: FrameSpec) -> Iterator[np.ndarray]:
+    """Frames of a recording's full windows, in order, in float32 chunks.
+
+    Window k is [k T, (k + 1) T), T = window_us; a trailing stretch of the
+    recording shorter than T is dropped.  A chunk holds at most
+    ``_CHUNK_FRAMES`` frames, built ``_CHUNK_BINS`` values at a time.  The
+    geometry is checked before the first chunk, even if there is none.
+    """
+    n_windows = stream.duration_us // spec.window_us
+    step = max(1, _CHUNK_BINS // _geometry(stream.height, stream.width, spec)[-1])
+    shape = spec.frame_shape(stream.height, stream.width)
+    for lo in range(0, n_windows, _CHUNK_FRAMES):
+        chunk = np.empty((min(_CHUNK_FRAMES, n_windows - lo), *shape), dtype=np.float32)
+        for k in range(0, len(chunk), step):
+            n = min(step, len(chunk) - k)
+            chunk[k : k + n] = _frames(stream, spec, (lo + k) * spec.window_us, n)
+        yield chunk
 
 
 class FrameDataset:
@@ -285,28 +318,6 @@ class FrameDataset:
         )
 
 
-def frames_from_stream(
-    stream: EventStream, spec: FrameSpec, start: int = 0, stop: int | None = None
-) -> np.ndarray:
-    """Frames of the full windows ``start <= k < stop`` of a recording, in order.
-
-    Window k is [k * window_us, (k + 1) * window_us).  Returns a float32
-    (n, C, H, W) array, four-dimensional even for n = 0.  The recording
-    spans [0, stream.duration_us); a trailing stretch shorter than the
-    window is dropped, and ``stop`` (None: every window) is clipped to
-    the windows the recording holds.
-    """
-    n_windows = stream.duration_us // spec.window_us
-    stop = n_windows if stop is None else min(stop, n_windows)
-    step = max(1, _CHUNK_BINS // _stream_geometry(stream, spec)[1])
-    side = (stream.height, stream.width) if spec.out_size is None else (spec.out_size,) * 2
-    out = np.empty((max(stop - start, 0), spec.channels, *side), dtype=np.float32)
-    for k in range(start, stop, step):
-        n = min(step, stop - k)
-        out[k - start : k - start + n] = _frames(stream, spec, k * spec.window_us, n)
-    return out
-
-
 def build_dataset(
     recordings: Sequence[EventStream],
     force_tracks: Sequence,
@@ -329,7 +340,6 @@ def build_dataset(
     elif len(ids) != len(recordings):
         raise ValueError("ids must match recordings")
 
-    parts: list[np.ndarray] = []
     starts: list[int] = []
     labels: list[float] = []
     provenance: list[str] = []
@@ -350,10 +360,19 @@ def build_dataset(
             if not (lo <= label <= hi):
                 raise ValueError(f"{rec_id}: label {label} outside [{lo}, {hi}]")
             labels.append(label)
-        parts.append(frames_from_stream(stream, spec))
+        _geometry(stream.height, stream.width, spec)  # an unbounded one fails here
         starts.extend(range(0, n * spec.window_us, spec.window_us))
         provenance.extend([rec_id] * n)
-    frames = np.concatenate(parts) if parts else np.zeros((0, 0, 0, 0), dtype=np.float32)
+    shapes = {spec.frame_shape(s.height, s.width) for s in recordings}
+    if len(shapes) > 1:
+        raise ValueError("recordings of different sensor sizes need a frame.out_size")
+    shape = shapes.pop() if shapes else (0, 0, 0)
+    frames = np.empty((len(starts), *shape), dtype=np.float32)
+    k = 0
+    for stream in recordings:
+        for chunk in frame_chunks(stream, spec):
+            frames[k : k + len(chunk)] = chunk
+            k += len(chunk)
     t0 = np.asarray(starts, dtype=np.int64)
     return FrameDataset(frames, labels, provenance, np.stack([t0, t0 + spec.window_us], axis=1))
 
@@ -418,7 +437,7 @@ def read_frame_dataset(path) -> FrameDataset:
     ``provenance`` has the wrong shape or length, is a ``FormatError``.
     """
     path = Path(path)
-    data = path.read_bytes()
+    data = _read_file(path, _FRD1_HEADER)
     (c, h, w), records = _read_records(data, path, _FRD1_HEADER, _FRD1_MAGIC, _record_dtype)
     count = len(records)
 

@@ -289,18 +289,22 @@ def encoder_block(x: Tensor, model: ViTModel, block: int) -> Tensor:
     return ad.add(x, h)
 
 
+def check_frame_shape(config: ViTConfig, shape) -> None:
+    """Raise the one ``ValueError`` line for (C, H, W) frames the model cannot take."""
+    expect = (config.in_channels, config.image_size, config.image_size)
+    if tuple(shape) != expect:
+        raise ValueError(
+            f"frames are {'x'.join(map(str, shape))}, model expects {'x'.join(map(str, expect))}"
+        )
+
+
 def patch_embed(frames: np.ndarray, model: ViTModel) -> Tensor:
     """Project (B, C, H, W) frames to (B, num_patches, embed_dim) tokens."""
     cfg = model.config
     frames = np.asarray(frames, dtype=model.weights.dtype)
     if frames.ndim != 4:
         raise ValueError("frames must have shape (B, C, H, W)")
-    b, c, h, w = frames.shape
-    if c != cfg.in_channels or h != cfg.image_size or w != cfg.image_size:
-        raise ValueError(
-            f"frames are {c}x{h}x{w}, model expects "
-            f"{cfg.in_channels}x{cfg.image_size}x{cfg.image_size}"
-        )
+    check_frame_shape(cfg, frames.shape[1:])
     patches = patchify(frames, cfg.patch_size)
     return _linear(
         Tensor(patches), model.params["patch_proj.w"], model.params["patch_proj.b"]

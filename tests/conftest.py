@@ -5,6 +5,7 @@ import pytest
 
 from evtforce.autodiff import Tensor
 from evtforce.events import EventStream
+from evtforce.frames import frame_chunks
 
 
 def make_stream(rng, n=200, width=64, height=48, t_max=1_000_000):
@@ -14,6 +15,12 @@ def make_stream(rng, n=200, width=64, height=48, t_max=1_000_000):
     y = rng.integers(0, height, size=n)
     p = rng.choice([-1, 1], size=n)
     return EventStream(width, height, t_us=t, x=x, y=y, p=p)
+
+
+def all_frames(stream, spec):
+    """Every full window's frame of a recording, as one (n, C, H, W) array."""
+    empty = np.zeros((0, *spec.frame_shape(stream.height, stream.width)), dtype=np.float32)
+    return np.concatenate([empty, *frame_chunks(stream, spec)])
 
 
 def rel_err(a, b):

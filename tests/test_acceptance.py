@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import make_stream, numeric_grad, rel_err, tensor64, check_op_grads
+from conftest import all_frames, make_stream, numeric_grad, rel_err, tensor64, check_op_grads
 from test_autodiff import OP_CASES
 
 from evtforce import autodiff as ad
@@ -26,7 +26,6 @@ from evtforce.frames import (
     FrameDataset,
     FrameSpec,
     accumulate_frame,
-    frames_from_stream,
     read_frame_dataset,
     write_frame_dataset,
 )
@@ -148,7 +147,7 @@ def test_criterion_2_event_conservation(capsys):
             spec = FrameSpec(
                 window_us=window_us, mode="count", out_size=None, normalize=False
             )
-            frames = frames_from_stream(stream, spec)
+            frames = all_frames(stream, spec)
             assert len(frames) == stream.duration_us // window_us
             for k, frame in enumerate(frames):
                 in_window = slice_window(stream, k * window_us, (k + 1) * window_us)

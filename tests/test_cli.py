@@ -19,12 +19,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import all_frames
+
 import evtforce
 from evtforce.cli import DEFAULT_CONFIG, ConfigError, load_config, main, sub_seed
 from evtforce.events import EventStream, read_events, write_events
 from evtforce.frames import (
     FrameDataset,
-    frames_from_stream,
     read_frame_dataset,
     write_frame_dataset,
 )
@@ -612,6 +613,108 @@ class TestConvert:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "mode, out_size, sensor, refused",
+        [
+            ("polarity2ch", 2048, None, None),
+            ("polarity2ch", 4096, None, "output values per window"),
+            ("polarity2ch", 100_000, None, "output values per window"),
+            # 65535 -> 2047 splits rows by a non-dyadic ratio, so each row
+            # is its own class: a 2047 x 65535 row weight table.
+            ("count", 2047, (1, 65535), "entries in one weight table"),
+        ],
+        ids=["fits", "output-4096", "output-100000", "weight-table"],
+    )
+    def test_frame_geometry_is_bounded_before_allocating(
+        self, ws, tmp_path, mode, out_size, sensor, refused
+    ):
+        rec = tmp_path / "rec"
+        rec.mkdir()
+        stream = read_events(ws.rec / "rec000.evb1")
+        width, height = sensor or (stream.width, stream.height)
+        write_events(
+            EventStream(width, height, stream.t_us, np.minimum(stream.x, width - 1), stream.y,
+                        stream.p),
+            rec / "rec000.evb1",
+        )
+        shutil.copy(ws.rec / "rec000.labels.json", rec)
+        code, out, err, _ = run_limited(
+            ["convert", "--config", ws.config, "--mode", mode, "--out-size", out_size,
+             "--in", rec, "--out", tmp_path / "x.frd"],
+            budget_s=60,
+        )
+        if refused is None:
+            assert code == 0, err
+            assert json.loads(out[0])["frames"] == FRAMES_PER_REC
+            return
+        assert (code, out) == (3, [])
+        assert_one_line_error(err)
+        assert f"frame.mode '{mode}' at frame.out_size {out_size} needs" in err
+        assert f"{refused} for the declared {width}x{height} sensor" in err
+
+    def test_long_label_track_fails_at_the_one_allocation(self, ws, tmp_path):
+        # A valid 2,000,000-window recording with a matching track: its
+        # 4 GB of frames fail at their one allocation, not after filling
+        # memory chunk by chunk, and the line names their shape.
+        n = 2_000_000
+        stream = read_events(ws.rec / "rec000.evb1")
+        t_us = stream.t_us.copy()
+        t_us[-1] = n * 100_000 - 1
+        rec = tmp_path / "rec"
+        rec.mkdir()
+        write_events(
+            EventStream(stream.width, stream.height, t_us, stream.x, stream.y, stream.p),
+            rec / "rec000.evb1",
+        )
+        (rec / "rec000.labels.json").write_text(json.dumps({"rate_hz": 10.0, "samples": [0.5] * n}))
+        code, out, err, _ = run_limited(
+            ["convert", "--config", ws.config, "--in", rec, "--out", tmp_path / "x.frd"],
+            budget_s=60,
+        )
+        assert (code, out) == (3, [])
+        assert_one_line_error(err)
+        assert f"shape ({n}, 2, 16, 16)" in err
+
+
+def sparse_file(path: Path, header: bytes, size: int) -> Path:
+    """A ``size``-byte file: ``header``, then zeros that take no disk."""
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.truncate(size)
+    return path
+
+
+# 2 GiB inputs: FRD1 records of a 2x16x16 frame and its label take 2052
+# bytes each, EVB1 event records 16.
+BIG_FRD_RECORDS = 2**31 // 2052
+BIG_EVB1_RECORDS = 2**31 // 16
+
+
+@pytest.mark.parametrize(
+    "command, kind",
+    [("train", "frd"), ("eval", "frd"), ("predict", "frd"), ("predict", "evb1"),
+     ("bench", "evb1")],
+)
+def test_input_larger_than_memory_is_one_line(ws, tmp_path, command, kind):
+    if kind == "frd":
+        n = BIG_FRD_RECORDS
+        path = sparse_file(tmp_path / "big.frd", struct.pack("<4sHHHQ", b"FRD1", 2, 16, 16, n),
+                           18 + n * 2052)
+    else:
+        n = BIG_EVB1_RECORDS
+        path = sparse_file(tmp_path / "big.evb1", struct.pack("<4sHHQ", b"EVB1", 80, 60, n),
+                           16 + n * 16)
+    argv = {
+        "train": ["train", "--config", ws.config, "--data", path, "--out", tmp_path / "x.ckpt"],
+        "eval": ["eval", "--config", ws.config, "--ckpt", ws.ckpt, "--data", path],
+        "predict": ["predict", "--config", ws.config, "--ckpt", ws.ckpt, "--in", path],
+        "bench": ["bench", "--in", path],
+    }[command]
+    code, out, err, _ = run_limited(argv, budget_s=60)
+    assert (code, out) == (3, [])
+    assert_one_line_error(err)
+    assert f"{path}: its {n} declared records do not fit in memory" in err
+
 
 class TestTrain:
     def test_artifacts(self, ws):
@@ -684,6 +787,20 @@ class TestTrain:
             ["train", "--data", ws.frd, "--out", tmp_path / "x.ckpt"]
         )
         assert code == 2 and "2x16x16" in err
+
+    def test_mismatched_model_is_one_line_in_every_command(self, ws, tmp_path):
+        # 2x64x64 frames, from a container or from events at the default
+        # spec, against the 2x16x16 model of the small config.
+        big = tmp_path / "big.frd"
+        write_frame_dataset(FrameDataset(np.zeros((2, 2, 64, 64)), [0.0, 0.0], ["a", "a"]), big)
+        line = "error: frames are 2x64x64, model expects 2x16x16\n"
+        for argv in [
+            ["train", "--config", ws.config, "--data", big, "--out", tmp_path / "x.ckpt"],
+            ["eval", "--config", ws.config, "--ckpt", ws.ckpt, "--data", big],
+            ["predict", "--config", ws.config, "--ckpt", ws.ckpt, "--in", big],
+            ["predict", "--ckpt", ws.ckpt, "--in", ws.rec / "rec000.evb1"],
+        ]:
+            assert run_cli(argv) == (2, "", line), argv[0]
 
     def test_empty_dataset(self, ws, tmp_path):
         empty = tmp_path / "empty.frd"
@@ -987,7 +1104,7 @@ class TestPredict:
         for argv, want in [
             (["--in", frd], predict_forces(model, frames)),
             (["--in", rec, "--window-us", 800],
-             predict_forces(model, frames_from_stream(read_events(rec), spec))),
+             predict_forces(model, all_frames(read_events(rec), spec))),
         ]:
             code, out, err = run_cli(["predict", "--config", ws.config, "--ckpt", ws.ckpt, *argv])
             assert code == 0, err

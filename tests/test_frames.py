@@ -3,6 +3,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,15 +27,17 @@ from evtforce.frames import (
     FrameSpec,
     accumulate_frame,
     build_dataset,
-    frames_from_stream,
+    frame_chunks,
     read_frame_dataset,
     write_frame_dataset,
     _CHUNK_BINS,
+    _CHUNK_FRAMES,
     _axis_classes,
     _box_matrix,
+    _frames,
 )
 
-from conftest import make_stream
+from conftest import all_frames, make_stream
 
 
 @dataclass
@@ -297,8 +300,10 @@ class TestClassHistogram:
         # Each window against a dense per-pixel bincount plus the
         # ``_box_matrix`` product.  Polarity 0 (only in an invalid stream)
         # counts in count and binary frames and in neither polarity2ch
-        # channel.  The range may run past the recording's last full
-        # window, and the last window may be cut.
+        # channel.  A range of ``length`` windows from ``start`` may run
+        # past the recording's last full window; without a length, the
+        # windows from ``start`` on come through ``frame_chunks``, which
+        # drops a cut last window.
         rng = np.random.default_rng(seed)
         stream = EventStream(
             width,
@@ -309,12 +314,13 @@ class TestClassHistogram:
             p=rng.choice(np.array([-1, 0, 1]), n_events),
         )
         spec = FrameSpec(window_us=100, mode=mode, out_size=out_size, normalize=normalize)
-        stop = None if length is None else start + length
-        got = frames_from_stream(stream, spec, start, stop)
-        last = stream.duration_us // 100
-        ks = range(start, last if stop is None else min(stop, last))
-        side = (height, width) if out_size is None else (out_size, out_size)
-        want = np.zeros((0, spec.channels, *side), dtype=np.float32)
+        if length is None:
+            got = all_frames(stream, spec)[start:]
+            ks = range(start, stream.duration_us // 100)
+        else:
+            got = _frames(stream, spec, start * 100, length)
+            ks = range(start, start + length)
+        want = np.zeros((0, *spec.frame_shape(height, width)), dtype=np.float32)
         if len(ks):
             want = np.stack([
                 two_bincount_accumulate(slice_window(stream, k * 100, (k + 1) * 100), spec)
@@ -330,7 +336,7 @@ class TestClassHistogram:
         # take more than one chunk of bins.
         s = make_stream(rng, n=3000, width=65535, height=65535, t_max=1_000_000)
         spec = FrameSpec(window_us=10_000, mode="polarity2ch", out_size=64)
-        frames = frames_from_stream(s, spec)
+        frames = all_frames(s, spec)
         assert frames.shape == (99, 2, 64, 64)
         for k in (0, 50, 98):
             assert np.array_equal(frames[k], accumulate_frame(s, spec, k * 10_000))
@@ -346,44 +352,50 @@ class TestClassHistogram:
             ("count", 7, 4097, 4096, True),
             # Dyadic classes: at most 2 * (2 * 16 - 1)**2 bins, whatever the sensor.
             ("polarity2ch", 16, 65535, 65535, False),
+            # An upsampled frame is bounded by its output values: 2 * 2048**2
+            # fit, 2 * 4096**2 do not.
+            ("polarity2ch", 2048, 60, 80, False),
+            ("polarity2ch", 4096, 60, 80, True),
+            ("count", 100_000, 60, 80, True),
         ],
     )
     def test_window_bins_are_bounded(self, mode, out_size, height, width, refused):
         s = EventStream(width, height, t_us=[5], x=[width - 1], y=[height - 1], p=[-1])
         spec = FrameSpec(window_us=10, mode=mode, out_size=out_size)
-        # An empty range: only the geometry is checked, no histogram built.
+        # No full window: only the geometry is checked, no histogram built.
         if refused:
             with pytest.raises(FormatError, match=f"declared {width}x{height} sensor"):
-                frames_from_stream(s, spec, 1)
+                list(frame_chunks(s, spec))
             with pytest.raises(FormatError, match=f"frame.mode '{mode}'"):
                 accumulate_frame(s, spec, 0)
         else:
-            assert len(frames_from_stream(s, spec, 1)) == 0
+            assert list(frame_chunks(s, spec)) == []
 
     @settings(max_examples=200, deadline=None)
     @given(n_in=st.integers(1, 5000), n_out=st.integers(1, 128))
     def test_classes_carry_the_box_weights(self, n_in, n_out):
-        classes, weights = _axis_classes(n_in, n_out)
+        classes, cells = _axis_classes(n_in, n_out)
+        weights = _box_matrix(n_in, n_out, cells)
         assert np.array_equal(weights[:, classes], _box_matrix(n_in, n_out))
         if n_out & (n_out - 1) == 0:
             assert weights.shape[1] <= 2 * n_out - 1
 
     @pytest.mark.parametrize("n_out", [16, 64])
     def test_class_count_does_not_follow_the_sensor_size(self, n_out):
-        classes, weights = _axis_classes(65535, n_out)
+        classes, cells = _axis_classes(65535, n_out)
         assert classes.shape == (65535,)
-        assert weights.shape == (n_out, classes.max() + 1)
-        assert weights.shape[1] <= 2 * n_out - 1
+        assert cells.shape == (classes.max() + 1,)
+        assert len(cells) <= 2 * n_out - 1
 
     def test_non_dyadic_weights_keep_one_class_per_cell(self):
         # 30 -> 7 splits cells into sevenths, whose sums round by order;
         # 14 -> 7 splits none, so its classes merge with weight 1.
-        classes, weights = _axis_classes(30, 7)
+        classes, cells = _axis_classes(30, 7)
         assert np.array_equal(classes, np.arange(30))
-        assert np.array_equal(weights, _box_matrix(30, 7))
-        classes, weights = _axis_classes(14, 7)
+        assert np.array_equal(cells, np.arange(30))
+        classes, cells = _axis_classes(14, 7)
         assert np.array_equal(classes, np.arange(14) // 2)
-        assert np.array_equal(weights, np.eye(7))
+        assert np.array_equal(_box_matrix(14, 7, cells), np.eye(7))
 
     def test_box_weights_are_integer_overlaps(self):
         # Computed in floating point, 98 -> 8 leaked about 1e-14 of a
@@ -401,34 +413,49 @@ class TestWindowing:
         s = EventStream(4, 4, t_us=[0, 100, 199, 249], x=[0, 1, 2, 3],
                         y=[0, 0, 0, 0], p=[1, 1, 1, 1])
         spec = FrameSpec(window_us=100, mode="count", out_size=None, normalize=False)
-        frames = frames_from_stream(s, spec)
+        frames = all_frames(s, spec)
         assert frames.shape == (2, 1, 4, 4)
         assert frames.sum(axis=(1, 2, 3)).tolist() == [1.0, 2.0]
 
     def test_duration_exactly_k_windows(self):
         s = EventStream(4, 4, t_us=[199], x=[0], y=[0], p=[1])
         spec = FrameSpec(window_us=100, mode="count", out_size=None, normalize=False)
-        assert len(frames_from_stream(s, spec)) == 2
+        assert len(all_frames(s, spec)) == 2
 
     def test_empty_stream_no_frames(self):
-        assert frames_from_stream(EventStream(4, 4), FrameSpec()).shape == (0, 2, 64, 64)
+        assert list(frame_chunks(EventStream(4, 4), FrameSpec())) == []
         native = FrameSpec(mode="count", out_size=None)
-        assert frames_from_stream(EventStream(5, 4), native).shape == (0, 1, 4, 5)
+        assert list(frame_chunks(EventStream(5, 4), native)) == []
+        assert all_frames(EventStream(5, 4), native).shape == (0, 1, 4, 5)
 
     def test_window_range_is_a_slice_of_every_window(self, rng):
         s = make_stream(rng, n=400, t_max=1_000_000)
         spec = FrameSpec(window_us=100_000, mode="count", out_size=None, normalize=False)
-        every = frames_from_stream(s, spec)
+        every = all_frames(s, spec)
         assert len(every) == 9
-        for start, stop in [(0, None), (2, 5), (7, 100), (9, 12), (20, None)]:
-            part = frames_from_stream(s, spec, start, stop)
-            assert part.shape[1:] == every.shape[1:]
-            assert np.array_equal(part, every[start:stop]), (start, stop)
+        for start, n in [(0, 9), (2, 3), (7, 2), (8, 1), (9, 0)]:
+            part = _frames(s, spec, start * spec.window_us, n)
+            assert part.shape == (n, *every.shape[1:])
+            assert np.array_equal(part, every[start : start + n]), (start, n)
+
+    def test_chunks_concatenate_to_every_window(self, rng):
+        # 600 windows: two full chunks and a short last one, each equal to
+        # the frames of its own windows.
+        s = make_stream(rng, n=3000, t_max=600_000)
+        spec = FrameSpec(window_us=1000, mode="polarity2ch", out_size=16)
+        chunks = list(frame_chunks(s, spec))
+        assert _CHUNK_FRAMES == 256
+        assert [len(c) for c in chunks] == [256, 256, s.duration_us // 1000 - 512]
+        assert all(c.dtype == np.float32 and c.shape[1:] == (2, 16, 16) for c in chunks)
+        every = np.concatenate(chunks)
+        assert np.array_equal(every, _frames(s, spec, 0, len(every)))
+        for k in (0, 255, 256, len(every) - 1):
+            assert np.array_equal(every[k], accumulate_frame(s, spec, k * 1000))
 
     def test_events_conserved_across_windows(self, rng):
         s = make_stream(rng, n=400, t_max=1_000_000)
         spec = FrameSpec(window_us=100_000, mode="count", out_size=None, normalize=False)
-        frames = frames_from_stream(s, spec)
+        frames = all_frames(s, spec)
         total = float(frames.sum())
         in_range = int(np.sum(s.t_us < len(frames) * spec.window_us))
         assert total == in_range
@@ -510,6 +537,27 @@ class TestBuildDataset:
             build_dataset([rec], [track], FrameSpec(out_size=8))
         ds = build_dataset([rec], [track], FrameSpec(out_size=8), force_range=(0.0, 2.0))
         assert len(ds) == 2
+
+    def test_output_is_allocated_once(self):
+        # 20,000 windows of a 320 x 240 stream at out_size 16: the frames
+        # are filled chunk by chunk into one array, not built per recording
+        # and then concatenated (a second copy).
+        n = 20_000
+        rng = np.random.default_rng(0)
+        t = np.sort(rng.integers(0, n * 1000, size=10 * n))
+        t[-1] = n * 1000 - 1
+        s = EventStream(320, 240, t_us=t, x=rng.integers(0, 320, size=t.size),
+                        y=rng.integers(0, 240, size=t.size), p=rng.choice([-1, 1], size=t.size))
+        track = FakeTrack(1000.0, (0.0,) * n)
+        spec = FrameSpec(window_us=1000, out_size=16)
+        tracemalloc.start()
+        try:
+            ds = build_dataset([s], [track], spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.frames.shape == (n, 2, 16, 16)
+        assert peak <= 1.5 * ds.frames.nbytes, peak / ds.frames.nbytes
 
     def test_zero_duration_recording_contributes_nothing(self):
         ds = build_dataset([EventStream(8, 8)], [FakeTrack(10.0, ())], FrameSpec())

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import all_frames
+
 from evtforce import synth
 from evtforce.events import EventStream, concat_streams, slice_window, validate_stream
-from evtforce.frames import FrameSpec, frames_from_stream
+from evtforce.frames import FrameSpec
 from evtforce.synth import (
     ForceProfile,
     GripperScene,
@@ -234,7 +236,7 @@ class TestSynthesize:
         stream, _ = synthesize_recording(SMALL, profile)
         spec = FrameSpec(window_us=profile.period_us, mode="count",
                          out_size=None, normalize=False)
-        frames = frames_from_stream(stream, spec)
+        frames = all_frames(stream, spec)
         assert len(frames) == len(profile.samples) - 1
         assert np.all(frames.sum(axis=(1, 2, 3)) > 0)
 
