@@ -19,12 +19,15 @@ EVB1 (binary, little-endian)
     per record; pad bytes are written as zero and ignored on read.
 
 Writers validate the stream first and refuse to emit invalid files, so a
-file round trip (write, read, write) is byte-exact.
+file round trip (write, read, write) is byte-exact.  EVB1 and the FRD1
+frame container (``frames.py``) share one block reader and one writer.
 """
 
 from __future__ import annotations
 
+import os
 import re
+import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,6 +36,9 @@ from typing import Iterable
 import numpy as np
 
 FORMATS = ("csv", "binary")
+
+# Each attribute of a stream and its in-memory dtype, in record order.
+_COLUMNS = {"t_us": np.int64, "x": np.int32, "y": np.int32, "p": np.int8}
 
 _EVB1_MAGIC = b"EVB1"
 _EVB1_HEADER = struct.Struct("<4sHHQ")
@@ -83,10 +89,8 @@ class EventStream:
         object.__setattr__(self, "width", int(width))
         object.__setattr__(self, "height", int(height))
         cols = {
-            "t_us": np.ascontiguousarray(t_us, dtype=np.int64),
-            "x": np.ascontiguousarray(x, dtype=np.int32),
-            "y": np.ascontiguousarray(y, dtype=np.int32),
-            "p": np.ascontiguousarray(p, dtype=np.int8),
+            name: np.ascontiguousarray(values, dtype=dtype)
+            for (name, dtype), values in zip(_COLUMNS.items(), (t_us, x, y, p))
         }
         n = len(cols["t_us"])
         if any(c.ndim != 1 or len(c) != n for c in cols.values()):
@@ -155,8 +159,8 @@ def validate_stream(stream: EventStream) -> ValidationReport:
     are bad.  An empty stream is vacuously valid.
     """
     nonmono = np.zeros(len(stream), dtype=bool)
-    if len(stream) > 1:
-        nonmono[1:] = np.diff(stream.t_us) < 0
+    # A comparison, not ``np.diff``: a difference of int64 timestamps can wrap.
+    nonmono[1:] = stream.t_us[1:] < stream.t_us[:-1]
     checks = [
         (stream.t_us < 0, "negative timestamp"),
         (nonmono, "non-monotonic timestamp"),
@@ -232,27 +236,17 @@ def write_events(stream: EventStream, path, format: str = "binary") -> None:
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
     _require_valid(stream, "refusing to write invalid stream")
-    if format == "binary" and (stream.width > 0xFFFF or stream.height > 0xFFFF):
-        raise ValueError("binary format stores sensor size as u16")
-    path = Path(path)
-    if format == "csv":
-        lines = [f"# width={stream.width} height={stream.height}", _CSV_COLUMNS]
-        lines.extend(
-            f"{t},{x},{y},{p}"
-            for t, x, y, p in zip(stream.t_us, stream.x, stream.y, stream.p)
-        )
-        payload = ("\n".join(lines) + "\n").encode("ascii")
-    else:
-        records = np.zeros(len(stream), dtype=_EVB1_RECORD)
-        records["t_us"] = stream.t_us
-        records["x"] = stream.x
-        records["y"] = stream.y
-        records["p"] = stream.p
-        payload = (
-            _EVB1_HEADER.pack(_EVB1_MAGIC, stream.width, stream.height, len(stream))
-            + records.tobytes()
-        )
-    path.write_bytes(payload)
+    if format == "binary":
+        if stream.width > 0xFFFF or stream.height > 0xFFFF:
+            raise ValueError("binary format stores sensor size as u16")
+        header = _EVB1_HEADER.pack(_EVB1_MAGIC, stream.width, stream.height, len(stream))
+        _write_records(path, header, _EVB1_RECORD, {c: getattr(stream, c) for c in _COLUMNS})
+        return
+    lines = [f"# width={stream.width} height={stream.height}", _CSV_COLUMNS]
+    lines.extend(
+        f"{t},{x},{y},{p}" for t, x, y, p in zip(stream.t_us, stream.x, stream.y, stream.p)
+    )
+    Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
 
 
 def read_events(path, format: str = "binary") -> EventStream:
@@ -264,15 +258,17 @@ def read_events(path, format: str = "binary") -> EventStream:
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
-    data = _read_file(path, None if format == "csv" else _EVB1_HEADER)
-    stream = _parse_csv(data, path) if format == "csv" else _parse_evb1(data, path)
+    stream = _parse_csv(path) if format == "csv" else _parse_evb1(path)
     _require_valid(stream, f"invalid stream in {path}")
     return stream
 
 
-def _parse_csv(data: bytes, path) -> EventStream:
+def _parse_csv(path) -> EventStream:
+    size = _file_size(path)
     try:
-        text = data.decode("ascii")
+        text = Path(path).read_bytes().decode("ascii")
+    except MemoryError as exc:
+        raise FormatError(f"{path}: its {size} bytes do not fit in memory") from exc
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not an ascii event file") from exc
     lines = text.split("\n")
@@ -304,62 +300,84 @@ def _parse_csv(data: bytes, path) -> EventStream:
     return EventStream(width, height, t, x, y, p)
 
 
-def _read_records(data: bytes, path, header: struct.Struct, magic: bytes, record_dtype):
-    """Split a fixed-record file into its header fields and its records.
+# Fixed-record files are read and written at most this many bytes at a time.
+_BLOCK_BYTES = 4 << 20
 
-    The file is ``header`` (magic first, record count last) then exactly
-    count records of ``record_dtype(*fields)``, where ``fields`` are the
-    header fields between the two.  Returns ``fields`` and a read-only
-    structured view of the records; a short header, a wrong magic, a
-    geometry numpy cannot hold, a short payload or trailing bytes is a
-    ``FormatError``.
+
+def _file_size(path) -> int:
+    """Size of a regular input file; anything else (a pipe, say) is a ``FormatError``."""
+    info = os.stat(path)
+    if not stat.S_ISREG(info.st_mode):
+        raise FormatError(f"{path}: not a regular file")
+    return info.st_size
+
+
+def _write_records(path, header: bytes, record: np.dtype, columns: dict) -> None:
+    """Write ``header``, then one ``record`` per row of the named columns.
+
+    One zeroed block of at most ``_BLOCK_BYTES`` is filled and written in
+    turn, so the bytes outside the named fields (padding) stay zero.
     """
-    if len(data) < header.size:
+    count = len(next(iter(columns.values())))
+    per_block = max(1, _BLOCK_BYTES // record.itemsize)
+    block = np.zeros(min(per_block, count), dtype=record)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        for lo in range(0, count, per_block):
+            part = block[: min(per_block, count - lo)]
+            for name, values in columns.items():
+                part[name] = values[lo : lo + len(part)]
+            fh.write(part.data)
+
+
+def _read_records(path, header: struct.Struct, magic: bytes, record_dtype, columns: dict):
+    """A fixed-record file's header ``fields`` and one array per named column.
+
+    The file is ``header`` (magic first, ``fields``, record count last),
+    then exactly count records of ``record_dtype(*fields)``.  A short
+    header, a wrong magic, a geometry numpy cannot hold, a short payload or
+    trailing bytes is a ``FormatError`` raised before any allocation.
+    ``columns`` maps fields to output dtypes; each output is allocated once
+    and filled one block of at most ``_BLOCK_BYTES`` at a time.
+    """
+    size = _file_size(path)
+    if size < header.size:
         raise HeaderError(f"{path}: file shorter than the {header.size}-byte header")
-    found, *fields, count = header.unpack_from(data)
-    if found != magic:
-        raise HeaderError(f"{path}: bad magic {found!r}, expected {magic!r}")
-    try:
-        record = record_dtype(*fields)
-    except ValueError as exc:
-        raise HeaderError(f"{path}: unusable record geometry {fields} ({exc})") from exc
-    body = len(data) - header.size
-    expected = count * record.itemsize
-    if body < expected:
-        raise TruncatedError(
-            f"{path}: declared {count} records but payload holds {body // record.itemsize}"
-        )
-    if body > expected:
-        raise FormatError(f"{path}: {body - expected} trailing byte(s) after records")
-    return fields, np.frombuffer(data, dtype=record, count=count, offset=header.size)
-
-
-def _read_file(path, header: struct.Struct | None) -> bytes:
-    """A whole input file.  One too large for memory is a ``FormatError`` naming the
-    record count its ``header`` declares, or its size if it has none (CSV)."""
-    try:
-        return Path(path).read_bytes()
-    except MemoryError:
-        size = Path(path).stat().st_size
     with open(path, "rb") as fh:
-        head = fh.read(header.size if header is not None else 0)
-    if header is not None and len(head) == header.size:
-        count = header.unpack(head)[-1]
-        raise FormatError(f"{path}: its {count} declared records do not fit in memory")
-    raise FormatError(f"{path}: its {size} bytes do not fit in memory")
+        found, *fields, count = header.unpack(fh.read(header.size))
+        if found != magic:
+            raise HeaderError(f"{path}: bad magic {found!r}, expected {magic!r}")
+        try:
+            record = record_dtype(*fields)
+        except ValueError as exc:
+            raise HeaderError(f"{path}: unusable record geometry {fields} ({exc})") from exc
+        body = size - header.size
+        expected = count * record.itemsize
+        if body < expected:
+            raise TruncatedError(
+                f"{path}: declared {count} records but payload holds {body // record.itemsize}"
+            )
+        if body > expected:
+            raise FormatError(f"{path}: {body - expected} trailing byte(s) after records")
+        try:
+            out = {
+                name: np.empty((count, *record[name].shape), dtype=dtype)
+                for name, dtype in columns.items()
+            }
+        except MemoryError as exc:
+            raise FormatError(f"{path}: its {count} declared records do not fit in memory") from exc
+        per_block = max(1, _BLOCK_BYTES // record.itemsize)
+        for lo in range(0, count, per_block):
+            block = np.fromfile(fh, dtype=record, count=min(per_block, count - lo))
+            for name, values in out.items():  # a short read (the file shrank) fails here
+                values[lo : lo + per_block] = block[name]
+    return fields, out
 
 
-def _parse_evb1(data: bytes, path) -> EventStream:
-    (width, height), records = _read_records(
-        data, path, _EVB1_HEADER, _EVB1_MAGIC, lambda width, height: _EVB1_RECORD
+def _parse_evb1(path) -> EventStream:
+    (width, height), columns = _read_records(
+        path, _EVB1_HEADER, _EVB1_MAGIC, lambda width, height: _EVB1_RECORD, _COLUMNS
     )
     if width == 0 or height == 0:
         raise HeaderError(f"{path}: sensor size must be positive")
-    return EventStream(
-        width,
-        height,
-        records["t_us"].astype(np.int64),
-        records["x"].astype(np.int32),
-        records["y"].astype(np.int32),
-        records["p"].astype(np.int8),
-    )
+    return EventStream(width, height, **columns)

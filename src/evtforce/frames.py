@@ -28,14 +28,14 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .events import EventStream, FormatError, _read_file, _read_records
+from .events import EventStream, FormatError, _read_records, _write_records
 from .synth import GripperScene
 
 MODES = ("binary", "count", "polarity2ch")
@@ -394,27 +394,18 @@ def write_frame_dataset(
     provenance, window bounds, and the frame spec.  An empty dataset is
     written with 0 x 0 x 0 geometry.
     """
-    path = Path(path)
     frames = dataset.frames if len(dataset) else dataset.frames.reshape(0, 0, 0, 0)
     c, h, w = frames.shape[1:]
-    records = np.empty(len(dataset), dtype=_record_dtype(c, h, w))
-    records["frame"] = frames
-    records["label"] = dataset.labels
-    with open(path, "wb") as fh:
-        fh.write(_FRD1_HEADER.pack(_FRD1_MAGIC, c, h, w, len(dataset)))
-        fh.write(records.data)
+    header = _FRD1_HEADER.pack(_FRD1_MAGIC, c, h, w, len(dataset))
+    columns = {"frame": frames, "label": dataset.labels}
+    _write_records(path, header, _record_dtype(c, h, w), columns)
 
     manifest = {
         "format": "FRD1-manifest",
         "recordings": sorted(set(dataset.provenance)),
         "provenance": dataset.provenance,
         "windows": dataset.windows.tolist(),
-        "frame_spec": None if frame_spec is None else {
-            "window_us": frame_spec.window_us,
-            "mode": frame_spec.mode,
-            "out_size": frame_spec.out_size,
-            "normalize": frame_spec.normalize,
-        },
+        "frame_spec": None if frame_spec is None else asdict(frame_spec),
     }
     Path(str(path) + ".json").write_text(json.dumps(manifest, indent=2) + "\n")
 
@@ -437,19 +428,19 @@ def read_frame_dataset(path) -> FrameDataset:
     ``provenance`` has the wrong shape or length, is a ``FormatError``.
     """
     path = Path(path)
-    data = _read_file(path, _FRD1_HEADER)
-    (c, h, w), records = _read_records(data, path, _FRD1_HEADER, _FRD1_MAGIC, _record_dtype)
-    count = len(records)
-
-    values = np.frombuffer(data, dtype="<f4", offset=_FRD1_HEADER.size)
-    finite = np.isfinite(values)
-    if not finite.all():
-        k, j = divmod(int(np.argmin(finite)), c * h * w + 1)
-        what = "label" if j == c * h * w else "frame value"
-        raise FormatError(f"{path}: frame {k} holds a non-finite {what}")
+    _, columns = _read_records(
+        path, _FRD1_HEADER, _FRD1_MAGIC, _record_dtype, {"frame": np.float32, "label": np.float32}
+    )
+    frames, labels = columns["frame"], columns["label"]
+    # float32 terms cannot overflow a float64 sum: it is finite iff every term is.
+    frame_ok = np.isfinite(frames.sum(axis=(1, 2, 3), dtype=np.float64))
+    bad = np.flatnonzero(~frame_ok | ~np.isfinite(labels))
+    if bad.size:
+        what = "label" if frame_ok[bad[0]] else "frame value"
+        raise FormatError(f"{path}: frame {bad[0]} holds a non-finite {what}")
 
     windows = None
-    provenance = [""] * count
+    provenance = [""] * len(frames)
     sidecar = Path(str(path) + ".json")
     if sidecar.exists():
         try:
@@ -471,11 +462,9 @@ def read_frame_dataset(path) -> FrameDataset:
                 raise FormatError(f"{sidecar}: provenance must be a list of strings")
             provenance = manifest["provenance"]
         for field, rows in (("windows", windows), ("provenance", provenance)):
-            if rows is not None and len(rows) != count:
+            if rows is not None and len(rows) != len(frames):
                 raise FormatError(
-                    f"{sidecar}: {field} has {len(rows)} entries for {count} frames"
+                    f"{sidecar}: {field} has {len(rows)} entries for {len(frames)} frames"
                 )
 
-    return FrameDataset(
-        records["frame"].copy(), records["label"].copy(), provenance, windows
-    )
+    return FrameDataset(frames, labels, provenance, windows)

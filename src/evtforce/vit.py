@@ -30,7 +30,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .events import FormatError
+from .events import FormatError, _file_size
 
 _CKPT_LEN = struct.Struct("<I")
 _CKPT_FORMAT = "evtforce-checkpoint-v1"
@@ -350,15 +350,16 @@ def load_checkpoint(path, dtype=np.float32) -> ViTModel:
     Any damage, an index other than the one the config fixes, and any NaN
     or infinite weight is a ``FormatError``.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _CKPT_LEN.size:
+    size = _file_size(path)
+    if size < _CKPT_LEN.size:
         raise FormatError(f"{path}: not a checkpoint file")
-    (hlen,) = _CKPT_LEN.unpack_from(raw)
-    if len(raw) < _CKPT_LEN.size + hlen:
-        raise FormatError(f"{path}: truncated checkpoint header")
+    with open(path, "rb") as fh:
+        (hlen,) = _CKPT_LEN.unpack(fh.read(_CKPT_LEN.size))
+        if size < _CKPT_LEN.size + hlen:
+            raise FormatError(f"{path}: truncated checkpoint header")
+        raw = fh.read(hlen)
     try:
-        header = json.loads(raw[_CKPT_LEN.size : _CKPT_LEN.size + hlen])
+        header = json.loads(raw)
     except ValueError as exc:
         raise FormatError(f"{path}: corrupt checkpoint header") from exc
     if not isinstance(header, dict):
@@ -373,14 +374,15 @@ def load_checkpoint(path, dtype=np.float32) -> ViTModel:
         nbytes = 4 * count_params(config)
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: bad model config in checkpoint ({exc})") from exc
-    blob = raw[_CKPT_LEN.size + hlen :]
-    if len(blob) < nbytes:
+    blob = size - _CKPT_LEN.size - hlen
+    if blob < nbytes:
         raise FormatError(f"{path}: truncated checkpoint blob")
-    if len(blob) > nbytes:
-        raise FormatError(f"{path}: {len(blob) - nbytes} trailing byte(s) after the parameters")
+    if blob > nbytes:
+        raise FormatError(f"{path}: {blob - nbytes} trailing byte(s) after the parameters")
     if header["params"] != _index(config):
         raise FormatError(f"{path}: parameter index does not match the model config")
-    model = ViTModel(config, np.frombuffer(blob, "<f4").astype(dtype))
+    weights = np.fromfile(path, "<f4", nbytes // 4, offset=_CKPT_LEN.size + hlen)
+    model = ViTModel(config, weights.astype(dtype, copy=False))
     for name, p in model.params.items():
         if not np.isfinite(p.data).all():
             raise FormatError(f"{path}: parameter {name} holds a non-finite value")

@@ -693,27 +693,74 @@ BIG_EVB1_RECORDS = 2**31 // 16
 @pytest.mark.parametrize(
     "command, kind",
     [("train", "frd"), ("eval", "frd"), ("predict", "frd"), ("predict", "evb1"),
-     ("bench", "evb1")],
+     ("bench", "evb1"), ("eval", "ckpt"), ("predict", "ckpt")],
 )
 def test_input_larger_than_memory_is_one_line(ws, tmp_path, command, kind):
+    data, ckpt = ws.frd, ws.ckpt
     if kind == "frd":
         n = BIG_FRD_RECORDS
-        path = sparse_file(tmp_path / "big.frd", struct.pack("<4sHHHQ", b"FRD1", 2, 16, 16, n),
+        data = sparse_file(tmp_path / "big.frd", struct.pack("<4sHHHQ", b"FRD1", 2, 16, 16, n),
                            18 + n * 2052)
-    else:
+        message = f"{data}: its {n} declared records do not fit in memory"
+    elif kind == "evb1":
         n = BIG_EVB1_RECORDS
-        path = sparse_file(tmp_path / "big.evb1", struct.pack("<4sHHQ", b"EVB1", 80, 60, n),
+        data = sparse_file(tmp_path / "big.evb1", struct.pack("<4sHHQ", b"EVB1", 80, 60, n),
                            16 + n * 16)
+        message = f"{data}: its {n} declared records do not fit in memory"
+    else:
+        # A good checkpoint, then 2 GiB of zeros: the checkpoint is read by
+        # its size, so the fault named is the trailing bytes, not memory.
+        raw = ws.ckpt.read_bytes()
+        ckpt = sparse_file(tmp_path / "big.ckpt", raw, len(raw) + 2**31)
+        message = f"{ckpt}: {2**31} trailing byte(s) after the parameters"
     argv = {
-        "train": ["train", "--config", ws.config, "--data", path, "--out", tmp_path / "x.ckpt"],
-        "eval": ["eval", "--config", ws.config, "--ckpt", ws.ckpt, "--data", path],
-        "predict": ["predict", "--config", ws.config, "--ckpt", ws.ckpt, "--in", path],
-        "bench": ["bench", "--in", path],
+        "train": ["train", "--config", ws.config, "--data", data, "--out", tmp_path / "x.ckpt"],
+        "eval": ["eval", "--config", ws.config, "--ckpt", ckpt, "--data", data],
+        "predict": ["predict", "--config", ws.config, "--ckpt", ckpt, "--in", data],
+        "bench": ["bench", "--in", data],
     }[command]
     code, out, err, _ = run_limited(argv, budget_s=60)
     assert (code, out) == (3, [])
     assert_one_line_error(err)
-    assert f"{path}: its {n} declared records do not fit in memory" in err
+    assert message in err
+
+
+def run_child(argv, **kwargs):
+    """Run ``python -m evtforce.cli`` in a child; returns code, stdout, stderr.
+
+    ``kwargs`` go to ``subprocess.run``: ``input`` feeds the child's stdin
+    through a pipe, ``stdin`` hands it an open file.
+    """
+    src = str(Path(evtforce.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "evtforce.cli", *map(str, argv)], capture_output=True,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}, timeout=120,
+        **kwargs,
+    )
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+
+@pytest.mark.parametrize("command", ["predict", "bench"])
+def test_events_from_stdin(ws, command):
+    # A pipe has no size to check a declared record count against, so it is
+    # refused in one line; a file redirected to stdin reads as the file.
+    rec = ws.rec / "rec000.evb1"
+    argv = {
+        "predict": ["predict", "--config", ws.config, "--ckpt", ws.ckpt],
+        "bench": ["bench", "--repeats", 1],
+    }[command]
+    code, out, err = run_child([*argv, "--in", "/dev/stdin"], input=rec.read_bytes())
+    assert (code, out) == (3, "")
+    assert err == "error: /dev/stdin: not a regular file\n"
+    with open(rec, "rb") as fh:
+        redirected = run_child([*argv, "--in", "/dev/stdin"], stdin=fh)
+    direct = run_child([*argv, "--in", rec])
+    assert redirected[0] == direct[0] == 0, redirected[2]
+    if command == "predict":
+        assert redirected == direct
+    else:  # timings differ from run to run; the keys and the event count do not
+        assert json.loads(redirected[1]).keys() == json.loads(direct[1]).keys()
+        assert json.loads(redirected[1])["events"] == json.loads(direct[1])["events"]
 
 
 class TestTrain:

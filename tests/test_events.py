@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evtforce import events
 from evtforce.events import (
     EventStream,
     FormatError,
@@ -140,6 +141,29 @@ class TestValidate:
     def test_zero_polarity_flagged(self):
         s = EventStream(8, 8, t_us=[0], x=[0], y=[0], p=[0])
         assert validate_stream(s).first.reason == "polarity not in {+1, -1}"
+
+    @pytest.mark.parametrize(
+        "t_us, count, first",
+        [
+            # The int64 difference of these timestamps would wrap round.
+            ([-1, 2**63 - 1], 1, Violation(0, "negative timestamp")),
+            ([5, -(2**63) + 3], 2, Violation(1, "negative timestamp")),
+        ],
+    )
+    def test_order_is_compared_not_differenced(self, t_us, count, first):
+        s = EventStream(8, 8, t_us=t_us, x=[0, 0], y=[0, 0], p=[1, 1])
+        assert len(reference_violations(s)) == count
+        rep = validate_stream(s)
+        assert (rep.count, rep.first) == (count, first)
+
+    def test_timestamp_past_int64_reads_as_two_violations(self, tmp_path):
+        path = tmp_path / "s.evb1"
+        path.write_bytes(struct.pack("<4sHHQ", b"EVB1", 8, 8, 2)
+                         + struct.pack("<QHHb3x", 5, 0, 0, 1)
+                         + struct.pack("<QHHb3x", 2**63 + 3, 0, 0, 1))
+        with pytest.raises(InvalidStreamError,
+                           match="2 violation\\(s\\), first is 'negative timestamp' at index 1"):
+            read_events(path)
 
     def test_violations_sorted_by_index(self):
         s = EventStream(8, 8, t_us=[0, 1, 2], x=[0, 8, 0], y=[0, 0, 0], p=[0, 1, 2])
@@ -367,6 +391,44 @@ class TestBinaryFormat:
         s = EventStream(70_000, 8)
         with pytest.raises(ValueError):
             write_events(s, tmp_path / "s.evb1", format="binary")
+
+
+class TestBlocks:
+    """EVB1 moved three 16-byte records at a time, across block edges."""
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 4, 7])
+    def test_round_trip_matches_one_block(self, tmp_path, rng, monkeypatch, n):
+        s = make_stream(rng, n=n)
+        whole, blocked = tmp_path / "whole.evb1", tmp_path / "blocked.evb1"
+        write_events(s, whole)
+        monkeypatch.setattr(events, "_BLOCK_BYTES", 3 * 16 + 8)
+        write_events(s, blocked)
+        assert blocked.read_bytes() == whole.read_bytes()
+        assert read_events(blocked) == read_events(whole) == s
+
+    def test_bad_event_in_a_block_edge_record(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(events, "_BLOCK_BYTES", 3 * 16)
+        payload = b"".join(struct.pack("<QHHb3x", t, 0, 0, 1 if t != 2 else 0) for t in range(4))
+        path = tmp_path / "bad.evb1"
+        path.write_bytes(struct.pack("<4sHHQ", b"EVB1", 8, 8, 4) + payload)
+        with pytest.raises(InvalidStreamError, match="first is 'polarity not in .* at index 2"):
+            read_events(path)
+
+    def test_file_that_shrinks_while_read_is_an_error(self, tmp_path, rng, monkeypatch):
+        # The size says four records, but the last is gone by the time it is read.
+        path = tmp_path / "s.evb1"
+        write_events(make_stream(rng, n=4), path)
+        path.write_bytes(path.read_bytes()[:-16])
+        monkeypatch.setattr(events, "_file_size", lambda p: 16 + 4 * 16)
+        monkeypatch.setattr(events, "_BLOCK_BYTES", 3 * 16)
+        with pytest.raises(ValueError, match="could not broadcast"):
+            read_events(path)
+
+    @pytest.mark.parametrize("format", ["csv", "binary"])
+    def test_only_regular_files_are_read(self, tmp_path, format):
+        with pytest.raises(FormatError) as info:
+            read_events(tmp_path, format=format)
+        assert str(info.value) == f"{tmp_path}: not a regular file"
 
 
 class TestRoundTrips:

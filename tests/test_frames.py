@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evtforce import events
 from evtforce.events import (
     EventStream,
     FormatError,
@@ -789,3 +790,93 @@ class TestFrdContainer:
         sidecar.write_text(json.dumps(manifest))
         with pytest.raises(FormatError, match=field):
             read_frame_dataset(path)
+
+    def test_read_holds_the_frames_once(self, tmp_path):
+        # The records are read a block at a time straight into the frame
+        # and label arrays: no whole-file buffer and no whole-file mask.
+        ds = self.memory_dataset()
+        write_frame_dataset(ds, tmp_path / "d.frd")
+        tracemalloc.start()
+        try:
+            back = read_frame_dataset(tmp_path / "d.frd")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back == ds
+        assert peak <= 1.3 * ds.frames.nbytes, peak / ds.frames.nbytes
+
+    def test_write_adds_one_block(self, tmp_path):
+        ds = self.memory_dataset()
+        tracemalloc.start()
+        try:
+            write_frame_dataset(ds, tmp_path / "d.frd")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.3 * ds.frames.nbytes, peak / ds.frames.nbytes
+
+    @staticmethod
+    def memory_dataset(n=20_000):
+        rng = np.random.default_rng(0)
+        frames = rng.random((n, 2, 16, 16), dtype=np.float32)
+        return FrameDataset(frames, rng.random(n, dtype=np.float32), [""] * n)
+
+    def test_only_regular_files_are_read(self, tmp_path):
+        with pytest.raises(FormatError) as info:
+            read_frame_dataset(tmp_path)
+        assert str(info.value) == f"{tmp_path}: not a regular file"
+
+
+def records_per_block(monkeypatch, record_bytes, n):
+    """Cut ``events._BLOCK_BYTES`` so that a block holds n records."""
+    monkeypatch.setattr(events, "_BLOCK_BYTES", n * record_bytes + record_bytes // 2)
+
+
+class TestFrdBlocks:
+    """FRD1 moved two or three records at a time, across block edges."""
+
+    RECORD = 4 * (2 * 8 * 8 + 1)  # a 2 x 8 x 8 frame and its label
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
+    def test_round_trip_matches_one_block(self, tmp_path, rng, monkeypatch, n):
+        make = TestFrameDataset().make_dataset
+        ds = make(rng, n=n) if n else FrameDataset(np.zeros((0, 2, 8, 8)), [], [])
+        whole, blocked = tmp_path / "whole.frd", tmp_path / "blocked.frd"
+        write_frame_dataset(ds, whole, FrameSpec())
+        records_per_block(monkeypatch, self.RECORD, 2)
+        write_frame_dataset(ds, blocked, FrameSpec())
+        assert blocked.read_bytes() == whole.read_bytes()
+        back = read_frame_dataset(blocked)
+        assert back == read_frame_dataset(whole)
+        if n:  # an empty dataset reads back as 0 x 0 x 0 frames
+            assert back == ds
+
+    def test_golden_bytes(self, tmp_path, monkeypatch):
+        records_per_block(monkeypatch, 4 * (2 * 3 * 4 + 1), 2)  # blocks of 2 and 1
+        TestFrdContainer().test_golden_bytes(tmp_path)
+
+    @pytest.mark.parametrize("damage,message", [
+        ("short", "declared 3 records but payload holds 2"),
+        ("long", "5 trailing byte(s) after records"),
+    ])
+    @pytest.mark.parametrize("record_bytes", [16, RECORD])  # EVB1's, then FRD1's
+    def test_damage_reads_as_in_an_event_file(self, tmp_path, rng, monkeypatch,
+                                              record_bytes, damage, message):
+        records_per_block(monkeypatch, record_bytes, 2)
+        TestFrdContainer().test_damage_reads_as_in_an_event_file(tmp_path, rng, damage, message)
+
+    @pytest.mark.parametrize(
+        "frame,index,value,what",
+        [
+            (0, 0, np.nan, "frame value"),
+            (1, 127, np.inf, "frame value"),  # the last value of the first block
+            (1, 128, -np.inf, "label"),
+            (2, 127, np.inf, "frame value"),
+            (2, 128, np.nan, "label"),
+        ],
+    )
+    def test_non_finite_values_rejected(self, tmp_path, rng, monkeypatch, frame, index, value,
+                                        what):
+        records_per_block(monkeypatch, self.RECORD, 2)
+        TestFrdContainer().test_non_finite_values_rejected(
+            tmp_path, rng, frame, index, value, what)
