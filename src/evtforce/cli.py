@@ -2,8 +2,8 @@
 
 One JSON config document with four sections (scene, frame, model, train)
 drives the whole pipeline; its keys and defaults are the fields of the
-pipeline dataclasses (``_SECTIONS``).  The ``--config`` file is laid over
-the defaults and the section flags over the file, all through one type
+pipeline dataclasses (``_SECTIONS``).  The ``--config`` file, the one
+way to set a pipeline value, is laid over the defaults through one type
 check: numbers must be finite and integers must fit in int64.  Every
 random choice derives from a single master seed (``--seed``, else
 ``train.seed``), fanned out to named sub-seeds, so a pipeline rerun with
@@ -92,30 +92,14 @@ DEFAULT_CONFIG: dict = {
     for section, classes in _SECTIONS.items()
 }
 
-# Command-line flags that override one config key: argparse dest (the key)
-# to its section.
-_SECTION_FLAGS = {
-    "window_us": "frame",
-    "mode": "frame",
-    "out_size": "frame",
-    "normalize": "frame",
-    "epochs": "train",
-    "batch_size": "train",
-    "learning_rate": "train",
-}
-
-
 def sub_seed(master: int, name: str) -> int:
     """Derive a stable named sub-seed from the master seed."""
     digest = hashlib.sha256(f"{master}:{name}".encode("ascii")).digest()
     return int.from_bytes(digest[:8], "little")
 
 
-def load_config(path: str | None, flags: dict | None = None) -> PipelineConfig:
-    """Merge a config file (if any), then ``flags``, over the defaults and validate.
-
-    ``flags`` is one more config document, laid over the file's.
-    """
+def load_config(path: str | None) -> PipelineConfig:
+    """Merge a config file (if any) over the defaults and validate."""
     merged = copy.deepcopy(DEFAULT_CONFIG)
     document = {}
     if path is not None:
@@ -125,17 +109,16 @@ def load_config(path: str | None, flags: dict | None = None) -> PipelineConfig:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
         if not isinstance(document, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
-    for layer in (document, flags or {}):
-        for section, values in layer.items():
-            if section not in merged:
-                raise ConfigError(f"unknown config section {section!r}")
-            if not isinstance(values, dict):
-                raise ConfigError(f"config section {section!r} must be an object")
-            for key, value in values.items():
-                if key not in merged[section]:
-                    raise ConfigError(f"unknown config key {section}.{key}")
-                _check_type(section, key, value)
-                merged[section][key] = value
+    for section, values in document.items():
+        if section not in merged:
+            raise ConfigError(f"unknown config section {section!r}")
+        if not isinstance(values, dict):
+            raise ConfigError(f"config section {section!r} must be an object")
+        for key, value in values.items():
+            if key not in merged[section]:
+                raise ConfigError(f"unknown config key {section}.{key}")
+            _check_type(section, key, value)
+            merged[section][key] = value
     return _build_config(merged)
 
 
@@ -217,19 +200,6 @@ def _build_config(merged: dict) -> PipelineConfig:
     return PipelineConfig(*parts, merged)
 
 
-def _config(args) -> PipelineConfig:
-    """The command's config: the ``--config`` file, then its section flags.
-
-    ``--out-size 0`` stands for null, the native sensor size.
-    """
-    flags: dict = {}
-    for key, section in _SECTION_FLAGS.items():
-        value = getattr(args, key, None)
-        if value is not None:
-            flags.setdefault(section, {})[key] = None if key == "out_size" and value == 0 else value
-    return load_config(args.config, flags)
-
-
 def _master_seed(args, cfg: PipelineConfig) -> int:
     return args.seed if args.seed is not None else cfg.train.seed
 
@@ -247,7 +217,7 @@ def _event_format(path: Path) -> str:
 
 
 def cmd_synth(args) -> int:
-    cfg = _config(args)
+    cfg = load_config(args.config)
     seed = _master_seed(args, cfg)
     n = args.n_recordings
     if n < 0:
@@ -295,7 +265,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    cfg = _config(args)
+    cfg = load_config(args.config)
     in_dir = Path(args.in_dir)
     if not in_dir.is_dir():
         raise FileNotFoundError(f"{in_dir} is not a directory")
@@ -321,7 +291,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _config(args)
+    cfg = load_config(args.config)
     seed = _master_seed(args, cfg)
     train_cfg = replace(cfg.train, seed=sub_seed(seed, "train"))
     dataset = read_frame_dataset(args.data)
@@ -370,7 +340,7 @@ def _select_split(dataset, name: str, cfg: PipelineConfig, seed: int):
 
 
 def cmd_eval(args) -> int:
-    cfg = _config(args)
+    cfg = load_config(args.config)
     seed = _master_seed(args, cfg)
     model = load_checkpoint(args.ckpt)
     dataset = read_frame_dataset(args.data)
@@ -386,7 +356,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    cfg = _config(args)
+    cfg = load_config(args.config)
     model = load_checkpoint(args.ckpt)
     in_path = Path(args.in_path)
     if in_path.suffix == ".frd":
@@ -440,12 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
         if seeded:
             p.add_argument("--seed", type=int, help="master seed for every random choice")
 
-    def frame_flags(p):
-        p.add_argument("--window-us", type=int)
-        p.add_argument("--mode", choices=MODES)
-        p.add_argument("--out-size", type=int, help="square frame side, 0 keeps native size")
-        p.add_argument("--normalize", action=argparse.BooleanOptionalAction)
-
     p = sub.add_parser("synth", help="generate synthetic grasp recordings")
     configured(p, seeded=True)
     p.add_argument("--out", required=True, help="output directory")
@@ -456,16 +420,12 @@ def build_parser() -> argparse.ArgumentParser:
     configured(p, seeded=False)
     p.add_argument("--in", dest="in_dir", required=True, help="recording directory")
     p.add_argument("--out", required=True, help="output .frd container")
-    frame_flags(p)
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("train", help="train the regressor on a frame dataset")
     configured(p, seeded=True)
     p.add_argument("--data", required=True, help="input .frd container")
     p.add_argument("--out", required=True, help="output checkpoint path")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--lr", dest="learning_rate", type=float)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="report metrics for a checkpoint on a dataset")
@@ -479,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     configured(p, seeded=False)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--in", dest="in_path", required=True, help="event file or .frd container")
-    frame_flags(p)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("bench", help="measure accumulation throughput per mode")

@@ -242,8 +242,8 @@ def _frames(stream: EventStream, spec: FrameSpec, t0_us: int, n: int) -> np.ndar
 
 
 # Windows per chunk of ``frame_chunks``: memory stays bounded however many
-# windows the recording spans, and as a multiple of the ``predict_forces``
-# batch the chunks leave every prediction unchanged.
+# windows the recording spans.  It is also ``predict_forces``' default
+# batch, so predicting chunk by chunk leaves every prediction unchanged.
 _CHUNK_FRAMES = 256
 
 

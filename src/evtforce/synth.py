@@ -74,10 +74,10 @@ class GripperScene:
     thickness_px: float = 5.0
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise ValueError("width must be positive")
-        if self.height <= 0:
-            raise ValueError("height must be positive")
+        # Event streams hold pixel columns and rows as int32.
+        for name in ("width", "height"):
+            if not 0 < getattr(self, name) < 2**31:
+                raise ValueError(f"{name} must be positive and below 2**31")
         if self.fingers is None:
             object.__setattr__(self, "fingers", default_fingers(self.width, self.height))
         fingers = tuple(tuple((float(x), float(y)) for x, y in f) for f in self.fingers)
@@ -141,6 +141,13 @@ class ForceProfile:
         # ``period_us`` rounds 1e6 / rate_hz, so that must be finite too.
         if not (0 < self.rate_hz < math.inf and 1e6 / self.rate_hz < math.inf):
             raise ValueError("rate_hz must be finite and positive")
+        # Every sample time must be a distinct int64 microsecond.
+        if self.period_us == 0:
+            raise ValueError(f"rate_hz {self.rate_hz!r} rounds the sample period to 0 us")
+        if (len(self.samples) - 1) * self.period_us >= 2**63:
+            raise ValueError(
+                f"rate_hz {self.rate_hz!r} puts sample {len(self.samples) - 1} past 2**63 us"
+            )
         if not all(math.isfinite(s) and s >= 0 for s in self.samples):
             raise ValueError("samples must be finite and non-negative")
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .frames import FrameDataset
+from .frames import _CHUNK_FRAMES, FrameDataset
 from .vit import ViTModel, forward
 
 
@@ -199,7 +199,9 @@ def train(
     return model, log
 
 
-def predict_forces(model: ViTModel, frames: np.ndarray, batch_size: int = 256) -> np.ndarray:
+def predict_forces(
+    model: ViTModel, frames: np.ndarray, batch_size: int = _CHUNK_FRAMES
+) -> np.ndarray:
     """Forward in inference mode; returns float64 predictions, shape (N,)."""
     out = np.empty(len(frames), dtype=np.float64)
     with ad.no_grad():

@@ -234,14 +234,19 @@ class TestConfig:
             ("model", "depth", 0),
             ("model", "patch_size", 0),
             ("train", "beta2", 1.0),
+            ("frame", "window_us", 0),
+            ("frame", "out_size", -3),
+            ("scene", "width", 2**31),
+            ("scene", "height", 2**31),
         ],
     )
     def test_invalid_value_names_the_key(self, tmp_path, section, key, value):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({section: {key: value}}))
-        code, _, err = run_cli(["synth", "--config", path, "--out", tmp_path / "o"])
-        assert code == 2
+        code, stdout, err = run_cli(["synth", "--config", path, "--out", tmp_path / "o"])
+        assert (code, stdout) == (2, "")
         assert f"invalid {section}.{key}" in err
+        assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize(
         "section,key,value",
@@ -271,6 +276,7 @@ class TestConfig:
             ("scene", "f_max_n", 10**400),
             ("frame", "out_size", 2**63),
             ("train", "seed", -2**63 - 1),
+            ("train", "batch_size", 2**63),
         ],
     )
     def test_wrong_type_is_a_usage_error(self, tmp_path, section, key, value):
@@ -322,36 +328,6 @@ class TestConfig:
             ["synth", "--config", tmp_path / "absent.json", "--out", tmp_path / "o"]
         )
         assert code == 3 and "error:" in err
-
-    @pytest.mark.parametrize(
-        "flags,key",
-        [
-            (["--lr", "nan"], "train.learning_rate"),
-            (["--lr", "inf"], "train.learning_rate"),
-            (["--epochs", -1], "train.epochs"),
-            (["--batch-size", 2**63], "train.batch_size"),
-            (["--window-us", 0], "frame.window_us"),
-            (["--out-size", -3], "frame.out_size"),
-        ],
-    )
-    def test_invalid_flag_names_the_key(self, ws, tmp_path, flags, key):
-        command = "train" if key.startswith("train.") else "convert"
-        inputs = ["--data", ws.frd] if command == "train" else ["--in", ws.rec]
-        out = tmp_path / "out"
-        code, stdout, err = run_cli(
-            [command, "--config", ws.config, *inputs, "--out", out, *flags]
-        )
-        assert code == 2 and stdout == ""
-        assert_one_line_error(err)
-        assert f"invalid {key}" in err
-        assert list(tmp_path.iterdir()) == []
-
-    def test_flags_override_the_file(self, tmp_path):
-        path = write_config(tmp_path, {"frame": {"mode": "binary"}, "train": {"epochs": -1}})
-        cfg = load_config(str(path), {"frame": {"mode": "count"}, "train": {"epochs": 3}})
-        assert cfg.frame.mode == "count" and cfg.train.epochs == 3
-        assert cfg.frame.out_size == 16  # from the file
-        assert cfg.raw["train"]["epochs"] == 3
 
 
 # Any JSON value: nested lists and objects, bools, ints far past int64,
@@ -503,6 +479,29 @@ class TestSynth:
         assert_one_line_error(err)
         assert "the scene config needs more memory than is available" in err
 
+    @pytest.mark.parametrize(
+        "scene, message",
+        [
+            ({"rate_hz": 1e-12}, "rate_hz 1e-12 puts sample 40 past 2**63 us"),
+            ({"rate_hz": 3e6, "samples_per_recording": 5},
+             "rate_hz 3000000.0 rounds the sample period to 0 us"),
+            ({"width": 4_000_000_000, "height": 60,
+              "fingers": [[[3e9, 10], [3e9 + 20, 10]], [[3e9, 50], [3e9 + 20, 50]]]},
+             "invalid scene.width"),
+        ],
+        ids=["last-sample-past-int64", "zero-period", "width-past-int32"],
+    )
+    def test_scene_the_stream_cannot_hold_is_a_usage_error(self, tmp_path, scene, message):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"scene": scene}))
+        code, out, err, _ = run_limited(
+            ["synth", "--config", config, "--out", tmp_path / "o", "--n-recordings", 1],
+            budget_s=60,
+        )
+        assert (code, out) == (2, [])
+        assert_one_line_error(err)
+        assert message in err
+
 
 class TestConvert:
     def test_reports_counts(self, ws):
@@ -529,12 +528,12 @@ class TestConvert:
             np.testing.assert_array_equal(got, np.asarray(profile.samples[:-1], np.float32))
 
     def test_flag_overrides_reach_the_frames(self, ws, tmp_path):
+        config = write_config(
+            tmp_path, {"frame": {"mode": "count", "out_size": None, "normalize": False}}
+        )
         out = tmp_path / "native.frd"
         code, stdout, err = run_cli(
-            [
-                "convert", "--config", ws.config, "--in", ws.rec, "--out", out,
-                "--mode", "count", "--out-size", 0, "--no-normalize",
-            ]
+            ["convert", "--config", config, "--in", ws.rec, "--out", out]
         )
         assert code == 0, err
         ds = read_frame_dataset(out)
@@ -547,11 +546,9 @@ class TestConvert:
         assert code == 2 and "1x60x80" in err
 
     def test_window_must_match_label_rate(self, ws, tmp_path):
+        config = write_config(tmp_path, {"frame": {"window_us": 50_000}})
         code, _, err = run_cli(
-            [
-                "convert", "--config", ws.config, "--in", ws.rec,
-                "--out", tmp_path / "x.frd", "--window-us", 50_000,
-            ]
+            ["convert", "--config", config, "--in", ws.rec, "--out", tmp_path / "x.frd"]
         )
         assert code == 2 and "period" in err
 
@@ -585,8 +582,11 @@ class TestConvert:
             lambda raw: raw.replace(b"10.0", b'"x"'),
             lambda raw: raw.replace(b"[0.0,", b"[-1.0,"),
             lambda raw: raw[:5] + b"\xff" + raw[6:],
+            lambda raw: raw.replace(b"10.0", b"3e6"),
+            lambda raw: raw.replace(b"10.0", b"1e-13"),
         ],
-        ids=["truncated", "rate-not-a-number", "negative-sample", "not-utf8"],
+        ids=["truncated", "rate-not-a-number", "negative-sample", "not-utf8", "zero-period",
+             "last-sample-past-int64"],
     )
     def test_malformed_label_track(self, ws, tmp_path, edit):
         rec = tmp_path / "rec"
@@ -638,9 +638,9 @@ class TestConvert:
             rec / "rec000.evb1",
         )
         shutil.copy(ws.rec / "rec000.labels.json", rec)
+        config = write_config(tmp_path, {"frame": {"mode": mode, "out_size": out_size}})
         code, out, err, _ = run_limited(
-            ["convert", "--config", ws.config, "--mode", mode, "--out-size", out_size,
-             "--in", rec, "--out", tmp_path / "x.frd"],
+            ["convert", "--config", config, "--in", rec, "--out", tmp_path / "x.frd"],
             budget_s=60,
         )
         if refused is None:
@@ -788,27 +788,13 @@ class TestTrain:
         assert model.config.depth == 1
         assert model.config.in_channels == 2
 
-    def test_epochs_flag_beats_config(self, ws, tmp_path):
-        out = tmp_path / "one.ckpt"
-        code, _, err = run_cli(
-            [
-                "train", "--config", ws.config, "--seed", 11,
-                "--data", ws.frd, "--out", out, "--epochs", 1,
-            ]
-        )
-        assert code == 0, err
-        log = Path(str(out) + ".log.csv").read_text().splitlines()
-        assert len(log) == 2  # header + single epoch
-
     def test_rerun_is_byte_identical(self, ws, tmp_path):
+        config = write_config(tmp_path, {"train": {"epochs": 1}})
         outs = []
         for name in ("a.ckpt", "b.ckpt"):
             out = tmp_path / name
             code, _, err = run_cli(
-                [
-                    "train", "--config", ws.config, "--seed", 11,
-                    "--data", ws.frd, "--out", out, "--epochs", 1,
-                ]
+                ["train", "--config", config, "--seed", 11, "--data", ws.frd, "--out", out]
             )
             assert code == 0, err
             outs.append(out)
@@ -819,14 +805,15 @@ class TestTrain:
         )
 
     def test_diverging_training_writes_nothing(self, ws, tmp_path):
+        config = write_config(tmp_path, {"train": {"learning_rate": 1e30}})
         out = tmp_path / "model.ckpt"
         code, stdout, err = run_cli(
-            ["train", "--config", ws.config, "--data", ws.frd, "--out", out, "--lr", 1e30]
+            ["train", "--config", config, "--data", ws.frd, "--out", out]
         )
         assert (code, stdout) == (2, "")
         assert_one_line_error(err)
         assert "training diverged" in err and "epoch 0" in err
-        assert list(tmp_path.iterdir()) == []
+        assert list(tmp_path.iterdir()) == [config]
 
     def test_frame_shape_must_match_model(self, ws, tmp_path):
         # Default model wants 2x64x64, the small dataset is 2x16x16.
@@ -1147,13 +1134,14 @@ class TestPredict:
         frd = tmp_path / "long.frd"
         write_frame_dataset(FrameDataset(frames, np.zeros(len(frames)), [""] * len(frames)), frd)
         rec = ws.rec / "rec000.evb1"
-        spec = load_config(str(ws.config), {"frame": {"window_us": 800}}).frame
+        config = write_config(tmp_path, {"frame": {"window_us": 800}})
+        spec = load_config(str(config)).frame
         for argv, want in [
-            (["--in", frd], predict_forces(model, frames)),
-            (["--in", rec, "--window-us", 800],
+            (["--config", ws.config, "--in", frd], predict_forces(model, frames)),
+            (["--config", config, "--in", rec],
              predict_forces(model, all_frames(read_events(rec), spec))),
         ]:
-            code, out, err = run_cli(["predict", "--config", ws.config, "--ckpt", ws.ckpt, *argv])
+            code, out, err = run_cli(["predict", "--ckpt", ws.ckpt, *argv])
             assert code == 0, err
             assert len(want) > 512
             np.testing.assert_array_equal([float(line) for line in out.splitlines()], want)
@@ -1183,12 +1171,10 @@ class TestPredict:
         assert np.isfinite([float(line) for line in lines]).all()
         assert err == ""
 
-    def test_window_longer_than_recording_prints_nothing(self, ws):
+    def test_window_longer_than_recording_prints_nothing(self, ws, tmp_path):
+        config = write_config(tmp_path, {"frame": {"window_us": 10_000_000}})
         code, out, err = run_cli(
-            [
-                "predict", "--config", ws.config, "--ckpt", ws.ckpt,
-                "--in", ws.rec / "rec000.evb1", "--window-us", 10_000_000,
-            ]
+            ["predict", "--config", config, "--ckpt", ws.ckpt, "--in", ws.rec / "rec000.evb1"]
         )
         assert code == 0, err
         assert out == ""
@@ -1220,9 +1206,9 @@ class TestPredict:
         stream = read_events(ws.rec / "rec000.evb1")
         path = tmp_path / "huge.evb1"
         write_events(EventStream(65535, 65535, stream.t_us, stream.x, stream.y, stream.p), path)
+        config = write_config(tmp_path, {"frame": {"out_size": None}})
         code, out, err, _ = run_limited(
-            ["predict", "--config", ws.config, "--ckpt", ws.ckpt, "--in", path, "--out-size", 0],
-            budget_s=60,
+            ["predict", "--config", config, "--ckpt", ws.ckpt, "--in", path], budget_s=60
         )
         assert (code, out) == (2, [])
         assert_one_line_error(err)
@@ -1257,15 +1243,15 @@ class TestPredict:
             rec / "rec000.evb1",
         )
         shutil.copy(ws.rec / "rec000.labels.json", rec)
-        flags = ["--config", ws.config, "--mode", mode, "--out-size", out_size]
+        config = write_config(tmp_path, {"frame": {"mode": mode, "out_size": out_size}})
         if command == "convert":
-            argv = ["convert", *flags, "--in", rec, "--out", tmp_path / "x.frd"]
+            argv = ["convert", "--config", config, "--in", rec, "--out", tmp_path / "x.frd"]
         else:
             ckpt = tmp_path / "model.ckpt"
-            config = ViTConfig(image_size=out_size, patch_size=out_size, in_channels=1,
-                               embed_dim=8, depth=1, num_heads=2)
-            save_checkpoint(init_params(config, 0), ckpt)
-            argv = ["predict", *flags, "--ckpt", ckpt, "--in", rec / "rec000.evb1"]
+            model = ViTConfig(image_size=out_size, patch_size=out_size, in_channels=1,
+                              embed_dim=8, depth=1, num_heads=2)
+            save_checkpoint(init_params(model, 0), ckpt)
+            argv = ["predict", "--config", config, "--ckpt", ckpt, "--in", rec / "rec000.evb1"]
         code, out, err, _ = run_limited(argv, budget_s=60)
         assert (code, out) == (3, [])
         assert_one_line_error(err)
@@ -1347,7 +1333,31 @@ class TestMainEntry:
     def test_subcommand_help(self):
         code, out, _ = run_cli(["train", "--help"])
         assert code == 0
-        assert "--epochs" in out
+        assert "--data" in out
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (command, flag)
+            for command in ("convert", "predict")
+            for flag in (["--window-us", 800], ["--mode", "count"], ["--out-size", 0],
+                         ["--normalize"], ["--no-normalize"])
+        ]
+        + [("train", flag) for flag in (["--epochs", 1], ["--batch-size", 4], ["--lr", 0.1])],
+        ids=lambda v: v if isinstance(v, str) else v[0].lstrip("-"),
+    )
+    def test_config_keys_are_not_flags(self, ws, tmp_path, command, flag):
+        # The --config file is the one way to set a pipeline value.
+        inputs = {
+            "convert": ["--in", ws.rec, "--out", tmp_path / "x.frd"],
+            "train": ["--data", ws.frd, "--out", tmp_path / "x.ckpt"],
+            "predict": ["--ckpt", ws.ckpt, "--in", ws.rec / "rec000.evb1"],
+        }[command]
+        code, out, err = run_cli([command, "--config", ws.config, *inputs, *flag])
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {' '.join(map(str, flag))}" in err
+        assert list(tmp_path.iterdir()) == []
+        assert flag[0] not in run_cli([command, "--help"])[1]
 
     def test_bad_flag_value(self, tmp_path):
         code, _, _ = run_cli(["synth", "--out", tmp_path / "o", "--n-recordings", "many"])

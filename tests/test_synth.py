@@ -70,11 +70,13 @@ class TestSceneAndProfile:
         with pytest.raises(ValueError):
             ForceProfile(samples, rate_hz=10.0)
 
-    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf, 5e-324])
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf, 5e-324, 3e6, 1e-13])
     def test_profile_rejects_bad_rate(self, rate):
-        # 5e-324 Hz is positive, but its period overflows to infinity.
+        # 5e-324 Hz is positive, but its period overflows to infinity; the
+        # period of 3e6 Hz rounds to 0 us, and at 1e-13 Hz the second sample
+        # lies past 2**63 us.
         with pytest.raises(ValueError, match="rate_hz"):
-            ForceProfile((0.0,), rate_hz=rate)
+            ForceProfile((0.0, 1.0), rate_hz=rate)
 
 
 class TestDeflection:
