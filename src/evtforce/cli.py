@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .events import FormatError, InvalidStreamError, read_events, write_events
+from .events import FormatError, read_events, write_events
 from .frames import (
     MODES,
     FrameSpec,
@@ -460,16 +460,10 @@ def main(argv=None) -> int:
         # report the outcome (a non-finite prediction) in one line instead.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args)
-    except (FormatError, InvalidStreamError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except MemoryError as exc:  # numpy names the array it could not allocate
+    except (FormatError, OSError, MemoryError) as exc:  # numpy names what it could not allocate
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

@@ -6,7 +6,7 @@ brightness increase, -1 for a decrease).  Streams are stored column-wise
 (one array per attribute) so that million-event recordings stay cheap to
 slice, validate, and accumulate.
 
-Two interchangeable file formats are supported:
+Two interchangeable file formats are supported, for sensor sides 1..MAX_SIDE:
 
 CSV (text)
     line 1: ``# width=W height=H``
@@ -56,36 +56,32 @@ _CSV_HEADER_RE = re.compile(r"^# width=(\d+) height=(\d+)$")
 _CSV_COLUMNS = "t_us,x,y,p"
 
 
+# The largest sensor side: EVB1 and FRD1 headers store each side as u16.
+MAX_SIDE = 0xFFFF
+
+
 class FormatError(ValueError):
-    """File content does not conform to the declared format."""
+    """An input file is damaged, or its content breaks a stream invariant."""
 
 
-class HeaderError(FormatError):
-    """Missing or malformed file header."""
-
-
-class TruncatedError(FormatError):
-    """File ends before the declared record count."""
-
-
-class InvalidStreamError(ValueError):
-    """Stream content violates an event-stream invariant."""
+def _check_sides(width, height, error=ValueError, where="") -> None:
+    if not (0 < width <= MAX_SIDE and 0 < height <= MAX_SIDE):
+        raise error(f"{where}sensor size {width}x{height} is outside 1..{MAX_SIDE} per side")
 
 
 class EventStream:
     """Immutable, time-ordered collection of events for one sensor size.
 
     Attribute arrays are read-only; build a new stream instead of mutating.
-    Construction does not reject invalid content (``validate_stream``
-    reports violations as data), but writers and the synthesis pipeline
-    only ever emit valid streams.
+    Construction rejects a side outside 1..MAX_SIDE but not invalid content
+    (``validate_stream`` reports violations as data); writers and the
+    synthesis pipeline only ever emit valid streams.
     """
 
     __slots__ = ("width", "height", "t_us", "x", "y", "p")
 
     def __init__(self, width, height, t_us=(), x=(), y=(), p=()):
-        if width <= 0 or height <= 0:
-            raise ValueError("width and height must be positive")
+        _check_sides(width, height)
         object.__setattr__(self, "width", int(width))
         object.__setattr__(self, "height", int(height))
         cols = {
@@ -222,7 +218,7 @@ def concat_streams(parts: Iterable[EventStream]) -> EventStream:
 def _require_valid(stream: EventStream, context: str) -> None:
     report = validate_stream(stream)
     if not report.ok:
-        raise InvalidStreamError(
+        raise FormatError(
             f"{context}: {report.count} violation(s), "
             f"first is '{report.first.reason}' at index {report.first.index}"
         )
@@ -237,8 +233,6 @@ def write_events(stream: EventStream, path, format: str = "binary") -> None:
         raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
     _require_valid(stream, "refusing to write invalid stream")
     if format == "binary":
-        if stream.width > 0xFFFF or stream.height > 0xFFFF:
-            raise ValueError("binary format stores sensor size as u16")
         header = _EVB1_HEADER.pack(_EVB1_MAGIC, stream.width, stream.height, len(stream))
         _write_records(path, header, _EVB1_RECORD, {c: getattr(stream, c) for c in _COLUMNS})
         return
@@ -252,9 +246,9 @@ def write_events(stream: EventStream, path, format: str = "binary") -> None:
 def read_events(path, format: str = "binary") -> EventStream:
     """Read a stream from ``path``; the result is always a valid stream.
 
-    Raises FileNotFoundError for a missing file, HeaderError or
-    TruncatedError (both FormatError) for structural damage, and
-    InvalidStreamError when well-formed content breaks an invariant.
+    Raises FileNotFoundError for a missing file, and FormatError for
+    structural damage, a side outside 1..MAX_SIDE, or well-formed content
+    that breaks an invariant.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
@@ -275,15 +269,14 @@ def _parse_csv(path) -> EventStream:
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
-        raise HeaderError(f"{path}: empty file")
+        raise FormatError(f"{path}: empty file")
     m = _CSV_HEADER_RE.match(lines[0])
     if m is None:
-        raise HeaderError(f"{path}: first line must be '# width=W height=H'")
+        raise FormatError(f"{path}: first line must be '# width=W height=H'")
     width, height = int(m.group(1)), int(m.group(2))
-    if width <= 0 or height <= 0:
-        raise HeaderError(f"{path}: sensor size must be positive")
+    _check_sides(width, height, FormatError, f"{path}: ")
     if len(lines) < 2 or lines[1] != _CSV_COLUMNS:
-        raise HeaderError(f"{path}: second line must be '{_CSV_COLUMNS}'")
+        raise FormatError(f"{path}: second line must be '{_CSV_COLUMNS}'")
     n = len(lines) - 2
     t = np.empty(n, dtype=np.int64)
     x = np.empty(n, dtype=np.int32)
@@ -342,19 +335,19 @@ def _read_records(path, header: struct.Struct, magic: bytes, record_dtype, colum
     """
     size = _file_size(path)
     if size < header.size:
-        raise HeaderError(f"{path}: file shorter than the {header.size}-byte header")
+        raise FormatError(f"{path}: file shorter than the {header.size}-byte header")
     with open(path, "rb") as fh:
         found, *fields, count = header.unpack(fh.read(header.size))
         if found != magic:
-            raise HeaderError(f"{path}: bad magic {found!r}, expected {magic!r}")
+            raise FormatError(f"{path}: bad magic {found!r}, expected {magic!r}")
         try:
             record = record_dtype(*fields)
         except ValueError as exc:
-            raise HeaderError(f"{path}: unusable record geometry {fields} ({exc})") from exc
+            raise FormatError(f"{path}: unusable record geometry {fields} ({exc})") from exc
         body = size - header.size
         expected = count * record.itemsize
         if body < expected:
-            raise TruncatedError(
+            raise FormatError(
                 f"{path}: declared {count} records but payload holds {body // record.itemsize}"
             )
         if body > expected:
@@ -378,6 +371,5 @@ def _parse_evb1(path) -> EventStream:
     (width, height), columns = _read_records(
         path, _EVB1_HEADER, _EVB1_MAGIC, lambda width, height: _EVB1_RECORD, _COLUMNS
     )
-    if width == 0 or height == 0:
-        raise HeaderError(f"{path}: sensor size must be positive")
+    _check_sides(width, height, FormatError, f"{path}: ")
     return EventStream(width, height, **columns)

@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .events import EventStream, FormatError, validate_stream
+from .events import MAX_SIDE, EventStream, FormatError, validate_stream
 
 Polyline = tuple[tuple[float, float], ...]
 
@@ -74,10 +74,9 @@ class GripperScene:
     thickness_px: float = 5.0
 
     def __post_init__(self):
-        # Event streams hold pixel columns and rows as int32.
         for name in ("width", "height"):
-            if not 0 < getattr(self, name) < 2**31:
-                raise ValueError(f"{name} must be positive and below 2**31")
+            if not 0 < getattr(self, name) <= MAX_SIDE:
+                raise ValueError(f"{name} must be in 1..{MAX_SIDE}, the sides an event file stores")
         if self.fingers is None:
             object.__setattr__(self, "fingers", default_fingers(self.width, self.height))
         fingers = tuple(tuple((float(x), float(y)) for x, y in f) for f in self.fingers)

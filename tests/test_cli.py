@@ -238,6 +238,8 @@ class TestConfig:
             ("frame", "out_size", -3),
             ("scene", "width", 2**31),
             ("scene", "height", 2**31),
+            ("scene", "width", 65536),
+            ("scene", "height", 65536),
         ],
     )
     def test_invalid_value_names_the_key(self, tmp_path, section, key, value):
@@ -488,8 +490,9 @@ class TestSynth:
             ({"width": 4_000_000_000, "height": 60,
               "fingers": [[[3e9, 10], [3e9 + 20, 10]], [[3e9, 50], [3e9 + 20, 50]]]},
              "invalid scene.width"),
+            ({"width": 70000}, "invalid scene.width: width must be in 1..65535"),
         ],
-        ids=["last-sample-past-int64", "zero-period", "width-past-int32"],
+        ids=["last-sample-past-int64", "zero-period", "width-past-int32", "width-past-u16"],
     )
     def test_scene_the_stream_cannot_hold_is_a_usage_error(self, tmp_path, scene, message):
         config = tmp_path / "c.json"
@@ -501,6 +504,8 @@ class TestSynth:
         assert (code, out) == (2, [])
         assert_one_line_error(err)
         assert message in err
+        if message.startswith("invalid"):  # refused with the config, before any render
+            assert not (tmp_path / "o").exists()
 
 
 class TestConvert:
@@ -602,6 +607,23 @@ class TestConvert:
         assert (code, out) == (3, "")
         assert_one_line_error(err)
         assert str(labels) in err
+
+    def test_sensor_wider_than_u16_is_refused(self, ws, tmp_path):
+        # FRD1 stores a native frame's sides as u16, like EVB1 a sensor's,
+        # so the recording is refused when read, before any frame is built.
+        rec = tmp_path / "rec"
+        rec.mkdir()
+        csv = rec / "rec000.csv"
+        write_events(read_events(ws.rec / "rec000.evb1"), csv, "csv")
+        csv.write_text(csv.read_text().replace("# width=80 ", "# width=70000 ", 1))
+        shutil.copy(ws.rec / "rec000.labels.json", rec)
+        config = write_config(tmp_path, {"frame": {"out_size": None}})
+        out_path = tmp_path / "x.frd"
+        code, out, err = run_cli(["convert", "--config", config, "--in", rec, "--out", out_path])
+        assert (code, out) == (3, "")
+        assert_one_line_error(err)
+        assert f"{csv}: sensor size 70000x60 is outside 1..65535 per side" in err
+        assert not out_path.exists()
 
     def test_corrupt_recording(self, ws, tmp_path):
         broken = tmp_path / "broken"
@@ -1292,6 +1314,15 @@ class TestBench:
     def test_missing_file(self, ws, tmp_path):
         code, _, _ = run_cli(["bench", "--in", tmp_path / "nope.evb1"])
         assert code == 3
+
+    @pytest.mark.parametrize("width", [10**20, 2**31 + 5], ids=["past-int64", "past-int32"])
+    def test_sensor_wider_than_u16_is_refused(self, tmp_path, width):
+        path = tmp_path / "wide.csv"
+        path.write_text(f"# width={width} height=60\nt_us,x,y,p\n0,3,2,1\n5,4,2,-1\n")
+        code, out, err, _ = run_limited(["bench", "--in", path, "--repeats", 1], budget_s=60)
+        assert (code, out) == (3, [])
+        assert_one_line_error(err)
+        assert f"{path}: sensor size {width}x60 is outside 1..65535 per side" in err
 
     @pytest.mark.parametrize(
         "argv",

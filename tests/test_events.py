@@ -11,9 +11,6 @@ from evtforce import events
 from evtforce.events import (
     EventStream,
     FormatError,
-    HeaderError,
-    InvalidStreamError,
-    TruncatedError,
     Violation,
     concat_streams,
     read_events,
@@ -76,6 +73,12 @@ class TestEventStream:
     def test_bad_sensor_size_rejected(self):
         with pytest.raises(ValueError):
             EventStream(0, 8)
+
+    @pytest.mark.parametrize("width, height", [(65536, 1), (1, 65536)])
+    def test_side_past_u16_rejected(self, width, height):
+        with pytest.raises(ValueError, match=f"sensor size {width}x{height} is outside 1..65535"):
+            EventStream(width, height)
+        assert EventStream(65535, 65535).width == 65535
 
     def test_duration_empty_is_zero(self):
         assert EventStream(8, 8).duration_us == 0
@@ -161,7 +164,7 @@ class TestValidate:
         path.write_bytes(struct.pack("<4sHHQ", b"EVB1", 8, 8, 2)
                          + struct.pack("<QHHb3x", 5, 0, 0, 1)
                          + struct.pack("<QHHb3x", 2**63 + 3, 0, 0, 1))
-        with pytest.raises(InvalidStreamError,
+        with pytest.raises(FormatError,
                            match="2 violation\\(s\\), first is 'negative timestamp' at index 1"):
             read_events(path)
 
@@ -208,7 +211,7 @@ class TestViolationSummary:
         if not violations:
             write_events(s, path)
             return
-        with pytest.raises(InvalidStreamError) as err:
+        with pytest.raises(FormatError, match=r"violation\(s\), first is") as err:
             write_events(s, path)
         index, reason = violations[0]
         assert str(err.value) == (
@@ -231,7 +234,7 @@ class TestViolationSummary:
         records["p"] = 0
         path = tmp_path / "bad.evb1"
         path.write_bytes(struct.pack("<4sHHQ", b"EVB1", 8, 8, n) + records.tobytes())
-        with pytest.raises(InvalidStreamError, match=(
+        with pytest.raises(FormatError, match=(
             rf"{2 * n - 1} violation\(s\), first is 'polarity not in {{\+1, -1}}' at index 0"
         )):
             read_events(path)
@@ -295,21 +298,21 @@ class TestCsvFormat:
         s = read_events(path, format="csv")
         assert len(s) == 0 and (s.width, s.height) == (4, 4)
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "",
-            "width=8 height=8\nt_us,x,y,p\n",
-            "# width=8\nt_us,x,y,p\n",
-            "# width=0 height=8\nt_us,x,y,p\n",
-            "# width=8 height=8\nt,x,y,p\n",
-            "# width=8 height=8\n",
-        ],
-    )
+    # Each damaged header and the message it is refused with.
+    HEADER_ERRORS = {
+        "": "empty file",
+        "width=8 height=8\nt_us,x,y,p\n": "first line must be",
+        "# width=8\nt_us,x,y,p\n": "first line must be",
+        "# width=0 height=8\nt_us,x,y,p\n": "sensor size 0x8 is outside 1..65535",
+        "# width=8 height=8\nt,x,y,p\n": "second line must be",
+        "# width=8 height=8\n": "second line must be",
+    }
+
+    @pytest.mark.parametrize("text", list(HEADER_ERRORS))
     def test_header_errors(self, tmp_path, text):
         path = tmp_path / "bad.csv"
         path.write_text(text)
-        with pytest.raises(HeaderError):
+        with pytest.raises(FormatError, match=self.HEADER_ERRORS[text]):
             read_events(path, format="csv")
 
     @pytest.mark.parametrize(
@@ -324,7 +327,7 @@ class TestCsvFormat:
     def test_well_formed_but_invalid_content(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("# width=8 height=8\nt_us,x,y,p\n100,8,2,1\n")
-        with pytest.raises(InvalidStreamError):
+        with pytest.raises(FormatError, match=r"1 violation\(s\), first is 'x out of range'"):
             read_events(path, format="csv")
 
 
@@ -350,13 +353,13 @@ class TestBinaryFormat:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.evb1"
         path.write_bytes(b"NOPE" + bytes(12))
-        with pytest.raises(HeaderError):
+        with pytest.raises(FormatError, match="bad magic"):
             read_events(path, format="binary")
 
     def test_short_header(self, tmp_path):
         path = tmp_path / "bad.evb1"
         path.write_bytes(b"EVB1\x01")
-        with pytest.raises(HeaderError):
+        with pytest.raises(FormatError, match="shorter than the 16-byte header"):
             read_events(path, format="binary")
 
     def test_truncated_payload(self, tmp_path, rng):
@@ -364,7 +367,7 @@ class TestBinaryFormat:
         path = tmp_path / "s.evb1"
         write_events(s, path, format="binary")
         path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(TruncatedError):
+        with pytest.raises(FormatError, match="declared 5 records but payload holds 4"):
             read_events(path, format="binary")
 
     def test_trailing_bytes(self, tmp_path, rng):
@@ -384,13 +387,12 @@ class TestBinaryFormat:
         )
         path = tmp_path / "bad.evb1"
         path.write_bytes(payload)
-        with pytest.raises(InvalidStreamError):
+        with pytest.raises(FormatError, match=r"1 violation\(s\), first is 'polarity not in"):
             read_events(path, format="binary")
 
-    def test_oversized_sensor_rejected(self, tmp_path):
-        s = EventStream(70_000, 8)
-        with pytest.raises(ValueError):
-            write_events(s, tmp_path / "s.evb1", format="binary")
+    def test_oversized_sensor_rejected(self):
+        with pytest.raises(ValueError, match="outside 1..65535"):
+            EventStream(70_000, 8)
 
 
 class TestBlocks:
@@ -411,7 +413,7 @@ class TestBlocks:
         payload = b"".join(struct.pack("<QHHb3x", t, 0, 0, 1 if t != 2 else 0) for t in range(4))
         path = tmp_path / "bad.evb1"
         path.write_bytes(struct.pack("<4sHHQ", b"EVB1", 8, 8, 4) + payload)
-        with pytest.raises(InvalidStreamError, match="first is 'polarity not in .* at index 2"):
+        with pytest.raises(FormatError, match="first is 'polarity not in .* at index 2"):
             read_events(path)
 
     def test_file_that_shrinks_while_read_is_an_error(self, tmp_path, rng, monkeypatch):
@@ -463,6 +465,6 @@ class TestRoundTrips:
     def test_write_refuses_invalid_stream(self, tmp_path):
         s = EventStream(8, 8, t_us=[5, 3], x=[0, 0], y=[0, 0], p=[1, 1])
         path = tmp_path / "s.csv"
-        with pytest.raises(InvalidStreamError):
+        with pytest.raises(FormatError, match=r"1 violation\(s\), first is 'non-monotonic"):
             write_events(s, path, format="csv")
         assert not path.exists()

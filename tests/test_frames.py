@@ -16,8 +16,6 @@ from evtforce import events
 from evtforce.events import (
     EventStream,
     FormatError,
-    HeaderError,
-    TruncatedError,
     read_events,
     slice_window,
     write_events,
@@ -696,14 +694,14 @@ class TestFrdContainer:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "d.frd"
         path.write_bytes(b"NOPE" + bytes(14))
-        with pytest.raises(HeaderError):
+        with pytest.raises(FormatError, match="bad magic"):
             read_frame_dataset(path)
 
     def test_unusable_geometry(self, tmp_path):
         # 65535**3 float32 values do not fit one numpy record.
         path = tmp_path / "d.frd"
         path.write_bytes(struct.pack("<4sHHHQ", b"FRD1", 65535, 65535, 65535, 0))
-        with pytest.raises(HeaderError, match="unusable record geometry"):
+        with pytest.raises(FormatError, match="unusable record geometry"):
             read_frame_dataset(path)
 
     def test_truncated(self, tmp_path, rng):
@@ -711,7 +709,7 @@ class TestFrdContainer:
         path = tmp_path / "d.frd"
         write_frame_dataset(ds, path)
         path.write_bytes(path.read_bytes()[:-4])
-        with pytest.raises(TruncatedError):
+        with pytest.raises(FormatError, match="declared 2 records but payload holds 1"):
             read_frame_dataset(path)
 
     def test_trailing_bytes(self, tmp_path, rng):
