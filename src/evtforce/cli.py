@@ -367,8 +367,10 @@ def cmd_predict(args) -> int:
         # declared sensor would not fit in memory.
         check_frame_shape(model.config, cfg.frame.frame_shape(stream.height, stream.width))
         chunks = frame_chunks(stream, cfg.frame)
-    for batch in chunks:
-        preds = predict_forces(model, batch)
+    # Both paths predict in batches of ``batch_frames`` frames, the size of
+    # a chunk, so an event file and a .frd of the same frames print the same.
+    for chunk in chunks:
+        preds = predict_forces(model, chunk)
         if not np.all(np.isfinite(preds)):
             raise FormatError(f"{args.ckpt}: checkpoint gives a non-finite prediction")
         for value in preds:

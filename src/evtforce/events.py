@@ -273,7 +273,12 @@ def _parse_csv(path) -> EventStream:
     m = _CSV_HEADER_RE.match(lines[0])
     if m is None:
         raise FormatError(f"{path}: first line must be '# width=W height=H'")
-    width, height = int(m.group(1)), int(m.group(2))
+    sides = m.group(1, 2)
+    # int() fails past 4,300 digits, so a side of more digits than
+    # MAX_SIDE, out of range whatever they are, is refused unparsed.
+    if max(len(side.lstrip("0")) for side in sides) > len(str(MAX_SIDE)):
+        raise FormatError(f"{path}: sensor size {'x'.join(sides)} is outside 1..{MAX_SIDE} per side")
+    width, height = map(int, sides)
     _check_sides(width, height, FormatError, f"{path}: ")
     if len(lines) < 2 or lines[1] != _CSV_COLUMNS:
         raise FormatError(f"{path}: second line must be '{_CSV_COLUMNS}'")

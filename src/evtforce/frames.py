@@ -241,25 +241,36 @@ def _frames(stream: EventStream, spec: FrameSpec, t0_us: int, n: int) -> np.ndar
     return frames
 
 
-# Windows per chunk of ``frame_chunks``: memory stays bounded however many
-# windows the recording spans.  It is also ``predict_forces``' default
-# batch, so predicting chunk by chunk leaves every prediction unchanged.
-_CHUNK_FRAMES = 256
+def batch_frames(frame_shape: Sequence[int]) -> int:
+    """Frames per chunk of ``frame_chunks`` and per ``predict_forces`` batch.
+
+    ``clamp(8 MiB // frame_bytes, 1, 256)`` for float32 frames of
+    ``frame_shape`` (C, H, W): 256 for a default 2 x 64 x 64 frame
+    (32 KiB), so memory is bounded by bytes while default outputs keep
+    their batches.  Predictions are not batch-invariant for every model
+    config, so both take their size from this one rule: then predicting
+    a recording chunk by chunk equals predicting its frames in one call.
+    """
+    # An empty dataset's 0x0x0 frames count as one byte each.
+    frame_bytes = max(4 * math.prod(frame_shape), 1)
+    return min(max((8 << 20) // frame_bytes, 1), 256)
 
 
 def frame_chunks(stream: EventStream, spec: FrameSpec) -> Iterator[np.ndarray]:
     """Frames of a recording's full windows, in order, in float32 chunks.
 
     Window k is [k T, (k + 1) T), T = window_us; a trailing stretch of the
-    recording shorter than T is dropped.  A chunk holds at most
-    ``_CHUNK_FRAMES`` frames, built ``_CHUNK_BINS`` values at a time.  The
-    geometry is checked before the first chunk, even if there is none.
+    recording shorter than T is dropped.  A chunk holds ``batch_frames``
+    frames (the last one may hold fewer), built ``_CHUNK_BINS`` values at a
+    time.  The geometry is checked before the first chunk, even if there is
+    none.
     """
     n_windows = stream.duration_us // spec.window_us
     step = max(1, _CHUNK_BINS // _geometry(stream.height, stream.width, spec)[-1])
     shape = spec.frame_shape(stream.height, stream.width)
-    for lo in range(0, n_windows, _CHUNK_FRAMES):
-        chunk = np.empty((min(_CHUNK_FRAMES, n_windows - lo), *shape), dtype=np.float32)
+    size = batch_frames(shape)
+    for lo in range(0, n_windows, size):
+        chunk = np.empty((min(size, n_windows - lo), *shape), dtype=np.float32)
         for k in range(0, len(chunk), step):
             n = min(step, len(chunk) - k)
             chunk[k : k + n] = _frames(stream, spec, (lo + k) * spec.window_us, n)

@@ -26,6 +26,13 @@ its substeps in chunks of about ``_RENDER_PIXELS`` pixels, each chunk
 starting with the previous chunk's last render, so memory stays bounded
 however many substeps a recording has.
 
+Each (chunk, box) render job runs on a thread pool sized to the CPUs the
+process may use (numpy releases the interpreter lock in its loops).  The
+calling thread walks the schedule, deflects the fingers, takes the jobs'
+results in submission order and sorts once, so the bytes are the same at
+any worker count.  At most 2 x workers jobs are in flight, each on a
+stack of about ``_RENDER_PIXELS`` pixels.
+
 Only a few percent of (pair, pixel) entries change between renders, so
 events are extracted sparsely: one ``flatnonzero`` over the changed-entry
 mask, then counts, polarities and coordinates at those entries alone.
@@ -36,9 +43,12 @@ a key would not fit (``_sorted_stream``).
 
 from __future__ import annotations
 
+import collections
+import contextvars
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -466,6 +476,22 @@ def _render_schedule(samples: tuple[float, ...], period_us: int, substeps: int):
             yield force, k * period_us + round(j * period_us / substeps)
 
 
+# Render jobs run on this many threads: the CPUs this process may use.
+_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+
+
+def _box_events(scene: GripperScene, fingers: list[np.ndarray], times_us: np.ndarray, box: Box):
+    """The unsorted event columns of one box over one chunk of renders.
+
+    A pool job: it calls private helpers only, so every public function
+    (``force_to_deflection`` among them) stays on the calling thread.
+    """
+    log_stack = _log_intensity(_render_box(scene, fingers, box))
+    return _log_change_events(log_stack, times_us, scene.contrast, box[0], box[2])
+
+
 def synthesize_recording(
     scene: GripperScene,
     profile: ForceProfile,
@@ -481,6 +507,9 @@ def synthesize_recording(
     uniform background noise (``noise_rate_hz`` events per second over
     the whole array, seeded) is merged in, off by default.
     """
+    # Imported here: at module level it would add a few ms to every CLI start.
+    from concurrent.futures import ThreadPoolExecutor
+
     if substeps_per_sample < 1:
         raise ValueError("substeps_per_sample must be at least 1")
     if noise_rate_hz < 0:
@@ -494,16 +523,23 @@ def synthesize_recording(
     schedule = _render_schedule(samples, period_us, substeps_per_sample)
     renders = list(itertools.islice(schedule, chunk + 1))
     columns = []
-    while len(renders) > 1:
-        forces, times = zip(*renders)
-        fingers = _deflected_fingers(scene, forces)
-        for box in boxes:
-            log_stack = _log_intensity(_render_box(scene, fingers, box))
-            columns.append(
-                _log_change_events(log_stack, np.array(times), scene.contrast, box[0], box[2])
-            )
-        # The next chunk starts from this chunk's last render.
-        renders = renders[-1:] + list(itertools.islice(schedule, chunk))
+    # Each (chunk, box) job runs in a copy of this thread's context, so it
+    # keeps the caller's ``np.errstate``.  Results are taken in submission
+    # order, at most 2 x workers jobs ahead of the oldest one.
+    pending = collections.deque()
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        while len(renders) > 1:
+            forces, times = zip(*renders)
+            fingers = _deflected_fingers(scene, forces)
+            times_us = np.array(times)
+            for box in boxes:
+                if len(pending) == 2 * _WORKERS:
+                    columns.append(pending.popleft().result())
+                run = contextvars.copy_context().run
+                pending.append(pool.submit(run, _box_events, scene, fingers, times_us, box))
+            # The next chunk starts from this chunk's last render.
+            renders = renders[-1:] + list(itertools.islice(schedule, chunk))
+        columns.extend(future.result() for future in pending)
 
     duration_us = (len(samples) - 1) * period_us
     if noise_rate_hz > 0 and duration_us > 0:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .frames import _CHUNK_FRAMES, FrameDataset
+from .frames import FrameDataset, batch_frames
 from .vit import ViTModel, forward
 
 
@@ -200,9 +200,15 @@ def train(
 
 
 def predict_forces(
-    model: ViTModel, frames: np.ndarray, batch_size: int = _CHUNK_FRAMES
+    model: ViTModel, frames: np.ndarray, batch_size: int | None = None
 ) -> np.ndarray:
-    """Forward in inference mode; returns float64 predictions, shape (N,)."""
+    """Forward in inference mode; returns float64 predictions, shape (N,).
+
+    The default batch is ``batch_frames`` of the frame shape, the size of
+    a ``frame_chunks`` chunk.
+    """
+    if batch_size is None:
+        batch_size = batch_frames(np.shape(frames)[1:])
     out = np.empty(len(frames), dtype=np.float64)
     with ad.no_grad():
         for lo in range(0, len(frames), batch_size):

@@ -1222,6 +1222,44 @@ class TestPredict:
         assert code == 0, err
         assert out == ""
 
+    def test_large_frames_predict_in_bounded_batches(self, tmp_path):
+        # 1024 x 1024 count frames are 4 MiB each: a batch of 256 would take
+        # 1 GiB, so batches hold two (300 windows span more than 256).  An event file, and a .frd of the
+        # same frames, print the same predictions in batches of that size.
+        ckpt = tmp_path / "wide.ckpt"
+        vit = ViTConfig(image_size=1024, patch_size=64, in_channels=1, embed_dim=16,
+                        depth=1, num_heads=2)
+        save_checkpoint(init_params(vit, 0), ckpt)
+        config = write_config(
+            tmp_path, {"frame": {"out_size": None, "mode": "count", "window_us": 1000}}
+        )
+        rng = np.random.default_rng(5)
+
+        def recording(path, n_windows):
+            t = np.sort(rng.integers(0, n_windows * 1000, 2 * n_windows))
+            t[-1] = n_windows * 1000 - 1
+            xy = rng.integers(0, 1024, (2, len(t)))
+            write_events(EventStream(1024, 1024, t, *xy, rng.choice([-1, 1], len(t))), path)
+            return path
+
+        long_rec = recording(tmp_path / "long.evb1", 300)
+        code, lines, err, _ = run_limited(
+            ["predict", "--config", config, "--ckpt", ckpt, "--in", long_rec], budget_s=120
+        )
+        assert (code, err) == (0, "")
+        assert len(lines) == 300 and np.isfinite([float(line) for line in lines]).all()
+
+        short_rec = recording(tmp_path / "short.evb1", 8)
+        frames = all_frames(read_events(short_rec), load_config(str(config)).frame)
+        frd = tmp_path / "short.frd"
+        write_frame_dataset(FrameDataset(frames, np.zeros(8), [""] * 8), frd)
+        outputs = []
+        for path in (short_rec, frd):
+            code, out, err = run_cli(["predict", "--config", config, "--ckpt", ckpt, "--in", path])
+            assert code == 0, err
+            outputs.append(out.splitlines())
+        assert len(outputs[0]) == 8 and outputs[0] == outputs[1]
+
     def test_native_frames_of_a_huge_sensor_are_refused_before_windowing(self, ws, tmp_path):
         # Native 65535 x 65535 frames would take 64 GiB per chunk of two;
         # the geometry is compared with the model's before any is built.
@@ -1315,7 +1353,11 @@ class TestBench:
         code, _, _ = run_cli(["bench", "--in", tmp_path / "nope.evb1"])
         assert code == 3
 
-    @pytest.mark.parametrize("width", [10**20, 2**31 + 5], ids=["past-int64", "past-int32"])
+    @pytest.mark.parametrize(
+        "width",
+        [10**20, 2**31 + 5, "9" * 5000],
+        ids=["past-int64", "past-int32", "past-int-digit-limit"],
+    )
     def test_sensor_wider_than_u16_is_refused(self, tmp_path, width):
         path = tmp_path / "wide.csv"
         path.write_text(f"# width={width} height=60\nt_us,x,y,p\n0,3,2,1\n5,4,2,-1\n")

@@ -26,11 +26,11 @@ from evtforce.frames import (
     FrameSpec,
     accumulate_frame,
     build_dataset,
+    batch_frames,
     frame_chunks,
     read_frame_dataset,
     write_frame_dataset,
     _CHUNK_BINS,
-    _CHUNK_FRAMES,
     _axis_classes,
     _box_matrix,
     _frames,
@@ -443,13 +443,31 @@ class TestWindowing:
         s = make_stream(rng, n=3000, t_max=600_000)
         spec = FrameSpec(window_us=1000, mode="polarity2ch", out_size=16)
         chunks = list(frame_chunks(s, spec))
-        assert _CHUNK_FRAMES == 256
+        assert batch_frames((2, 16, 16)) == 256
         assert [len(c) for c in chunks] == [256, 256, s.duration_us // 1000 - 512]
         assert all(c.dtype == np.float32 and c.shape[1:] == (2, 16, 16) for c in chunks)
         every = np.concatenate(chunks)
         assert np.array_equal(every, _frames(s, spec, 0, len(every)))
         for k in (0, 255, 256, len(every) - 1):
             assert np.array_equal(every[k], accumulate_frame(s, spec, k * 1000))
+
+    @pytest.mark.parametrize(
+        "shape, frames",
+        [((2, 64, 64), 256), ((2, 16, 16), 256), ((1, 128, 128), 128), ((1, 1024, 1024), 2),
+         ((2, 1024, 1024), 1), ((2, 4096, 4096), 1), ((0, 64, 64), 256)],
+    )
+    def test_batch_is_sized_by_bytes(self, shape, frames):
+        # 8 MiB of float32 frames, at least one and at most 256.
+        assert batch_frames(shape) == frames
+
+    def test_chunks_of_large_frames_stay_small(self, rng):
+        # 1024 x 1024 count frames are 4 MiB each, so a chunk holds two.
+        s = make_stream(rng, n=50, t_max=4999, width=1024, height=1024)
+        s = EventStream(1024, 1024, np.append(s.t_us, 4999), *(np.append(c, 1) for c in (s.x, s.y, s.p)))
+        spec = FrameSpec(window_us=1000, mode="count", out_size=None, normalize=False)
+        chunks = list(frame_chunks(s, spec))
+        assert [len(c) for c in chunks] == [2, 2, 1]
+        assert np.array_equal(np.concatenate(chunks), _frames(s, spec, 0, 5))
 
     def test_events_conserved_across_windows(self, rng):
         s = make_stream(rng, n=400, t_max=1_000_000)

@@ -1,6 +1,10 @@
 """Scene rendering, the contrast-threshold event model, and grasp synthesis."""
 
+import inspect
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -483,7 +487,8 @@ class TestBoxLimitedSynthesis:
 def chunked_recording(scene, profile, substeps, pixels):
     """``synthesize_recording`` with ``_RENDER_PIXELS`` set to ``pixels``.
 
-    Also returns the number of renders in each stack that was rendered.
+    Also returns the number of renders in each stack that was rendered,
+    largest first: pool jobs may start in any order.
     """
     stacks = []
     render_box = synth._render_box
@@ -496,7 +501,7 @@ def chunked_recording(scene, profile, substeps, pixels):
         mp.setattr(synth, "_RENDER_PIXELS", pixels)
         mp.setattr(synth, "_render_box", spy)
         stream, _ = synthesize_recording(scene, profile, substeps)
-    return stream, stacks
+    return stream, sorted(stacks, reverse=True)
 
 
 def box_pixels(scene):
@@ -533,6 +538,116 @@ class TestChunkedSynthesis:
         whole, _ = synthesize_recording(scene, profile, substeps)
         for pixels in (1, 4 * box_pixels(scene)):
             assert chunked_recording(scene, profile, substeps, pixels)[0] == whole
+
+
+class TestRenderPool:
+    """Render jobs run on a thread pool whose size changes no byte."""
+
+    @pytest.mark.parametrize(
+        "scene, samples, noise_rate_hz, pixels",
+        [(GripperScene(), 41, 0.0, synth._RENDER_PIXELS), (SMALL, 9, 2e4, 3 * box_pixels(SMALL))],
+        ids=["default", "noisy-multi-chunk"],
+    )
+    def test_worker_count_changes_no_byte(self, monkeypatch, scene, samples, noise_rate_hz, pixels):
+        # More workers than cores and a short switch interval shuffle the
+        # order in which jobs run and finish.
+        profile = make_grasp_profile(samples, scene.f_max_n, seed=4)
+        monkeypatch.setattr(synth, "_RENDER_PIXELS", pixels)
+        streams = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 5):
+                monkeypatch.setattr(synth, "_WORKERS", workers)
+                streams.append(synthesize_recording(scene, profile, 4, noise_rate_hz, seed=9)[0])
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(streams[0]) > 0 and streams[0] == streams[1]
+
+    def test_jobs_see_the_callers_errstate(self, monkeypatch):
+        seen = []
+        render_box = synth._render_box
+
+        def spy(*args):
+            seen.append(np.geterr()["divide"])
+            return render_box(*args)
+
+        monkeypatch.setattr(synth, "_render_box", spy)
+        monkeypatch.setattr(synth, "_WORKERS", 2)
+        with np.errstate(divide="ignore"):
+            synthesize_recording(SMALL, make_grasp_profile(5, SMALL.f_max_n))
+        assert seen and set(seen) == {"ignore"}
+
+    def test_public_functions_run_on_the_main_thread(self, monkeypatch):
+        # A tracer that wraps the public functions keeps one span stack,
+        # which is not thread-safe; force_to_deflection is one of them.
+        threads = []
+
+        def on_main(name, fn):
+            def wrapper(*args, **kwargs):
+                threads.append((name, threading.current_thread()))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name, fn in list(vars(synth).items()):
+            if not name.startswith("_") and inspect.isfunction(fn):
+                monkeypatch.setattr(synth, name, on_main(name, fn))
+        monkeypatch.setattr(synth, "_WORKERS", 4)
+        monkeypatch.setattr(synth, "_RENDER_PIXELS", 1)
+        synth.synthesize_recording(SMALL, make_grasp_profile(5, SMALL.f_max_n), 3)
+        assert "force_to_deflection" in {name for name, _ in threads}
+        assert {thread for _, thread in threads} == {threading.main_thread()}
+
+    def test_jobs_in_flight_are_bounded(self, monkeypatch):
+        # While the first job is held, its result cannot be taken, so the
+        # pool may start only the jobs submitted by then: 2 x workers,
+        # the held one included.  A pool given every job at once starts
+        # all 80 (2 boxes x 40 one-pair chunks).
+        scene, workers = GripperScene(), 2
+        first_box = _reachable_boxes(scene)[0]
+        deflected_fingers, render_box = synth._deflected_fingers, synth._render_box
+        calls, started, held = [], [], []
+        lock = threading.Lock()
+
+        def fingers_spy(scene, forces):
+            calls.append(deflected_fingers(scene, forces))
+            return calls[-1]
+
+        def render_spy(scene, fingers, box):
+            with lock:
+                started.append(box)
+            # Call 0 finds the reachable boxes; call 1 is the first chunk's.
+            if fingers is calls[1] and box == first_box:
+                time.sleep(0.2)
+                with lock:
+                    held.append(len(started))
+            return render_box(scene, fingers, box)
+
+        monkeypatch.setattr(synth, "_deflected_fingers", fingers_spy)
+        monkeypatch.setattr(synth, "_render_box", render_spy)
+        monkeypatch.setattr(synth, "_WORKERS", workers)
+        monkeypatch.setattr(synth, "_RENDER_PIXELS", 1)
+        synthesize_recording(scene, make_grasp_profile(11, scene.f_max_n, seed=2), 4)
+        assert len(started) == 80
+        assert len(held) == 1 and held[0] <= 2 * workers
+
+    def test_a_jobs_error_reaches_the_caller(self, monkeypatch):
+        calls = []
+        log_change_events = synth._log_change_events
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise MemoryError("the renders give more than 2**60 events")
+            return log_change_events(*args)
+
+        monkeypatch.setattr(synth, "_log_change_events", failing)
+        monkeypatch.setattr(synth, "_WORKERS", 2)
+        monkeypatch.setattr(synth, "_RENDER_PIXELS", 1)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="more than 2"):
+            synthesize_recording(SMALL, make_grasp_profile(9, SMALL.f_max_n), 2)
+        assert threading.active_count() == before
 
 
 @st.composite
