@@ -369,8 +369,8 @@ def cmd_predict(args) -> int:
         chunks = frame_chunks(stream, cfg.frame)
     # Both paths predict in batches of ``batch_frames`` frames, the size of
     # a chunk, so an event file and a .frd of the same frames print the same.
-    for chunk in chunks:
-        preds = predict_forces(model, chunk)
+    for batch in chunks:
+        preds = predict_forces(model, batch)
         if not np.all(np.isfinite(preds)):
             raise FormatError(f"{args.ckpt}: checkpoint gives a non-finite prediction")
         for value in preds:

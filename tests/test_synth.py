@@ -487,8 +487,8 @@ class TestBoxLimitedSynthesis:
 def chunked_recording(scene, profile, substeps, pixels):
     """``synthesize_recording`` with ``_RENDER_PIXELS`` set to ``pixels``.
 
-    Also returns the number of renders in each stack that was rendered,
-    largest first: pool jobs may start in any order.
+    Also returns the number of renders in each stack that was rendered.
+    One worker runs the jobs in the order they were submitted.
     """
     stacks = []
     render_box = synth._render_box
@@ -500,8 +500,9 @@ def chunked_recording(scene, profile, substeps, pixels):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(synth, "_RENDER_PIXELS", pixels)
         mp.setattr(synth, "_render_box", spy)
+        mp.setattr(synth, "_WORKERS", 1)
         stream, _ = synthesize_recording(scene, profile, substeps)
-    return stream, sorted(stacks, reverse=True)
+    return stream, stacks
 
 
 def box_pixels(scene):
