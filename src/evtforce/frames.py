@@ -13,12 +13,16 @@ The native sensor frame may then be box-resampled to a square model input
 (mass preserving) and normalized by its maximum element.  No native frame
 is built for that: events are counted straight into a small histogram of
 pixel classes, whose two weight products give the resampled frame
-exactly (``_axis_classes``); a geometry whose window or weight tables
-would pass ``_WINDOW_BINS`` is refused before any is built.  Frames are
+exactly (``_axis_classes``), and a weight table equal to the identity
+is skipped; a geometry whose window or weight tables would pass
+``_WINDOW_BINS`` is refused before any is built.  Frames are
 float32 throughout so container round trips are byte-exact.
 
 A dataset holds all its frames as one (N, C, H, W) array, with the
-window bounds, labels and recording ids as per-frame rows beside it.  An
+window bounds, labels and recording ids as per-frame rows beside it.
+``build_dataset`` windows each recording as one job on synth's thread
+pool (``_run_in_order``); every job writes its own rows of that array,
+so the bytes are the same at any worker count.  An
 FRD1 container stores the frames as packed (frame, label) records after
 a fixed header; a JSON sidecar carries the windows and provenance.
 """
@@ -36,7 +40,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .events import EventStream, FormatError, _read_records, _write_records
-from .synth import GripperScene
+from .synth import GripperScene, _run_in_order
 
 MODES = ("binary", "count", "polarity2ch")
 
@@ -140,8 +144,10 @@ def _axis_classes(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # A window range is built at most this many bins or output values at a
-# time (16 MB of int64 counts), however many windows it spans.
-_CHUNK_BINS = 2**21
+# time (2 MB of int64 counts), however many windows it spans.  Pool
+# threads keep what they free for reuse, so larger steps add their
+# temporaries to the peak RSS once per thread.
+_CHUNK_BINS = 2**18
 
 # One window's histogram or output, and each weight table, may hold at most
 # this many values; a 2-channel native 2048 x 2048 frame takes half of it.
@@ -155,8 +161,11 @@ def _geometry(height: int, width: int, spec: FrameSpec):
     An event at (x, y) counts in bin ``rows[y] + cols[x]`` of an
     (n_rows, n_cols) class grid, and the frame is
     ``row_weights @ grid @ col_weights.T``, where a None weight is the
-    identity.  Binary frames mark native pixels, so they keep one class
-    per pixel.  Last comes the larger of a window's bins and output values.
+    identity: an axis kept at its native size, or one whose classes map
+    one to one onto output cells (320 -> 64 is exactly 5:1), since
+    multiplying integer counts by 1 and adding zeros changes nothing.
+    Binary frames mark native pixels, so they keep one class per pixel.
+    Last comes the larger of a window's bins and output values.
     A geometry past ``_WINDOW_BINS`` is a ``FormatError`` naming the frame
     config and the declared sensor size, raised before any table is built.
     """
@@ -185,8 +194,17 @@ def _geometry(height: int, width: int, spec: FrameSpec):
                 f"frame.mode {spec.mode!r} at frame.out_size {out_size} needs {size} {what} "
                 f"for the declared {width}x{height} sensor, more than {_WINDOW_BINS}"
             )
-    row_weights = None if row_cells is None else _box_matrix(height, out_size, row_cells)
-    col_weights = None if col_cells is None else _box_matrix(width, out_size, col_cells)
+
+    def weights(n_in, cells):  # the axis' weight table, None for the identity
+        if cells is None:
+            return None
+        table = _box_matrix(n_in, out_size, cells)
+        square = table.shape == (out_size, out_size)
+        if square and np.count_nonzero(table) == out_size and (table.diagonal() == 1).all():
+            return None
+        return table
+
+    row_weights, col_weights = weights(height, row_cells), weights(width, col_cells)
     rows = rows * shape[1]
     for table in (rows, cols, row_weights, col_weights):
         if table is not None:
@@ -256,6 +274,18 @@ def batch_frames(frame_shape: Sequence[int]) -> int:
     return min(max((8 << 20) // frame_bytes, 1), 256)
 
 
+def _fill_frames(stream: EventStream, spec: FrameSpec, out: np.ndarray, first: int = 0) -> None:
+    """Write the frames of windows first, first + 1, ... into the rows of ``out``.
+
+    Built ``_CHUNK_BINS`` values at a time.  A ``build_dataset`` pool job
+    and the body of ``frame_chunks``: it calls private helpers only.
+    """
+    step = max(1, _CHUNK_BINS // _geometry(stream.height, stream.width, spec)[-1])
+    for k in range(0, len(out), step):
+        n = min(step, len(out) - k)
+        out[k : k + n] = _frames(stream, spec, (first + k) * spec.window_us, n)
+
+
 def frame_chunks(stream: EventStream, spec: FrameSpec) -> Iterator[np.ndarray]:
     """Frames of a recording's full windows, in order, in float32 chunks.
 
@@ -266,14 +296,12 @@ def frame_chunks(stream: EventStream, spec: FrameSpec) -> Iterator[np.ndarray]:
     none.
     """
     n_windows = stream.duration_us // spec.window_us
-    step = max(1, _CHUNK_BINS // _geometry(stream.height, stream.width, spec)[-1])
+    _geometry(stream.height, stream.width, spec)  # an unbounded one fails here
     shape = spec.frame_shape(stream.height, stream.width)
     size = batch_frames(shape)
     for lo in range(0, n_windows, size):
         chunk = np.empty((min(size, n_windows - lo), *shape), dtype=np.float32)
-        for k in range(0, len(chunk), step):
-            n = min(step, len(chunk) - k)
-            chunk[k : k + n] = _frames(stream, spec, (lo + k) * spec.window_us, n)
+        _fill_frames(stream, spec, chunk, lo)
         yield chunk
 
 
@@ -343,6 +371,9 @@ def build_dataset(
     than its recording has windows is an error, as is a label outside
     ``force_range``.  With ``out_size`` None every recording must share
     one sensor size.
+
+    Each recording is one job on a pool (``synth._run_in_order``) that
+    writes its own rows of the one output array.
     """
     if len(recordings) != len(force_tracks):
         raise ValueError("recordings and force_tracks must be equally long")
@@ -352,6 +383,7 @@ def build_dataset(
         raise ValueError("ids must match recordings")
 
     starts: list[int] = []
+    counts: list[int] = []
     labels: list[float] = []
     provenance: list[str] = []
     lo, hi = force_range
@@ -373,17 +405,16 @@ def build_dataset(
             labels.append(label)
         _geometry(stream.height, stream.width, spec)  # an unbounded one fails here
         starts.extend(range(0, n * spec.window_us, spec.window_us))
+        counts.append(n)
         provenance.extend([rec_id] * n)
     shapes = {spec.frame_shape(s.height, s.width) for s in recordings}
     if len(shapes) > 1:
         raise ValueError("recordings of different sensor sizes need a frame.out_size")
     shape = shapes.pop() if shapes else (0, 0, 0)
     frames = np.empty((len(starts), *shape), dtype=np.float32)
-    k = 0
-    for stream in recordings:
-        for chunk in frame_chunks(stream, spec):
-            frames[k : k + len(chunk)] = chunk
-            k += len(chunk)
+    rows = np.split(frames, np.cumsum(counts, dtype=np.int64)[:-1])  # views, one per recording
+    for _ in _run_in_order((_fill_frames, s, spec, r) for s, r in zip(recordings, rows)):
+        pass
     t0 = np.asarray(starts, dtype=np.int64)
     return FrameDataset(frames, labels, provenance, np.stack([t0, t0 + spec.window_us], axis=1))
 

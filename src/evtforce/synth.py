@@ -26,19 +26,21 @@ its substeps in chunks of about ``_RENDER_PIXELS`` pixels, each chunk
 starting with the previous chunk's last render, so memory stays bounded
 however many substeps a recording has.
 
-Each (chunk, box) render job runs on a thread pool sized to the CPUs the
-process may use (numpy releases the interpreter lock in its loops).  The
-calling thread walks the schedule, deflects the fingers, takes the jobs'
-results in submission order and sorts once, so the bytes are the same at
-any worker count.  At most 2 x workers jobs are in flight, each on a
-stack of about ``_RENDER_PIXELS`` pixels.
+Each chunk is one job on a thread pool sized to the CPUs the process
+may use (numpy releases the interpreter lock in its loops): it renders
+every box, takes its share of the noise and sorts its events.  Chunks
+own disjoint, increasing time ranges, so joining their results in
+submission order gives the whole recording in order, at any worker
+count.  The calling thread walks the schedule, deflects the fingers and
+draws the noise; at most 2 x workers jobs are in flight, each on a stack
+of about ``_RENDER_PIXELS`` pixels (``_run_in_order``).
 
 Only a few percent of (pair, pixel) entries change between renders, so
 events are extracted sparsely: one ``flatnonzero`` over the changed-entry
 mask, then counts, polarities and coordinates at those entries alone.
-All events of a recording are then ordered by (t, y, x, p) in one
-``argsort`` of a packed int64 key, with ``lexsort`` as the fallback when
-a key would not fit (``_sorted_stream``).
+A chunk's events are ordered by (t, y, x, p) in one ``argsort`` of a
+packed int64 key, with ``lexsort`` as the fallback when a key would not
+fit (``_sorted_stream``).
 """
 
 from __future__ import annotations
@@ -476,20 +478,49 @@ def _render_schedule(samples: tuple[float, ...], period_us: int, substeps: int):
             yield force, k * period_us + round(j * period_us / substeps)
 
 
-# Render jobs run on this many threads: the CPUs this process may use.
+# Pool jobs run on this many threads: the CPUs this process may use.
 _WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
 
 
-def _box_events(scene: GripperScene, fingers: list[np.ndarray], times_us: np.ndarray, box: Box):
-    """The unsorted event columns of one box over one chunk of renders.
+def _run_in_order(jobs):
+    """Run each (function, *args) of ``jobs`` on a pool; yield the results in order.
+
+    The pool has ``_WORKERS`` threads and lives as long as the generator.
+    Jobs are drawn from ``jobs`` on the calling thread, at most 2 x
+    workers ahead of the oldest result not yet taken, so the work between
+    draws stays on that thread too.  Each job runs in a copy of the
+    caller's context, so it keeps the caller's ``np.errstate``.  A job's
+    error is raised when its result is due, after the pool has joined its
+    threads; so of two failing jobs, the earlier one's error is raised.
+    """
+    # Imported here: at module level it would add a few ms to every CLI start.
+    from concurrent.futures import ThreadPoolExecutor
+
+    pending = collections.deque()
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        for job in jobs:
+            if len(pending) == 2 * _WORKERS:
+                yield pending.popleft().result()
+            pending.append(pool.submit(contextvars.copy_context().run, *job))
+        while pending:
+            yield pending.popleft().result()
+
+
+def _chunk_events(scene: GripperScene, fingers: list[np.ndarray], times_us: np.ndarray, boxes,
+                  noise):
+    """The sorted (t, x, y, p) columns of one chunk of renders and its noise.
 
     A pool job: it calls private helpers only, so every public function
     (``force_to_deflection`` among them) stays on the calling thread.
     """
-    log_stack = _log_intensity(_render_box(scene, fingers, box))
-    return _log_change_events(log_stack, times_us, scene.contrast, box[0], box[2])
+    columns = [noise]
+    for box in boxes:
+        log_stack = _log_intensity(_render_box(scene, fingers, box))
+        columns.append(_log_change_events(log_stack, times_us, scene.contrast, box[0], box[2]))
+    stream = _sorted_stream(scene.width, scene.height, *map(np.concatenate, zip(*columns)))
+    return stream.t_us, stream.x, stream.y, stream.p
 
 
 def synthesize_recording(
@@ -507,40 +538,15 @@ def synthesize_recording(
     uniform background noise (``noise_rate_hz`` events per second over
     the whole array, seeded) is merged in, off by default.
     """
-    # Imported here: at module level it would add a few ms to every CLI start.
-    from concurrent.futures import ThreadPoolExecutor
-
     if substeps_per_sample < 1:
         raise ValueError("substeps_per_sample must be at least 1")
     if noise_rate_hz < 0:
         raise ValueError("noise_rate_hz must be non-negative")
     period_us = profile.period_us
     samples = profile.samples
-    boxes = _reachable_boxes(scene)
-    box_pixels = sum((y1 - y0) * (x1 - x0) for y0, y1, x0, x1 in boxes)
-    # Render pairs per chunk; a chunk holds one render more than pairs.
-    chunk = max(_RENDER_PIXELS // box_pixels - 1, 1)
-    schedule = _render_schedule(samples, period_us, substeps_per_sample)
-    renders = list(itertools.islice(schedule, chunk + 1))
-    columns = []
-    # Each (chunk, box) job runs in a copy of this thread's context, so it
-    # keeps the caller's ``np.errstate``.  Results are taken in submission
-    # order, at most 2 x workers jobs ahead of the oldest one.
-    pending = collections.deque()
-    with ThreadPoolExecutor(_WORKERS) as pool:
-        while len(renders) > 1:
-            forces, times = zip(*renders)
-            fingers = _deflected_fingers(scene, forces)
-            times_us = np.array(times)
-            for box in boxes:
-                if len(pending) == 2 * _WORKERS:
-                    columns.append(pending.popleft().result())
-                run = contextvars.copy_context().run
-                pending.append(pool.submit(run, _box_events, scene, fingers, times_us, box))
-            # The next chunk starts from this chunk's last render.
-            renders = renders[-1:] + list(itertools.islice(schedule, chunk))
-        columns.extend(future.result() for future in pending)
 
+    # Noise columns in timestamp order, so each chunk's share is one slice.
+    noise = (np.zeros(0, np.int64),) * 3 + (np.zeros(0, np.int8),)
     duration_us = (len(samples) - 1) * period_us
     if noise_rate_hz > 0 and duration_us > 0:
         mean = noise_rate_hz * duration_us / 1e6
@@ -554,12 +560,36 @@ def synthesize_recording(
             nx = rng.integers(0, scene.width, n_noise)
             ny = rng.integers(0, scene.height, n_noise)
             npol = rng.choice(np.array([-1, 1], dtype=np.int8), n_noise)
-            columns.append((nt, nx, ny, npol))
+            order = np.argsort(nt)
+            noise = tuple(c[order] for c in (nt, nx, ny, npol))
 
-    if columns:
-        # One sort over every box, substep and noise event: the key is the
-        # whole event, so this equals sorting per substep and merging after.
-        stream = _sorted_stream(scene.width, scene.height, *map(np.concatenate, zip(*columns)))
+    boxes = _reachable_boxes(scene)
+    box_pixels = sum((y1 - y0) * (x1 - x0) for y0, y1, x0, x1 in boxes)
+    # Render pairs per chunk; a chunk holds one render more than pairs.
+    chunk = max(_RENDER_PIXELS // box_pixels - 1, 1)
+
+    def jobs():
+        schedule = _render_schedule(samples, period_us, substeps_per_sample)
+        renders = list(itertools.islice(schedule, chunk + 1))
+        lo = 0
+        while len(renders) > 1:
+            forces, times = zip(*renders)
+            # A chunk's events have t in (times[0], times[-1]]; the first
+            # chunk's noise also takes t = 0.  The last render is at
+            # duration_us, past every noise timestamp.
+            hi = int(np.searchsorted(noise[0], times[-1], side="right"))
+            fingers = _deflected_fingers(scene, forces)
+            yield (_chunk_events, scene, fingers, np.array(times), boxes,
+                   tuple(c[lo:hi] for c in noise))
+            lo = hi
+            # The next chunk starts from this chunk's last render.
+            renders = renders[-1:] + list(itertools.islice(schedule, chunk))
+
+    # The sort key is the whole event and the chunks' time ranges follow
+    # one another, so joining the sorted chunks equals one sort of them all.
+    parts = list(_run_in_order(jobs()))
+    if parts:
+        stream = EventStream(scene.width, scene.height, *map(np.concatenate, zip(*parts)))
     else:
         stream = EventStream(scene.width, scene.height)
     report = validate_stream(stream)

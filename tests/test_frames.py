@@ -1,8 +1,12 @@
 """Frame accumulation, mass-preserving resize, windowing, and FRD1 files."""
 
 import hashlib
+import inspect
 import json
 import struct
+import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
@@ -12,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evtforce import events
+from evtforce import events, frames, synth
 from evtforce.events import (
     EventStream,
     FormatError,
@@ -34,7 +38,9 @@ from evtforce.frames import (
     _axis_classes,
     _box_matrix,
     _frames,
+    _geometry,
 )
+from evtforce.synth import GripperScene, make_grasp_profile, synthesize_recording
 
 from conftest import all_frames, make_stream
 
@@ -405,6 +411,34 @@ class TestClassHistogram:
         assert ((m > 0).sum(axis=0) <= 2).all()
 
 
+class TestIdentityWeights:
+    """A weight table equal to the identity is dropped (None)."""
+
+    def test_default_geometry_drops_the_column_table(self):
+        # 320 -> 64 columns is exactly 5:1; 240 -> 64 rows is 3.75:1.
+        _, _, shape, row_weights, col_weights, _ = _geometry(240, 320, FrameSpec())
+        assert shape == (112, 64)
+        assert col_weights is None
+        assert row_weights.shape == (64, 112)
+
+    def test_small_sensor_drops_the_column_table(self):
+        _, _, _, row_weights, col_weights, _ = _geometry(60, 80, FrameSpec(out_size=16))
+        assert col_weights is None and row_weights is not None
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_window_range_equals_dense_frames(self, rng, normalize):
+        # Many events per pixel, over five windows of the default geometry.
+        n = 200_000
+        s = EventStream(320, 240, t_us=np.sort(rng.integers(0, 500, n)),
+                        x=rng.integers(0, 320, n), y=rng.integers(0, 240, n),
+                        p=rng.choice([-1, 1], n))
+        spec = FrameSpec(window_us=100, normalize=normalize)
+        got = _frames(s, spec, 0, 5)
+        for k in range(5):
+            want = two_bincount_accumulate(slice_window(s, k * 100, (k + 1) * 100), spec)
+            assert np.array_equal(got[k], want), k
+
+
 class TestWindowing:
     def test_half_open_assignment(self):
         # duration 250 -> two full 100 us windows; t=100 belongs to the
@@ -585,6 +619,119 @@ class TestBuildDataset:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             build_dataset([EventStream(8, 8)], [], FrameSpec())
+
+
+def pool_recordings():
+    """Recordings of 3, 0, 5, 1 and 4 windows on an 80 x 60 sensor, and their tracks.
+
+    The one of 0 windows is shorter than a window; the last is noisy.
+    """
+    scene = GripperScene(width=80, height=60)
+    recordings, tracks = [], []
+    for k, (n, noise) in enumerate([(3, 0.0), (0, 0.0), (5, 0.0), (1, 0.0), (4, 5e4)]):
+        if n == 0:
+            recordings.append(EventStream(80, 60, t_us=[5, 90_000], x=[1, 2], y=[3, 4], p=[1, -1]))
+            tracks.append(FakeTrack(10.0, (0.0,)))
+            continue
+        profile = make_grasp_profile(n + 1, scene.f_max_n, seed=k)
+        recordings.append(synthesize_recording(scene, profile, 2, noise, seed=k)[0])
+        tracks.append(profile)
+    return recordings, tracks
+
+
+class TestConvertPool:
+    """Each recording is one job on a pool whose size changes no byte."""
+
+    spec = FrameSpec(out_size=16)
+
+    def test_worker_count_changes_no_byte(self, monkeypatch):
+        # More workers than cores and a short switch interval shuffle the
+        # order in which jobs run and finish.
+        recordings, tracks = pool_recordings()
+        datasets = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 5):
+                monkeypatch.setattr(synth, "_WORKERS", workers)
+                datasets.append(build_dataset(recordings, tracks, self.spec))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(datasets[0]) == 13 and datasets[0] == datasets[1]
+        assert datasets[0].frames.tobytes() == datasets[1].frames.tobytes()
+        k = 0
+        for stream, n in zip(recordings, (3, 0, 5, 1, 4)):
+            for j in range(n):
+                want = accumulate_frame(stream, self.spec, j * 100_000)
+                assert np.array_equal(datasets[1].frames[k], want)
+                k += 1
+
+    def test_jobs_see_the_callers_errstate(self, monkeypatch):
+        seen = []
+        fill_frames = frames._fill_frames
+
+        def spy(*args):
+            seen.append(np.geterr()["divide"])
+            return fill_frames(*args)
+
+        monkeypatch.setattr(frames, "_fill_frames", spy)
+        monkeypatch.setattr(synth, "_WORKERS", 2)
+        recordings, tracks = pool_recordings()
+        with np.errstate(divide="ignore"):
+            build_dataset(recordings, tracks, self.spec)
+        assert len(seen) == 5 and set(seen) == {"ignore"}
+
+    def test_public_functions_run_on_the_main_thread(self, monkeypatch):
+        # A tracer that wraps the public functions keeps one span stack,
+        # which is not thread-safe.
+        threads = []
+
+        def on_main(name, fn):
+            def wrapper(*args, **kwargs):
+                threads.append((name, threading.current_thread()))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name, fn in list(vars(frames).items()):
+            if not name.startswith("_") and inspect.isfunction(fn):
+                monkeypatch.setattr(frames, name, on_main(name, fn))
+        monkeypatch.setattr(synth, "_WORKERS", 4)
+        recordings, tracks = pool_recordings()
+        frames.build_dataset(recordings, tracks, self.spec)
+        assert "build_dataset" in {name for name, _ in threads}
+        assert {thread for _, thread in threads} == {threading.main_thread()}
+
+    def test_event_outside_the_sensor_raises(self, monkeypatch):
+        recordings, tracks = pool_recordings()
+        bad = recordings[2]
+        recordings[2] = EventStream(80, 60, bad.t_us, np.where(bad.x == bad.x[0], 80, bad.x),
+                                    bad.y, bad.p)
+        monkeypatch.setattr(synth, "_WORKERS", 2)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="outside the sensor"):
+            build_dataset(recordings, tracks, self.spec)
+        assert threading.active_count() == before
+
+    def test_the_earlier_recordings_error_is_raised(self, monkeypatch):
+        # Recording 4 fails at once, recording 2 only after a wait; the
+        # error of the earlier recording is the one raised.
+        recordings, tracks = pool_recordings()
+        fill_frames = frames._fill_frames
+
+        def failing(stream, *args):
+            if stream is recordings[2]:
+                time.sleep(0.2)
+                raise ValueError("recording 2 fails")
+            if stream is recordings[4]:
+                raise ValueError("recording 4 fails")
+            return fill_frames(stream, *args)
+
+        monkeypatch.setattr(frames, "_fill_frames", failing)
+        monkeypatch.setattr(synth, "_WORKERS", 3)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="recording 2 fails"):
+            build_dataset(recordings, tracks, self.spec)
+        assert threading.active_count() == before
 
 
 class TestFrameDataset:

@@ -600,10 +600,11 @@ class TestRenderPool:
         assert {thread for _, thread in threads} == {threading.main_thread()}
 
     def test_jobs_in_flight_are_bounded(self, monkeypatch):
-        # While the first job is held, its result cannot be taken, so the
-        # pool may start only the jobs submitted by then: 2 x workers,
-        # the held one included.  A pool given every job at once starts
-        # all 80 (2 boxes x 40 one-pair chunks).
+        # A job is a chunk, whose renders share one fingers array.  While
+        # the first chunk is held, its result cannot be taken, so the pool
+        # may start only the chunks submitted by then: 2 x workers, the
+        # held one included.  A pool given every job at once starts all
+        # 40 one-pair chunks (80 renders over 2 boxes).
         scene, workers = GripperScene(), 2
         first_box = _reachable_boxes(scene)[0]
         deflected_fingers, render_box = synth._deflected_fingers, synth._render_box
@@ -614,14 +615,17 @@ class TestRenderPool:
             calls.append(deflected_fingers(scene, forces))
             return calls[-1]
 
+        def chunks_started():
+            return len({id(fingers) for fingers in started})
+
         def render_spy(scene, fingers, box):
             with lock:
-                started.append(box)
+                started.append(fingers)
             # Call 0 finds the reachable boxes; call 1 is the first chunk's.
             if fingers is calls[1] and box == first_box:
                 time.sleep(0.2)
                 with lock:
-                    held.append(len(started))
+                    held.append(chunks_started())
             return render_box(scene, fingers, box)
 
         monkeypatch.setattr(synth, "_deflected_fingers", fingers_spy)
@@ -629,8 +633,19 @@ class TestRenderPool:
         monkeypatch.setattr(synth, "_WORKERS", workers)
         monkeypatch.setattr(synth, "_RENDER_PIXELS", 1)
         synthesize_recording(scene, make_grasp_profile(11, scene.f_max_n, seed=2), 4)
-        assert len(started) == 80
+        assert len(started) == 80 and chunks_started() == 40
         assert len(held) == 1 and held[0] <= 2 * workers
+
+    def test_noise_on_chunk_boundaries_keeps_its_place(self, monkeypatch):
+        # About 100 noise events per microsecond over 400 us, so noise
+        # falls at t = 0 and on every render time, where one-pair chunks
+        # meet: each chunk takes the noise of (t_first, t_last].
+        profile = make_grasp_profile(5, SMALL.f_max_n, rate_hz=1e4, seed=3)
+        monkeypatch.setattr(synth, "_RENDER_PIXELS", 1)
+        monkeypatch.setattr(synth, "_WORKERS", 2)
+        stream, _ = synthesize_recording(SMALL, profile, 2, 1e8, seed=5)
+        assert np.isin(np.arange(0, 400, 50), stream.t_us).all()
+        assert stream == full_frame_recording(SMALL, profile, 2, 1e8, seed=5)
 
     def test_a_jobs_error_reaches_the_caller(self, monkeypatch):
         calls = []
