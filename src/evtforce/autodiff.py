@@ -395,14 +395,12 @@ def backward(loss: Tensor) -> None:
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(topo):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
+        g = grads.pop(id(node))
         if node._backward is None:
             node.grad += g
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
-            if pg is None or not parent.requires_grad:
+            if not parent.requires_grad:
                 continue
             acc = grads.get(id(parent))
             grads[id(parent)] = pg if acc is None else acc + pg

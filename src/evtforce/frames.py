@@ -13,8 +13,8 @@ The native sensor frame may then be box-resampled to a square model input
 (mass preserving) and normalized by its maximum element.  No native frame
 is built for that: events are counted straight into a small histogram of
 pixel classes, whose two weight products give the resampled frame
-exactly (``_axis_classes``), and a weight table equal to the identity
-is skipped; a geometry whose window or weight tables would pass
+exactly (``_axis_classes``), and an axis a whole multiple of the output
+needs no table; a geometry whose window or weight tables would pass
 ``_WINDOW_BINS`` is refused before any is built.  Frames are
 float32 throughout so container round trips are byte-exact.
 
@@ -161,9 +161,9 @@ def _geometry(height: int, width: int, spec: FrameSpec):
     An event at (x, y) counts in bin ``rows[y] + cols[x]`` of an
     (n_rows, n_cols) class grid, and the frame is
     ``row_weights @ grid @ col_weights.T``, where a None weight is the
-    identity: an axis kept at its native size, or one whose classes map
-    one to one onto output cells (320 -> 64 is exactly 5:1), since
-    multiplying integer counts by 1 and adding zeros changes nothing.
+    identity: an axis kept at its native size, or one whose native size
+    is a whole multiple of ``out_size`` (320 -> 64 is exactly 5:1), whose
+    classes are then the output cells themselves, each of weight 1.
     Binary frames mark native pixels, so they keep one class per pixel.
     Last comes the larger of a window's bins and output values.
     A geometry past ``_WINDOW_BINS`` is a ``FormatError`` naming the frame
@@ -171,12 +171,14 @@ def _geometry(height: int, width: int, spec: FrameSpec):
     """
     out_size = spec.out_size
 
-    def axis(n_in):  # each cell's class, and each class's first cell
+    def axis(n_in):  # each cell's class, and each class's first cell (None: no table)
         k = np.arange(n_in, dtype=np.int64)
         if out_size is None or out_size == n_in:
             return k, None
         if spec.mode == "binary":
             return k, k
+        if n_in % out_size == 0:  # each output cell sums n_in // out_size whole cells
+            return k // (n_in // out_size), None
         return _axis_classes(n_in, out_size)
 
     (rows, row_cells), (cols, col_cells) = axis(height), axis(width)
@@ -195,16 +197,8 @@ def _geometry(height: int, width: int, spec: FrameSpec):
                 f"for the declared {width}x{height} sensor, more than {_WINDOW_BINS}"
             )
 
-    def weights(n_in, cells):  # the axis' weight table, None for the identity
-        if cells is None:
-            return None
-        table = _box_matrix(n_in, out_size, cells)
-        square = table.shape == (out_size, out_size)
-        if square and np.count_nonzero(table) == out_size and (table.diagonal() == 1).all():
-            return None
-        return table
-
-    row_weights, col_weights = weights(height, row_cells), weights(width, col_cells)
+    row_weights = None if row_cells is None else _box_matrix(height, out_size, row_cells)
+    col_weights = None if col_cells is None else _box_matrix(width, out_size, col_cells)
     rows = rows * shape[1]
     for table in (rows, cols, row_weights, col_weights):
         if table is not None:
@@ -260,18 +254,20 @@ def _frames(stream: EventStream, spec: FrameSpec, t0_us: int, n: int) -> np.ndar
 
 
 def batch_frames(frame_shape: Sequence[int]) -> int:
-    """Frames per chunk of ``frame_chunks`` and per ``predict_forces`` batch.
+    """Frames per chunk of ``frame_chunks`` and per inference batch.
 
-    ``clamp(8 MiB // frame_bytes, 1, 256)`` for float32 frames of
-    ``frame_shape`` (C, H, W): 256 for a default 2 x 64 x 64 frame
-    (32 KiB), so memory is bounded by bytes while default outputs keep
-    their batches.  Predictions are not batch-invariant for every model
-    config, so both take their size from this one rule: then predicting
-    a recording chunk by chunk equals predicting its frames in one call.
+    ``clamp(8 MiB // frame_bytes, 1, 64)`` for float32 frames of
+    ``frame_shape`` (C, H, W): 64 for a default 2 x 64 x 64 frame
+    (32 KiB), 2 for a native 1024 x 1024 count frame.  ``train``'s
+    validation, ``evaluate`` and ``predict`` all batch by it; past 64, a
+    validation forward grows training's peak memory by about a fifth.
+    Predictions are not batch-invariant for every model config, so a
+    recording predicted chunk by chunk equals its frames predicted in
+    one call only because both take their size from this one rule.
     """
     # An empty dataset's 0x0x0 frames count as one byte each.
     frame_bytes = max(4 * math.prod(frame_shape), 1)
-    return min(max((8 << 20) // frame_bytes, 1), 256)
+    return min(max((8 << 20) // frame_bytes, 1), 64)
 
 
 def _fill_frames(stream: EventStream, spec: FrameSpec, out: np.ndarray, first: int = 0) -> None:

@@ -32,8 +32,9 @@ every box, takes its share of the noise and sorts its events.  Chunks
 own disjoint, increasing time ranges, so joining their results in
 submission order gives the whole recording in order, at any worker
 count.  The calling thread walks the schedule, deflects the fingers and
-draws the noise; at most 2 x workers jobs are in flight, each on a stack
-of about ``_RENDER_PIXELS`` pixels (``_run_in_order``).
+draws the noise.  A window of 2 x workers bounds the jobs queued or
+running, each on a stack of about ``_RENDER_PIXELS`` pixels; the thread
+count bounds those running (``_run_in_order``).
 
 Only a few percent of (pair, pixel) entries change between renders, so
 events are extracted sparsely: one ``flatnonzero`` over the changed-entry
@@ -587,11 +588,9 @@ def synthesize_recording(
 
     # The sort key is the whole event and the chunks' time ranges follow
     # one another, so joining the sorted chunks equals one sort of them all.
+    # A one-sample profile has no chunk, so no columns: an empty stream.
     parts = list(_run_in_order(jobs()))
-    if parts:
-        stream = EventStream(scene.width, scene.height, *map(np.concatenate, zip(*parts)))
-    else:
-        stream = EventStream(scene.width, scene.height)
+    stream = EventStream(scene.width, scene.height, *map(np.concatenate, zip(*parts)))
     report = validate_stream(stream)
     if not report.ok:
         raise AssertionError(f"synthesis produced an invalid stream: {report.first}")

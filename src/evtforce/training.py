@@ -151,10 +151,6 @@ def train(
     train_ds, val_ds = datasets[0], datasets[1]
     if len(train_ds) == 0:
         raise ValueError("train split is empty")
-    frames = train_ds.frames.astype(model.weights.dtype, copy=False)
-    targets32 = train_ds.labels.astype(model.weights.dtype).reshape(-1, 1)
-    val_frames = val_ds.frames.astype(model.weights.dtype, copy=False) if len(val_ds) else None
-    val_labels = val_ds.labels.astype(np.float64) if len(val_ds) else None
 
     rng = np.random.default_rng(config.seed)
     state = init_adam_state(model.weights)
@@ -168,8 +164,8 @@ def train(
         sq_sum = 0.0
         for lo in range(0, n, config.batch_size):
             idx = perm[lo : lo + config.batch_size]
-            pred = forward(frames[idx], model)
-            loss = mse_loss(pred, Tensor(targets32[idx]))
+            pred = forward(train_ds.frames[idx], model)
+            loss = mse_loss(pred, Tensor(train_ds.labels[idx, None]))
             loss_value = float(loss.data)
             if not math.isfinite(loss_value):
                 raise ValueError(f"training diverged: non-finite loss in epoch {epoch}")
@@ -178,13 +174,8 @@ def train(
             adam_step(model.weights, model.grads, state, config)
             sq_sum += loss_value * len(idx)
         train_mse = sq_sum / n
-        if val_frames is not None:
-            batch = max(config.batch_size, 64)
-            sq = (predict_forces(model, val_frames, batch) - val_labels) ** 2
-            # Summed per forward batch, so the logged value keeps its bits.
-            val_mse = sum(
-                float(sq[lo : lo + batch].sum()) for lo in range(0, len(sq), batch)
-            ) / len(sq)
+        if len(val_ds):
+            val_mse = float(np.mean((predict_forces(model, val_ds.frames) - val_ds.labels) ** 2))
             if not math.isfinite(val_mse):
                 raise ValueError(f"training diverged: non-finite validation MSE in epoch {epoch}")
             if val_mse < best_val:
@@ -212,7 +203,7 @@ def predict_forces(
     out = np.empty(len(frames), dtype=np.float64)
     with ad.no_grad():
         for lo in range(0, len(frames), batch_size):
-            chunk = np.asarray(frames[lo : lo + batch_size], dtype=model.weights.dtype)
+            chunk = frames[lo : lo + batch_size]
             out[lo : lo + len(chunk)] = forward(chunk, model).data[:, 0]
     return out
 

@@ -826,6 +826,30 @@ class TestTrain:
             == Path(str(outs[1]) + ".log.csv").read_bytes()
         )
 
+    def test_no_validation_split_reports_the_train_split(self, ws, tmp_path):
+        config = write_config(tmp_path, {"train": {"epochs": 2, "split": [1, 0, 0]}})
+        out = tmp_path / "model.ckpt"
+        code, stdout, err = run_cli(["train", "--config", config, "--data", ws.frd, "--out", out])
+        assert code == 0, err
+        summary = json.loads(stdout)
+        assert summary == json.loads(Path(str(out) + ".summary.json").read_text())
+        assert summary["split"] == "train"
+        assert summary["best_epoch"] == 1  # the last epoch: none is validated
+        assert summary["metrics"]["n"] == N_FRAMES
+        log = Path(str(out) + ".log.csv").read_text().splitlines()
+        assert [row.split(",")[2] for row in log[1:]] == ["nan", "nan"]
+
+    def test_zero_epochs_give_an_empty_summary(self, ws, tmp_path):
+        config = write_config(tmp_path, {"train": {"epochs": 0}})
+        out = tmp_path / "model.ckpt"
+        code, stdout, err = run_cli(["train", "--config", config, "--data", ws.frd, "--out", out])
+        assert code == 0, err
+        summary = {"best_epoch": None, "metrics": None, "split": None}
+        assert json.loads(stdout) == summary
+        assert json.loads(Path(str(out) + ".summary.json").read_text()) == summary
+        assert Path(str(out) + ".log.csv").read_text() == "epoch,train_mse,val_mse\n"
+        assert load_checkpoint(out).config.embed_dim == 16
+
     def test_diverging_training_writes_nothing(self, ws, tmp_path):
         config = write_config(tmp_path, {"train": {"learning_rate": 1e30}})
         out = tmp_path / "model.ckpt"

@@ -425,6 +425,27 @@ class TestIdentityWeights:
         _, _, _, row_weights, col_weights, _ = _geometry(60, 80, FrameSpec(out_size=16))
         assert col_weights is None and row_weights is not None
 
+    def test_whole_ratio_on_both_axes_needs_no_table(self, rng):
+        rows, cols, shape, row_weights, col_weights, _ = _geometry(128, 128, FrameSpec())
+        assert row_weights is None and col_weights is None
+        assert shape == (64, 64)
+        assert np.array_equal(rows, np.arange(128) // 2 * 64)
+        assert np.array_equal(cols, np.arange(128) // 2)
+        s = make_stream(rng, n=20_000, width=128, height=128, t_max=300)
+        spec = FrameSpec(window_us=100, normalize=False)
+        got = _frames(s, spec, 0, 3)
+        for k in range(3):
+            want = two_bincount_accumulate(slice_window(s, k * 100, (k + 1) * 100), spec)
+            assert np.array_equal(got[k], want), k
+
+    def test_binary_keeps_one_class_per_pixel(self):
+        # Binary marks native pixels, so 320 -> 64 keeps every column a class.
+        _, cols, shape, _, col_weights, _ = _geometry(240, 320, FrameSpec(mode="binary"))
+        assert shape == (240, 320)
+        assert np.array_equal(cols, np.arange(320))
+        assert col_weights.shape == (64, 320)
+        assert np.array_equal(col_weights, _box_matrix(320, 64))
+
     @pytest.mark.parametrize("normalize", [False, True])
     def test_window_range_equals_dense_frames(self, rng, normalize):
         # Many events per pixel, over five windows of the default geometry.
@@ -472,26 +493,26 @@ class TestWindowing:
             assert np.array_equal(part, every[start : start + n]), (start, n)
 
     def test_chunks_concatenate_to_every_window(self, rng):
-        # 600 windows: two full chunks and a short last one, each equal to
+        # 600 windows: nine full chunks and a short last one, each equal to
         # the frames of its own windows.
         s = make_stream(rng, n=3000, t_max=600_000)
         spec = FrameSpec(window_us=1000, mode="polarity2ch", out_size=16)
         chunks = list(frame_chunks(s, spec))
-        assert batch_frames((2, 16, 16)) == 256
-        assert [len(c) for c in chunks] == [256, 256, s.duration_us // 1000 - 512]
+        assert batch_frames((2, 16, 16)) == 64
+        assert [len(c) for c in chunks] == [64] * 9 + [s.duration_us // 1000 - 576]
         assert all(c.dtype == np.float32 and c.shape[1:] == (2, 16, 16) for c in chunks)
         every = np.concatenate(chunks)
         assert np.array_equal(every, _frames(s, spec, 0, len(every)))
-        for k in (0, 255, 256, len(every) - 1):
+        for k in (0, 63, 64, len(every) - 1):
             assert np.array_equal(every[k], accumulate_frame(s, spec, k * 1000))
 
     @pytest.mark.parametrize(
         "shape, frames",
-        [((2, 64, 64), 256), ((2, 16, 16), 256), ((1, 128, 128), 128), ((1, 1024, 1024), 2),
-         ((2, 1024, 1024), 1), ((2, 4096, 4096), 1), ((0, 64, 64), 256)],
+        [((2, 64, 64), 64), ((2, 16, 16), 64), ((1, 128, 128), 64), ((1, 1024, 1024), 2),
+         ((2, 1024, 1024), 1), ((2, 4096, 4096), 1), ((0, 64, 64), 64)],
     )
     def test_batch_is_sized_by_bytes(self, shape, frames):
-        # 8 MiB of float32 frames, at least one and at most 256.
+        # 8 MiB of float32 frames, at least one and at most 64.
         assert batch_frames(shape) == frames
 
     def test_chunks_of_large_frames_stay_small(self, rng):

@@ -231,6 +231,15 @@ class TestSynthesize:
         assert len(stream) == 0
         assert (stream.width, stream.height) == (80, 60)
 
+    def test_one_sample_profile_is_an_empty_stream(self):
+        # One render, no pair and no time for noise: no chunk at all.
+        profile = ForceProfile((1.0,), rate_hz=10.0)
+        stream, track = synthesize_recording(SMALL, profile, noise_rate_hz=5000.0)
+        assert stream == EventStream(80, 60)
+        assert (stream.width, stream.height, len(stream)) == (80, 60, 0)
+        assert stream.t_us.dtype == np.int64
+        assert track == profile
+
     def test_deterministic(self):
         profile = make_grasp_profile(4, SMALL.f_max_n, seed=2)
         a, _ = synthesize_recording(SMALL, profile, substeps_per_sample=2)

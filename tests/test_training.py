@@ -304,6 +304,14 @@ class TestTrainLoop:
         assert min(log, key=lambda e: e.val_mse).epoch < log[-1].epoch
         assert_flat_views(model)
 
+    def test_logged_val_mse_is_the_mean_over_predictions(self, rng):
+        # 100 validation frames: two inference batches of batch_frames.
+        tr, va = toy_dataset(rng, n=32), toy_dataset(rng, n=100)
+        cfg = TrainConfig(epochs=4, batch_size=8, learning_rate=3e-3)
+        model, log = train(init_params(TINY, seed=0), (tr, va), cfg)
+        best = min(log, key=lambda e: e.val_mse)
+        assert best.val_mse == np.mean((predict_forces(model, va.frames) - va.labels) ** 2)
+
     def test_without_validation_keeps_final_epoch(self, rng):
         ds = toy_dataset(rng, n=16)
         model, log = train(init_params(TINY, seed=0), (ds, empty_dataset()),
@@ -329,6 +337,15 @@ class TestPredictEvaluate:
             predict_forces(model, frames, batch_size=3),
             predict_forces(model, frames, batch_size=256),
         ) <= 1e-4
+
+    def test_default_model_predictions_do_not_depend_on_the_batch(self, rng):
+        # The default ViT's inference bytes are the same at any of these
+        # batch sizes, so the batch_frames cap moves no prediction.
+        model = init_params(ViTConfig(), seed=3)
+        frames = rng.random((130, 2, 64, 64), dtype=np.float32)
+        want = predict_forces(model, frames, batch_size=1)
+        for batch_size in (64, 256):
+            assert np.array_equal(predict_forces(model, frames, batch_size), want), batch_size
 
     def test_evaluate_against_own_predictions_is_perfect(self, rng):
         model = init_params(TINY, seed=1)
