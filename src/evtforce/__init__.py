@@ -9,7 +9,6 @@ from .events import (
     EventStream,
     read_events,
     slice_window,
-    validate_stream,
     write_events,
 )
 from .frames import (
@@ -56,7 +55,6 @@ __all__ = [
     "EventStream",
     "read_events",
     "slice_window",
-    "validate_stream",
     "write_events",
     "FrameDataset",
     "FrameSpec",

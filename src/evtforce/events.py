@@ -4,7 +4,8 @@ An event is a single brightness-change report from a dynamic vision sensor:
 a microsecond timestamp, a pixel coordinate, and a polarity (+1 for a
 brightness increase, -1 for a decrease).  Streams are stored column-wise
 (one array per attribute) so that million-event recordings stay cheap to
-slice, validate, and accumulate.
+slice and accumulate.  An ``EventStream`` is valid by construction: its
+constructor is the one place that checks the stream rules.
 
 Two interchangeable file formats are supported, for sensor sides 1..MAX_SIDE:
 
@@ -18,9 +19,10 @@ EVB1 (binary, little-endian)
     records: ``{u64 t_us, u16 x, u16 y, i8 p, pad}`` packed to 16 bytes
     per record; pad bytes are written as zero and ignored on read.
 
-Writers validate the stream first and refuse to emit invalid files, so a
-file round trip (write, read, write) is byte-exact.  EVB1 and the FRD1
-frame container (``frames.py``) share one block reader and one writer.
+Only a valid stream exists to be written, and readers build theirs through
+the same checked constructor, so a file round trip (write, read, write) is
+byte-exact.  EVB1 and the FRD1 frame container (``frames.py``) share one
+block reader and one writer.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import os
 import re
 import stat
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -70,12 +71,18 @@ def _check_sides(width, height, error=ValueError, where="") -> None:
 
 
 class EventStream:
-    """Immutable, time-ordered collection of events for one sensor size.
+    """Immutable, valid collection of events for one sensor size.
 
-    Attribute arrays are read-only; build a new stream instead of mutating.
-    Construction rejects a side outside 1..MAX_SIDE but not invalid content
-    (``validate_stream`` reports violations as data); writers and the
-    synthesis pipeline only ever emit valid streams.
+    Construction refuses, with a ``ValueError``, a side outside
+    1..MAX_SIDE and any broken stream rule.  Checked per event:
+    non-negative timestamp, x within [0, width), y within [0, height),
+    polarity in {+1, -1}; and pairwise: timestamps non-decreasing.  The
+    error counts each broken check on each event once and names the first
+    violation: the lowest index, the check listed first winning a tie.
+
+    Attribute arrays are read-only.  A writeable input is copied and a
+    read-only one of the column's dtype kept, so no caller can write a
+    stream's memory and a stream stays valid for its whole life.
     """
 
     __slots__ = ("width", "height", "t_us", "x", "y", "p")
@@ -84,13 +91,38 @@ class EventStream:
         _check_sides(width, height)
         object.__setattr__(self, "width", int(width))
         object.__setattr__(self, "height", int(height))
-        cols = {
-            name: np.ascontiguousarray(values, dtype=dtype)
-            for (name, dtype), values in zip(_COLUMNS.items(), (t_us, x, y, p))
-        }
-        n = len(cols["t_us"])
+        cols = {}
+        for (name, dtype), values in zip(_COLUMNS.items(), (t_us, x, y, p)):
+            # Kept only when neither it nor the owner of its memory is writeable.
+            owner = values if getattr(values, "base", None) is None else values.base
+            kept = all(isinstance(a, np.ndarray) and not a.flags.writeable for a in (values, owner))
+            cols[name] = np.array(values, dtype=dtype, order="C", copy=None if kept else True)
+        t, x, y, p = cols.values()
+        n = len(t)
         if any(c.ndim != 1 or len(c) != n for c in cols.values()):
             raise ValueError("attribute arrays must be 1-D and equally long")
+        nonmono = np.zeros(n, dtype=bool)
+        # A comparison, not ``np.diff``: a difference of int64 timestamps can wrap.
+        nonmono[1:] = t[1:] < t[:-1]
+        # As unsigned, a negative coordinate is huge: one comparison checks both ends.
+        checks = [
+            (t < 0, "negative timestamp"),
+            (nonmono, "non-monotonic timestamp"),
+            (x.view(np.uint32) >= self.width, "x out of range"),
+            (y.view(np.uint32) >= self.height, "y out of range"),
+            (np.abs(p) != 1, "polarity not in {+1, -1}"),
+        ]
+        count, first = 0, None
+        for mask, reason in checks:
+            hits = int(np.count_nonzero(mask))
+            if hits:
+                count += hits
+                index = int(mask.argmax())
+                # Strictly lower only: on a tie the earlier check keeps its place.
+                if first is None or index < first[0]:
+                    first = (index, reason)
+        if count:
+            raise ValueError(f"{count} violation(s), first is '{first[1]}' at index {first[0]}")
         for name, col in cols.items():
             col.setflags(write=False)
             object.__setattr__(self, name, col)
@@ -117,8 +149,7 @@ class EventStream:
     def duration_us(self) -> int:
         """Half-open time span [0, duration) covering every event.
 
-        Zero for an empty stream; for a time-ordered stream this is the
-        last timestamp plus one.
+        Zero for an empty stream, else the last timestamp plus one.
         """
         return 0 if len(self) == 0 else int(self.t_us[-1]) + 1
 
@@ -126,62 +157,12 @@ class EventStream:
         return f"EventStream({self.width}x{self.height}, {len(self)} events)"
 
 
-@dataclass(frozen=True)
-class Violation:
-    index: int
-    reason: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """How many invariant violations a stream has, and the first of them."""
-
-    count: int
-    first: Violation | None
-
-    @property
-    def ok(self) -> bool:
-        return self.count == 0
-
-
-def validate_stream(stream: EventStream) -> ValidationReport:
-    """Check stream invariants and report the violations as data.
-
-    Checked per event: non-negative timestamp, x within [0, width),
-    y within [0, height), polarity in {+1, -1}; and pairwise: timestamps
-    non-decreasing.  Every broken check on an event counts once.  The
-    first violation is the one at the lowest index; on a tie, the check
-    listed first above wins.  Costs a few array passes however many events
-    are bad.  An empty stream is vacuously valid.
-    """
-    nonmono = np.zeros(len(stream), dtype=bool)
-    # A comparison, not ``np.diff``: a difference of int64 timestamps can wrap.
-    nonmono[1:] = stream.t_us[1:] < stream.t_us[:-1]
-    checks = [
-        (stream.t_us < 0, "negative timestamp"),
-        (nonmono, "non-monotonic timestamp"),
-        ((stream.x < 0) | (stream.x >= stream.width), "x out of range"),
-        ((stream.y < 0) | (stream.y >= stream.height), "y out of range"),
-        ((stream.p != 1) & (stream.p != -1), "polarity not in {+1, -1}"),
-    ]
-    count, first = 0, None
-    for mask, reason in checks:
-        hits = int(np.count_nonzero(mask))
-        if hits:
-            count += hits
-            index = int(mask.argmax())
-            # Strictly lower only: on a tie the earlier check keeps its place.
-            if first is None or index < first.index:
-                first = Violation(index, reason)
-    return ValidationReport(count, first)
-
-
 def slice_window(stream: EventStream, t0_us: int, t1_us: int) -> EventStream:
     """Return the sub-stream with timestamps in the half-open [t0, t1).
 
-    Requires t0 <= t1 and a time-ordered stream.  Slicing is O(log n)
-    via binary search, idempotent, and windows that partition [0, D)
-    concatenate back to the original stream.
+    Requires t0 <= t1.  Slicing is O(log n) via binary search, its columns
+    are views of the stream's, it is idempotent, and windows that
+    partition [0, D) concatenate back to the original stream.
     """
     if t0_us > t1_us:
         raise ValueError("t0_us must not exceed t1_us")
@@ -198,7 +179,10 @@ def slice_window(stream: EventStream, t0_us: int, t1_us: int) -> EventStream:
 
 
 def concat_streams(parts: Iterable[EventStream]) -> EventStream:
-    """Concatenate time-ordered pieces that share one sensor size."""
+    """Concatenate pieces that share one sensor size, in time order.
+
+    Pieces out of time order make an invalid stream: a ``ValueError``.
+    """
     parts = list(parts)
     if not parts:
         raise ValueError("need at least one stream")
@@ -215,23 +199,10 @@ def concat_streams(parts: Iterable[EventStream]) -> EventStream:
     )
 
 
-def _require_valid(stream: EventStream, context: str) -> None:
-    report = validate_stream(stream)
-    if not report.ok:
-        raise FormatError(
-            f"{context}: {report.count} violation(s), "
-            f"first is '{report.first.reason}' at index {report.first.index}"
-        )
-
-
 def write_events(stream: EventStream, path, format: str = "binary") -> None:
-    """Write a stream to ``path`` in the given format ('csv' or 'binary').
-
-    The stream is validated first; nothing is written for an invalid one.
-    """
+    """Write a stream to ``path`` in the given format ('csv' or 'binary')."""
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
-    _require_valid(stream, "refusing to write invalid stream")
     if format == "binary":
         header = _EVB1_HEADER.pack(_EVB1_MAGIC, stream.width, stream.height, len(stream))
         _write_records(path, header, _EVB1_RECORD, {c: getattr(stream, c) for c in _COLUMNS})
@@ -252,12 +223,17 @@ def read_events(path, format: str = "binary") -> EventStream:
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
-    stream = _parse_csv(path) if format == "csv" else _parse_evb1(path)
-    _require_valid(stream, f"invalid stream in {path}")
-    return stream
+    width, height, columns = _parse_csv(path) if format == "csv" else _parse_evb1(path)
+    for col in columns:
+        col.setflags(write=False)  # the parser's own arrays: the stream keeps them uncopied
+    try:
+        return EventStream(width, height, *columns)
+    except ValueError as exc:
+        raise FormatError(f"invalid stream in {path}: {exc}") from exc
 
 
-def _parse_csv(path) -> EventStream:
+def _parse_csv(path):
+    """The sensor sides and the (t, x, y, p) columns of a CSV event file."""
     size = _file_size(path)
     try:
         text = Path(path).read_bytes().decode("ascii")
@@ -295,7 +271,7 @@ def _parse_csv(path) -> EventStream:
             t[i], x[i], y[i], p[i] = (int(f) for f in fields)
         except (ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: malformed record at line {i + 3}") from exc
-    return EventStream(width, height, t, x, y, p)
+    return width, height, (t, x, y, p)
 
 
 # Fixed-record files are read and written at most this many bytes at a time.
@@ -372,9 +348,10 @@ def _read_records(path, header: struct.Struct, magic: bytes, record_dtype, colum
     return fields, out
 
 
-def _parse_evb1(path) -> EventStream:
+def _parse_evb1(path):
+    """The sensor sides and the (t, x, y, p) columns of an EVB1 event file."""
     (width, height), columns = _read_records(
         path, _EVB1_HEADER, _EVB1_MAGIC, lambda width, height: _EVB1_RECORD, _COLUMNS
     )
     _check_sides(width, height, FormatError, f"{path}: ")
-    return EventStream(width, height, **columns)
+    return width, height, tuple(columns.values())

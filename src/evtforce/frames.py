@@ -97,8 +97,7 @@ def accumulate_frame(stream: EventStream, spec: FrameSpec, t0_us: int) -> np.nda
     """Accumulate the events of the window [t0, t0 + window) into a frame.
 
     Returns the float32 (C, H, W) frame; its ``.data`` is the same array.
-    The stream may span the whole recording; an event in the window
-    outside the sensor raises ``ValueError``.  Unnormalized, unresized
+    The stream may span the whole recording.  Unnormalized, unresized
     count and polarity2ch frames hold exact non-negative integers.
     """
     return _frames(stream, spec, t0_us, 1)[0].view(_FrameArray)
@@ -213,30 +212,19 @@ def _frames(stream: EventStream, spec: FrameSpec, t0_us: int, n: int) -> np.ndar
     class), one float64 product with the class weights, one float32 cast
     and a per-frame normalize.  Where ``_axis_classes`` merges cells, the
     cost follows the events and the output size, not the sensor size.
-    The stream must be time-ordered.
     """
-    h, w = stream.height, stream.width
     t = stream.t_us
     i0 = int(np.searchsorted(t, t0_us, side="left"))
     i1 = int(np.searchsorted(t, t0_us + n * spec.window_us, side="left"))
     x, y, p = stream.x[i0:i1], stream.y[i0:i1], stream.p[i0:i1]
-    # Only an in-memory stream can hold such events (``read_events``
-    # validates); unchecked, x would wrap into the next row.  As unsigned,
-    # a negative coordinate is huge, so one max per axis catches both ends.
-    if x.size and (x.view(np.uint32).max() >= w or y.view(np.uint32).max() >= h):
-        raise ValueError("event coordinates outside the sensor")
-    rows, cols, shape, row_weights, col_weights, _ = _geometry(h, w, spec)
+    rows, cols, shape, row_weights, col_weights, _ = _geometry(stream.height, stream.width, spec)
     plane = shape[0] * shape[1]
     idx = np.take(rows, y)
     idx += np.take(cols, x)
     if spec.mode == "polarity2ch":
-        # Negative events land one channel up.  Zero polarity (only in an
-        # invalid stream) counts in neither channel.
-        idx += (p < 0) * plane
+        idx += (p < 0) * plane  # negative events land one channel up
     if n > 1:
         idx += (t[i0:i1] - t0_us) // spec.window_us * (spec.channels * plane)
-    if spec.mode == "polarity2ch" and not p.all():
-        idx = idx[p != 0]
     hist = np.bincount(idx, minlength=n * spec.channels * plane)
     hist = hist.reshape(n, spec.channels, *shape)
     if spec.mode == "binary":

@@ -41,7 +41,9 @@ events are extracted sparsely: one ``flatnonzero`` over the changed-entry
 mask, then counts, polarities and coordinates at those entries alone.
 A chunk's events are ordered by (t, y, x, p) in one ``argsort`` of a
 packed int64 key, with ``lexsort`` as the fallback when a key would not
-fit (``_sorted_stream``).
+fit (``_sorted_columns``).  The recording's one ``EventStream`` is built
+from the joined chunks, whose arrays it keeps uncopied; a stream that
+breaks a rule there is a synthesis bug (``AssertionError``).
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .events import MAX_SIDE, EventStream, FormatError, validate_stream
+from .events import MAX_SIDE, EventStream, FormatError
 
 Polyline = tuple[tuple[float, float], ...]
 
@@ -383,22 +385,20 @@ def _log_change_events(
     )
 
 
-def _sorted_stream(width: int, height: int, t, x, y, p) -> EventStream:
-    """Build a stream ordered by timestamp, then y, x, polarity.
+def _sorted_columns(width: int, height: int, t, x, y, p):
+    """The event columns ordered by timestamp, then y, x, polarity.
 
     The order is one ``argsort`` of the packed int64 key
     ``((t * height + y) * width + x) * 2 + (p > 0)``, which orders events
-    as the (t, y, x, p) tuple does: coordinates lie inside the sensor by
-    construction (boxes lie inside it and noise is drawn inside it), and
-    polarity is -1 or +1.  Equal keys are equal events, so neither
-    stability nor the sort kind can change a byte.  When a timestamp is
-    negative or the largest key would not fit in int64 (checked in
-    Python ints, since int64 arithmetic wraps silently), a 4-key
+    as the (t, y, x, p) tuple does: timestamps are non-negative,
+    coordinates lie inside the sensor by construction (boxes lie inside
+    it and noise is drawn inside it), and polarity is -1 or +1.  Equal
+    keys are equal events, so neither stability nor the sort kind can
+    change a byte.  When the largest key would not fit in int64 (checked
+    in Python ints, since int64 arithmetic wraps silently), a 4-key
     ``np.lexsort`` gives the same order instead.
     """
-    if t.size and (
-        int(t.min()) < 0 or (int(t.max()) + 1) * height * width * 2 > np.iinfo(np.int64).max
-    ):
+    if t.size and (int(t.max()) + 1) * height * width * 2 > np.iinfo(np.int64).max:
         order = np.lexsort((p, x, y, t))
     else:
         key = t * height
@@ -408,7 +408,7 @@ def _sorted_stream(width: int, height: int, t, x, y, p) -> EventStream:
         key *= 2
         key += p > 0
         order = np.argsort(key)
-    return EventStream(width, height, t[order], x[order], y[order], p[order])
+    return t[order], x[order], y[order], p[order]
 
 
 def events_from_intensity_pair(
@@ -424,12 +424,15 @@ def events_from_intensity_pair(
     polarity is the sign of the change; the k events of a pixel are
     spaced evenly over (t_prev, t_next].  The stream is sorted by
     timestamp, then y, x, polarity, so output order is reproducible.
+    ``t_prev_us`` must be non-negative, as every stream timestamp is.
     """
     prev_img = np.asarray(prev_img, dtype=np.float64)
     next_img = np.asarray(next_img, dtype=np.float64)
     if prev_img.shape != next_img.shape or prev_img.ndim != 2:
         raise ValueError("images must be two equal-shape 2-D arrays")
     log_stack = _log_intensity(np.stack([prev_img, next_img]))
+    if t_prev_us < 0:
+        raise ValueError("t_prev_us must be non-negative")
     if t_prev_us >= t_next_us:
         raise ValueError("t_prev_us must precede t_next_us")
     if contrast <= 0:
@@ -437,7 +440,7 @@ def events_from_intensity_pair(
 
     height, width = prev_img.shape
     columns = _log_change_events(log_stack, np.array([t_prev_us, t_next_us]), contrast)
-    return _sorted_stream(width, height, *columns)
+    return EventStream(width, height, *_sorted_columns(width, height, *columns))
 
 
 def make_grasp_profile(
@@ -520,8 +523,7 @@ def _chunk_events(scene: GripperScene, fingers: list[np.ndarray], times_us: np.n
     for box in boxes:
         log_stack = _log_intensity(_render_box(scene, fingers, box))
         columns.append(_log_change_events(log_stack, times_us, scene.contrast, box[0], box[2]))
-    stream = _sorted_stream(scene.width, scene.height, *map(np.concatenate, zip(*columns)))
-    return stream.t_us, stream.x, stream.y, stream.p
+    return _sorted_columns(scene.width, scene.height, *map(np.concatenate, zip(*columns)))
 
 
 def synthesize_recording(
@@ -589,12 +591,13 @@ def synthesize_recording(
     # The sort key is the whole event and the chunks' time ranges follow
     # one another, so joining the sorted chunks equals one sort of them all.
     # A one-sample profile has no chunk, so no columns: an empty stream.
-    parts = list(_run_in_order(jobs()))
-    stream = EventStream(scene.width, scene.height, *map(np.concatenate, zip(*parts)))
-    report = validate_stream(stream)
-    if not report.ok:
-        raise AssertionError(f"synthesis produced an invalid stream: {report.first}")
-    return stream, profile
+    columns = [np.concatenate(c) for c in zip(*_run_in_order(jobs()))]
+    for col in columns:
+        col.setflags(write=False)  # fresh arrays: the stream keeps them uncopied
+    try:
+        return EventStream(scene.width, scene.height, *columns), profile
+    except ValueError as exc:
+        raise AssertionError(f"synthesis produced an invalid stream: {exc}") from exc
 
 
 def save_profile(profile: ForceProfile, path) -> None:

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from conftest import all_frames
 
 import evtforce
+from evtforce import synth
 from evtforce.cli import DEFAULT_CONFIG, ConfigError, load_config, main, sub_seed
 from evtforce.events import EventStream, read_events, write_events
 from evtforce.frames import (
@@ -449,6 +450,24 @@ class TestSynth:
         assert json.loads(out)["recordings"] == 0
         manifest = json.loads((tmp_path / "none" / "manifest.json").read_text())
         assert manifest["recordings"] == []
+
+    def test_invalid_synthesis_is_an_internal_error(self, ws, tmp_path, monkeypatch):
+        # A chunk whose events come back reversed breaks the time order.
+        sorted_columns, calls = synth._sorted_columns, []
+
+        def reverse_first_chunk(*args):
+            columns = sorted_columns(*args)
+            calls.append(1)
+            return tuple(c[::-1] for c in columns) if len(calls) == 1 else columns
+
+        monkeypatch.setattr(synth, "_sorted_columns", reverse_first_chunk)
+        code, out, err = run_cli(
+            ["synth", "--config", ws.config, "--out", tmp_path / "o", "--n-recordings", 1]
+        )
+        assert (code, out) == (4, "")
+        assert err.startswith("internal error: synthesis produced an invalid stream: ")
+        assert "violation(s), first is 'non-monotonic timestamp' at index" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_negative_recordings(self, ws, tmp_path):
         code, _, err = run_cli(

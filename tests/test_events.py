@@ -1,5 +1,6 @@
-"""Event stream construction, validation, slicing, and file round trips."""
+"""Event stream construction and its checks, slicing, and file round trips."""
 
+import re
 import struct
 
 import numpy as np
@@ -11,11 +12,9 @@ from evtforce import events
 from evtforce.events import (
     EventStream,
     FormatError,
-    Violation,
     concat_streams,
     read_events,
     slice_window,
-    validate_stream,
     write_events,
 )
 
@@ -87,77 +86,128 @@ class TestEventStream:
         s = EventStream(8, 8, t_us=[0, 41_000], x=[0, 0], y=[0, 0], p=[1, 1])
         assert s.duration_us == 41_001
 
+    def test_unsorted_stream_is_refused(self):
+        # Accepted, this stream gave a count frame of 3 for [0, 100), where 2
+        # events lie, and a duration that hid the event at t = 250.
+        with pytest.raises(ValueError, match="first is 'non-monotonic timestamp' at index 2"):
+            EventStream(4, 4, t_us=[50, 250, 10, 120], x=[0, 1, 2, 3], y=[0] * 4, p=[1] * 4)
 
-def reference_violations(stream):
+    def test_out_of_order_parts_do_not_concatenate(self):
+        s = EventStream(4, 4, t_us=[10, 20, 30], x=[0, 1, 2], y=[0] * 3, p=[1] * 3)
+        with pytest.raises(ValueError, match="first is 'non-monotonic timestamp' at index 2"):
+            concat_streams([slice_window(s, 20, 40), slice_window(s, 0, 20)])
+
+    def test_writeable_input_is_copied(self):
+        base = np.arange(4, dtype=np.int32)
+        view = base[:2]
+        s = EventStream(5, 4, [0, 1], view, [1, 1], [1, 1])
+        assert base.flags.writeable and view.flags.writeable
+        base[1] = 9
+        view[0] = 7
+        assert s.x.tolist() == [0, 1]
+        assert not np.shares_memory(s.x, base)
+
+    def test_read_only_view_of_writeable_memory_is_copied(self):
+        base = np.arange(4, dtype=np.int32)
+        view = base[:2]
+        view.setflags(write=False)
+        s = EventStream(5, 4, [0, 1], view, [1, 1], [1, 1])
+        base[1] = 9
+        assert s.x.tolist() == [0, 1]
+
+    def test_read_only_input_of_the_column_dtype_is_kept(self):
+        t = np.array([3, 5], dtype=np.int64)
+        t.setflags(write=False)
+        s = EventStream(5, 4, t, [0, 1], [1, 1], [1, 1])
+        assert s.t_us is t
+        assert not s.x.flags.writeable
+
+    def test_slice_shares_the_parents_memory(self, rng):
+        s = make_stream(rng)
+        w = slice_window(s, 100_000, 600_000)
+        assert 0 < len(w) < len(s)
+        for name in ("t_us", "x", "y", "p"):
+            assert np.shares_memory(getattr(w, name), getattr(s, name)), name
+
+
+def reference_violations(width, height, t_us, x, y, p):
     """Every (index, reason) violation, one per broken check per event, by index.
 
-    A per-event reference for ``validate_stream``, written independently of
-    it: on one index the checks keep their documented order.
+    A per-event reference for the ``EventStream`` checks, written
+    independently of them: on one index the checks keep their documented
+    order.
     """
     found = []
-    for i in range(len(stream)):
-        t, x, y, p = (int(c[i]) for c in (stream.t_us, stream.x, stream.y, stream.p))
+    for i in range(len(t_us)):
+        t, xi, yi, pi = (int(c[i]) for c in (t_us, x, y, p))
         if t < 0:
             found.append((i, "negative timestamp"))
-        if i > 0 and t < int(stream.t_us[i - 1]):
+        if i > 0 and t < int(t_us[i - 1]):
             found.append((i, "non-monotonic timestamp"))
-        if not 0 <= x < stream.width:
+        if not 0 <= xi < width:
             found.append((i, "x out of range"))
-        if not 0 <= y < stream.height:
+        if not 0 <= yi < height:
             found.append((i, "y out of range"))
-        if p not in (1, -1):
+        if pi not in (1, -1):
             found.append((i, "polarity not in {+1, -1}"))
     return found
+
+
+def refusal(width, height, t_us, x, y, p):
+    """The (count, (index, reason)) of ``EventStream``'s refusal, or None if it builds."""
+    try:
+        EventStream(width, height, t_us, x, y, p)
+    except ValueError as exc:
+        m = re.fullmatch(r"(\d+) violation\(s\), first is '(.+)' at index (\d+)", str(exc))
+        assert m, str(exc)
+        return int(m[1]), (int(m[3]), m[2])
+    return None
 
 
 class TestValidate:
     def test_valid_random_streams(self, rng):
         for _ in range(20):
-            assert validate_stream(make_stream(rng)).ok
+            s = make_stream(rng)
+            assert refusal(s.width, s.height, s.t_us, s.x, s.y, s.p) is None
 
     def test_empty_is_valid(self):
-        rep = validate_stream(EventStream(8, 8))
-        assert rep.ok and (rep.count, rep.first) == (0, None)
+        assert len(EventStream(8, 8)) == 0
+        assert refusal(8, 8, [], [], [], []) is None
 
     def test_non_monotonic_flagged_at_second_index(self):
-        s = EventStream(8, 8, t_us=[5, 3], x=[0, 0], y=[0, 0], p=[1, 1])
-        rep = validate_stream(s)
-        assert not rep.ok
-        assert rep.first == Violation(1, "non-monotonic timestamp")
+        assert refusal(8, 8, [5, 3], [0, 0], [0, 0], [1, 1]) == (
+            1, (1, "non-monotonic timestamp"))
 
     def test_equal_timestamps_allowed(self):
-        s = EventStream(8, 8, t_us=[3, 3], x=[0, 1], y=[0, 0], p=[1, -1])
-        assert validate_stream(s).ok
+        assert refusal(8, 8, [3, 3], [0, 1], [0, 0], [1, -1]) is None
 
     def test_negative_timestamp(self):
-        s = EventStream(8, 8, t_us=[-1], x=[0], y=[0], p=[1])
-        assert validate_stream(s).first.reason == "negative timestamp"
+        assert refusal(8, 8, [-1], [0], [0], [1])[1][1] == "negative timestamp"
 
     def test_coordinate_bounds_are_exclusive(self):
-        s = EventStream(8, 6, t_us=[0, 1], x=[8, 0], y=[0, 6], p=[1, 1])
-        assert reference_violations(s) == [(0, "x out of range"), (1, "y out of range")]
-        rep = validate_stream(s)
-        assert (rep.count, rep.first) == (2, Violation(0, "x out of range"))
-        inside = EventStream(8, 6, t_us=[0, 1], x=[7, 0], y=[0, 5], p=[1, 1])
-        assert validate_stream(inside).ok
+        cols = ([0, 1], [8, 0], [0, 6], [1, 1])
+        assert reference_violations(8, 6, *cols) == [(0, "x out of range"), (1, "y out of range")]
+        assert refusal(8, 6, *cols) == (2, (0, "x out of range"))
+        assert refusal(8, 6, [0, 1], [7, 0], [0, 5], [1, 1]) is None
 
     def test_zero_polarity_flagged(self):
-        s = EventStream(8, 8, t_us=[0], x=[0], y=[0], p=[0])
-        assert validate_stream(s).first.reason == "polarity not in {+1, -1}"
+        assert refusal(8, 8, [0], [0], [0], [0])[1][1] == "polarity not in {+1, -1}"
+        # The int8 extremes, whose absolute value or square wraps round.
+        assert refusal(8, 8, [0, 1], [0, 0], [0, 0], [-128, 127]) == (
+            2, (0, "polarity not in {+1, -1}"))
 
     @pytest.mark.parametrize(
         "t_us, count, first",
         [
             # The int64 difference of these timestamps would wrap round.
-            ([-1, 2**63 - 1], 1, Violation(0, "negative timestamp")),
-            ([5, -(2**63) + 3], 2, Violation(1, "negative timestamp")),
+            ([-1, 2**63 - 1], 1, (0, "negative timestamp")),
+            ([5, -(2**63) + 3], 2, (1, "negative timestamp")),
         ],
     )
     def test_order_is_compared_not_differenced(self, t_us, count, first):
-        s = EventStream(8, 8, t_us=t_us, x=[0, 0], y=[0, 0], p=[1, 1])
-        assert len(reference_violations(s)) == count
-        rep = validate_stream(s)
-        assert (rep.count, rep.first) == (count, first)
+        cols = (t_us, [0, 0], [0, 0], [1, 1])
+        assert len(reference_violations(8, 8, *cols)) == count
+        assert refusal(8, 8, *cols) == (count, first)
 
     def test_timestamp_past_int64_reads_as_two_violations(self, tmp_path):
         path = tmp_path / "s.evb1"
@@ -169,11 +219,10 @@ class TestValidate:
             read_events(path)
 
     def test_violations_sorted_by_index(self):
-        s = EventStream(8, 8, t_us=[0, 1, 2], x=[0, 8, 0], y=[0, 0, 0], p=[0, 1, 2])
-        idx = [i for i, _ in reference_violations(s)]
+        cols = ([0, 1, 2], [0, 8, 0], [0, 0, 0], [0, 1, 2])
+        idx = [i for i, _ in reference_violations(8, 8, *cols)]
         assert idx == sorted(idx) == [0, 1, 2]
-        rep = validate_stream(s)
-        assert (rep.count, rep.first) == (3, Violation(0, "polarity not in {+1, -1}"))
+        assert refusal(8, 8, *cols) == (3, (0, "polarity not in {+1, -1}"))
 
 
 # Unsorted rows with values on both sides of every bound, so one event can
@@ -194,37 +243,35 @@ class TestViolationSummary:
     @settings(max_examples=200, deadline=None)
     def test_matches_the_per_event_reference(self, rows):
         cols = list(zip(*rows)) if rows else [(), (), (), ()]
-        s = EventStream(8, 6, *cols)
-        expected = reference_violations(s)
-        rep = validate_stream(s)
-        assert rep.count == len(expected)
-        assert rep.ok == (not expected)
-        assert rep.first == (Violation(*expected[0]) if expected else None)
+        expected = reference_violations(8, 6, *cols)
+        got = refusal(8, 6, *cols)
+        assert got == ((len(expected), expected[0]) if expected else None)
 
     @given(rows=bad_event_tuples)
     @settings(max_examples=100, deadline=None)
     def test_rejection_message_names_first_violation_and_count(self, rows, tmp_path_factory):
-        cols = list(zip(*rows)) if rows else [(), (), (), ()]
-        s = EventStream(8, 6, *cols)
-        violations = reference_violations(s)
-        path = tmp_path_factory.mktemp("w") / "s.evb1"
+        # A CSV file can hold any such row; reading it gives the constructor's
+        # refusal, prefixed with the path.
+        path = tmp_path_factory.mktemp("r") / "s.csv"
+        path.write_text("# width=8 height=6\nt_us,x,y,p\n"
+                        + "".join(f"{t},{x},{y},{p}\n" for t, x, y, p in rows))
+        violations = reference_violations(8, 6, *(list(zip(*rows)) if rows else [()] * 4))
         if not violations:
-            write_events(s, path)
+            assert len(read_events(path, format="csv")) == len(rows)
             return
-        with pytest.raises(FormatError, match=r"violation\(s\), first is") as err:
-            write_events(s, path)
+        with pytest.raises(FormatError) as err:
+            read_events(path, format="csv")
         index, reason = violations[0]
         assert str(err.value) == (
-            f"refusing to write invalid stream: {len(violations)} violation(s), "
+            f"invalid stream in {path}: {len(violations)} violation(s), "
             f"first is '{reason}' at index {index}"
         )
 
     def test_tie_goes_to_the_earlier_check(self):
         # Index 1 is both non-monotonic and out of range in x; the
         # timestamp check is listed first.
-        s = EventStream(8, 8, t_us=[5, 3], x=[0, 9], y=[0, 0], p=[1, 1])
-        rep = validate_stream(s)
-        assert (rep.count, rep.first) == (2, Violation(1, "non-monotonic timestamp"))
+        assert refusal(8, 8, [5, 3], [0, 9], [0, 0], [1, 1]) == (
+            2, (1, "non-monotonic timestamp"))
 
     def test_read_rejects_a_file_of_bad_events(self, tmp_path):
         n = 100_000
@@ -461,10 +508,3 @@ class TestRoundTrips:
             write_events(make_stream(rng), tmp_path / "s.bin", format="parquet")
         with pytest.raises(ValueError):
             read_events(tmp_path / "s.bin", format="parquet")
-
-    def test_write_refuses_invalid_stream(self, tmp_path):
-        s = EventStream(8, 8, t_us=[5, 3], x=[0, 0], y=[0, 0], p=[1, 1])
-        path = tmp_path / "s.csv"
-        with pytest.raises(FormatError, match=r"1 violation\(s\), first is 'non-monotonic"):
-            write_events(s, path, format="csv")
-        assert not path.exists()
