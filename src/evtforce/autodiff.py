@@ -46,6 +46,9 @@ _ERF32_Q = tuple(np.float32(c) for c in (
 ))
 _PHI32_BLOCK = 1 << 16
 
+# Added to the variance in ``layer_norm``.
+_LN_EPS = 1e-5
+
 # The standard library's erf, elementwise; within 3 ulp of scipy's.
 _erf64 = np.vectorize(math.erf, otypes=[np.float64])
 
@@ -74,8 +77,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         self.data = arr
@@ -233,7 +236,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _result(y, (x,), backward)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean, unit variance, then affine."""
     n = x.data.shape[-1]
     if gamma.data.shape != (n,) or beta.data.shape != (n,):
@@ -241,14 +244,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = centered * inv
     out = xhat * gamma.data + beta.data
     lead = tuple(range(x.data.ndim - 1))
 
     def backward(g):
-        dgamma = (g * xhat).sum(axis=lead) if lead else g * xhat
-        dbeta = g.sum(axis=lead) if lead else g
+        dgamma = (g * xhat).sum(axis=lead)
+        dbeta = g.sum(axis=lead)
         dxhat = g * gamma.data
         mean_d = dxhat.mean(axis=-1, keepdims=True)
         mean_dx = (dxhat * xhat).mean(axis=-1, keepdims=True)
@@ -326,29 +329,27 @@ def mean_over_axis(x: Tensor, axis: int) -> Tensor:
     return _result(x.data.mean(axis=axis), (x,), backward)
 
 
-def concat_tokens(a: Tensor, b: Tensor, axis: int = -2) -> Tensor:
+def concat_tokens(a: Tensor, b: Tensor) -> Tensor:
     """Concatenate two tensors along the token axis (second to last)."""
     if a.data.ndim != b.data.ndim:
         raise ValueError("concat_tokens: rank mismatch")
-    split = a.data.shape[axis]
+    split = a.data.shape[-2]
 
     def backward(g):
-        ga, gb = np.split(g, [split], axis=axis)
+        ga, gb = np.split(g, [split], axis=-2)
         return ga, gb
 
-    return _result(np.concatenate([a.data, b.data], axis=axis), (a, b), backward)
+    return _result(np.concatenate([a.data, b.data], axis=-2), (a, b), backward)
 
 
-def take_token(x: Tensor, index: int, axis: int = -2) -> Tensor:
-    """Select one entry along the token axis, dropping that axis."""
-    out = np.take(x.data, index, axis=axis)
+def take_token(x: Tensor, index: int) -> Tensor:
+    """Select one entry along the token axis (second to last), dropping that axis."""
+    out = np.take(x.data, index, axis=-2)
     shape = x.data.shape
 
     def backward(g):
         gx = np.zeros(shape, dtype=g.dtype)
-        idx = [slice(None)] * len(shape)
-        idx[axis] = index
-        gx[tuple(idx)] = g
+        gx[..., index, :] = g
         return (gx,)
 
     return _result(out, (x,), backward)

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .events import FormatError, read_events, write_events
+from .events import FormatError, _is_int64, read_events, write_events
 from .frames import (
     MODES,
     FrameSpec,
@@ -132,10 +132,6 @@ def _is_finite(value) -> bool:
         return _is_number(value) and math.isfinite(value)
     except OverflowError:
         return False
-
-
-def _is_int64(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and -2**63 <= value < 2**63
 
 
 def _is_polylines(value) -> bool:
@@ -302,24 +298,24 @@ def cmd_train(args) -> int:
     model = init_params(cfg.model, sub_seed(seed, "init"))
     model, log = train(model, splits, train_cfg)
 
+    # Summarized before any file is written, so a diverged run writes nothing.
+    best_epoch = metrics = split_name = None
+    if log:
+        validated = len(splits[1]) > 0
+        best_epoch = min(log, key=lambda e: e.val_mse).epoch if validated else log[-1].epoch
+        split_name = "val" if validated else "train"
+        metrics = evaluate(model, splits[1] if validated else splits[0], train_cfg.mape_floor_n)
+        # Without a validation split no epoch's predictions were checked.
+        if not all(map(math.isfinite, (metrics.rmse, metrics.mape, metrics.r2 or 0.0))):
+            raise ValueError(
+                f"training diverged: non-finite {split_name} metrics after epoch {best_epoch}"
+            )
+
     out = Path(args.out)
     save_checkpoint(model, out)
     log_lines = ["epoch,train_mse,val_mse"]
     log_lines += [f"{e.epoch},{e.train_mse!r},{e.val_mse!r}" for e in log]
     Path(str(out) + ".log.csv").write_text("\n".join(log_lines) + "\n")
-
-    if len(splits[1]) and log:
-        best_epoch = min(log, key=lambda e: e.val_mse).epoch
-        metrics = evaluate(model, splits[1], train_cfg.mape_floor_n)
-        split_name = "val"
-    elif log:
-        best_epoch = log[-1].epoch
-        metrics = evaluate(model, splits[0], train_cfg.mape_floor_n)
-        split_name = "train"
-    else:
-        best_epoch = None
-        metrics = None
-        split_name = None
     summary = {
         "best_epoch": best_epoch,
         "split": split_name,
@@ -386,10 +382,9 @@ def cmd_bench(args) -> int:
     stream = read_events(path, _event_format(path))
     if len(stream) == 0:
         raise ConfigError(f"{path} holds no events; nothing to benchmark")
-    window = max(stream.duration_us, 1)
     report: dict[str, float | int] = {"events": len(stream)}
     for mode in MODES:
-        spec = FrameSpec(window_us=window, mode=mode, out_size=None, normalize=False)
+        spec = FrameSpec(window_us=stream.duration_us, mode=mode, out_size=None, normalize=False)
         best = math.inf
         for _ in range(args.repeats):
             start = time.perf_counter()

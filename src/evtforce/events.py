@@ -65,6 +65,11 @@ class FormatError(ValueError):
     """An input file is damaged, or its content breaks a stream invariant."""
 
 
+def _is_int64(value) -> bool:
+    """A JSON integer (not a bool) that fits in int64."""
+    return isinstance(value, int) and not isinstance(value, bool) and -2**63 <= value < 2**63
+
+
 def _check_sides(width, height, error=ValueError, where="") -> None:
     if not (0 < width <= MAX_SIDE and 0 < height <= MAX_SIDE):
         raise error(f"{where}sensor size {width}x{height} is outside 1..{MAX_SIDE} per side")
@@ -82,7 +87,10 @@ class EventStream:
 
     Attribute arrays are read-only.  A writeable input is copied and a
     read-only one of the column's dtype kept, so no caller can write a
-    stream's memory and a stream stays valid for its whole life.
+    stream's memory and a stream stays valid for its whole life.  That
+    rests on numpy's writeable flag alone: a caller who turns it back on
+    for a column or its ``.base`` and writes voids the stream's validity.
+    Nothing in evtforce does so.
     """
 
     __slots__ = ("width", "height", "t_us", "x", "y", "p")

@@ -39,7 +39,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .events import EventStream, FormatError, _read_records, _write_records
+from .events import EventStream, FormatError, _is_int64, _read_records, _write_records
 from .synth import GripperScene, _run_in_order
 
 MODES = ("binary", "count", "polarity2ch")
@@ -304,17 +304,19 @@ class FrameDataset:
         self.provenance = list(provenance)
         if self.frames.ndim != 4:
             raise ValueError("frames must have shape (N, channels, height, width)")
+        n = len(self.frames)
         if windows is None:
-            windows = np.zeros((len(self.frames), 2))
+            windows = np.zeros((n, 2))
         self.windows = np.asarray(windows, dtype=np.int64)
         if self.labels.ndim != 1:
             raise ValueError("labels must be a 1-D array")
-        if self.windows.shape != (len(self.frames), 2):
-            raise ValueError("windows must have shape (N, 2)")
-        if not (len(self.frames) == len(self.labels) == len(self.provenance)):
-            raise ValueError("frames, labels, and provenance must be equally long")
+        for field, rows in (("labels", self.labels), ("provenance", self.provenance)):
+            if len(rows) != n:
+                raise ValueError(f"{field} has {len(rows)} entries for {n} frames")
+        if self.windows.shape != (n, 2):
+            raise ValueError(f"windows must have shape ({n}, 2), not {self.windows.shape}")
         if np.any(self.windows[:, 1] < self.windows[:, 0]):
-            raise ValueError("a window must not end before it starts")
+            raise ValueError("windows must not end before they start")
         if self.labels.size and not np.all(np.isfinite(self.labels)):
             raise ValueError("labels must be finite")
 
@@ -437,13 +439,8 @@ def write_frame_dataset(
 
 
 def _is_window_list(windows) -> bool:
-    def is_int64(v):
-        return isinstance(v, int) and not isinstance(v, bool) and -(2**63) <= v < 2**63
-
     return isinstance(windows, list) and all(
-        isinstance(win, list) and len(win) == 2 and is_int64(win[0]) and is_int64(win[1])
-        and win[0] <= win[1]
-        for win in windows
+        isinstance(win, list) and len(win) == 2 and all(map(_is_int64, win)) for win in windows
     )
 
 
@@ -451,7 +448,8 @@ def read_frame_dataset(path) -> FrameDataset:
     """Read an FRD1 container; the sidecar manifest is used when present.
 
     A non-finite frame value or label, or a sidecar whose ``windows`` or
-    ``provenance`` has the wrong shape or length, is a ``FormatError``.
+    ``provenance`` has the wrong type, or breaks a ``FrameDataset`` rule,
+    is a ``FormatError``.
     """
     path = Path(path)
     _, columns = _read_records(
@@ -477,20 +475,15 @@ def read_frame_dataset(path) -> FrameDataset:
             raise FormatError(f"{sidecar}: sidecar manifest must be a JSON object")
         if "windows" in manifest:
             if not _is_window_list(manifest["windows"]):
-                raise FormatError(
-                    f"{sidecar}: windows must be a list of [start, end] int64 pairs"
-                    " with start <= end"
-                )
+                raise FormatError(f"{sidecar}: windows must be a list of [start, end] int64 pairs")
             windows = np.array(manifest["windows"], dtype=np.int64).reshape(-1, 2)
         if "provenance" in manifest:
             if not (isinstance(manifest["provenance"], list)
                     and all(isinstance(r, str) for r in manifest["provenance"])):
                 raise FormatError(f"{sidecar}: provenance must be a list of strings")
             provenance = manifest["provenance"]
-        for field, rows in (("windows", windows), ("provenance", provenance)):
-            if rows is not None and len(rows) != len(frames):
-                raise FormatError(
-                    f"{sidecar}: {field} has {len(rows)} entries for {len(frames)} frames"
-                )
-
-    return FrameDataset(frames, labels, provenance, windows)
+    # The container's own rows always agree; only the sidecar's can break a rule.
+    try:
+        return FrameDataset(frames, labels, provenance, windows)
+    except ValueError as exc:
+        raise FormatError(f"{sidecar}: {exc}") from exc

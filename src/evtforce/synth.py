@@ -74,6 +74,13 @@ def default_fingers(width: int, height: int) -> tuple[Polyline, Polyline]:
     )
 
 
+# ``_render_box`` squares coordinate differences and segment lengths,
+# which reach about delta_max_px + MAX_SIDE.  At this bound a square stays
+# near 1e300 and the sum of two near 2e300, far below float64's 1.8e308;
+# much past it they overflow to inf and the renders turn to NaN.
+_MAX_DELTA_PX = 1e150
+
+
 @dataclass(frozen=True)
 class GripperScene:
     """Static scene geometry and the event-camera contrast threshold."""
@@ -96,8 +103,8 @@ class GripperScene:
             object.__setattr__(self, "fingers", default_fingers(self.width, self.height))
         fingers = tuple(tuple((float(x), float(y)) for x, y in f) for f in self.fingers)
         object.__setattr__(self, "fingers", fingers)
-        if self.delta_max_px < 0:
-            raise ValueError("delta_max_px must be non-negative")
+        if not 0 <= self.delta_max_px <= _MAX_DELTA_PX:
+            raise ValueError(f"delta_max_px must be in [0, {_MAX_DELTA_PX:g}]")
         if self.f_max_n <= 0:
             raise ValueError("f_max_n must be positive")
         if self.background <= 0:
@@ -115,6 +122,8 @@ class GripperScene:
             )
         if self.thickness_px <= 0:
             raise ValueError("thickness_px must be positive")
+        if not fingers:
+            raise ValueError("fingers must hold at least one finger")
         for finger in fingers:
             if len(finger) < 2:
                 raise ValueError("fingers need at least two control points")
@@ -541,10 +550,7 @@ def synthesize_recording(
     uniform background noise (``noise_rate_hz`` events per second over
     the whole array, seeded) is merged in, off by default.
     """
-    if substeps_per_sample < 1:
-        raise ValueError("substeps_per_sample must be at least 1")
-    if noise_rate_hz < 0:
-        raise ValueError("noise_rate_hz must be non-negative")
+    SynthProtocol(substeps_per_sample=substeps_per_sample, noise_rate_hz=noise_rate_hz)
     period_us = profile.period_us
     samples = profile.samples
 

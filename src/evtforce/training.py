@@ -33,25 +33,42 @@ class TrainConfig:
     mape_floor_n: float = 0.05
 
     def __post_init__(self):
-        object.__setattr__(self, "split", tuple(float(r) for r in self.split))
+        object.__setattr__(self, "split", _checked_split(self.split))
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
-        if len(self.split) != 3 or any(r < 0 for r in self.split):
-            raise ValueError("split must be three non-negative ratios")
-        if abs(sum(self.split) - 1.0) > 1e-9:
-            raise ValueError("split ratios must sum to 1")
         if not 0 <= self.beta1 < 1:
             raise ValueError("beta1 must lie in [0, 1)")
         if not 0 <= self.beta2 < 1:
             raise ValueError("beta2 must lie in [0, 1)")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
-        if self.mape_floor_n <= 0:
-            raise ValueError("mape_floor_n must be positive")
+        _check_mape_floor(self.mape_floor_n)
+
+
+def _checked_split(split) -> tuple[float, float, float]:
+    """The train/val/test ratios as floats: three, non-negative, summing to 1."""
+    split = tuple(float(r) for r in split)
+    if len(split) != 3 or any(r < 0 for r in split):
+        raise ValueError("split must be three non-negative ratios")
+    if not abs(sum(split) - 1.0) <= 1e-9:  # NaN fails too
+        raise ValueError("split ratios must sum to 1")
+    return split
+
+
+# Labels and predictions are float32, so an error over this floor stays
+# below about 2.9e76: a zero label cannot make the mape infinite.
+_MIN_MAPE_FLOOR = float(np.finfo(np.float32).tiny)
+
+
+def _check_mape_floor(mape_floor_n: float) -> None:
+    if not mape_floor_n >= _MIN_MAPE_FLOOR:
+        raise ValueError(
+            f"mape_floor_n must be at least {_MIN_MAPE_FLOOR:.4g}, the smallest normal float32"
+        )
 
 
 @dataclass(frozen=True)
@@ -82,11 +99,7 @@ def split_dataset(
     Sizes are the floored ratio shares; the remainder goes to train.  The
     three parts are disjoint and cover the dataset.
     """
-    ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(r < 0 for r in ratios):
-        raise ValueError("ratios must be three non-negative numbers")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError("ratios must sum to 1")
+    ratios = _checked_split(ratios)
     n = len(dataset)
     # Guard the floor against float dust: 0.7 * 1000 must allocate 700.
     counts = [int(math.floor(r * n + 1e-9)) for r in ratios]
@@ -215,7 +228,8 @@ def regression_metrics(
 
     r2 is 1 - SS_res / SS_tot and is undefined (None) when every target
     is identical; mape divides by max(|target|, floor) so labels near
-    zero cannot blow it up.
+    zero cannot blow it up.  The floor must be at least float32's
+    smallest normal number, as ``TrainConfig.mape_floor_n`` must.
     """
     preds = np.asarray(preds, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -223,8 +237,7 @@ def regression_metrics(
         raise ValueError("preds and targets must be equal-length 1-D arrays")
     if preds.size == 0:
         raise ValueError("cannot compute metrics on an empty batch")
-    if mape_floor_n <= 0:
-        raise ValueError("mape_floor_n must be positive")
+    _check_mape_floor(mape_floor_n)
     err = preds - targets
     rmse = float(np.sqrt(np.mean(err * err)))
     ss_tot = float(((targets - targets.mean()) ** 2).sum())

@@ -28,6 +28,7 @@ OP_CASES = [
     ("reshape", lambda a: ad.reshape(a, (4, 3)), [(2, 6)]),
     ("softmax_rows", ad.softmax_rows, [(3, 7)]),
     ("layer_norm", ad.layer_norm, [(4, 6), (6,), (6,)]),
+    ("layer_norm_vector", ad.layer_norm, [(6,), (6,), (6,)]),
     ("gelu", ad.gelu, [(3, 4)]),
     ("mean_axis0", lambda a: ad.mean_over_axis(a, 0), [(4, 5)]),
     ("mean_axis1", lambda a: ad.mean_over_axis(a, 1), [(3, 4)]),

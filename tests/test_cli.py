@@ -410,6 +410,24 @@ class TestSynth:
             assert (ws.rec / entry["events"]).exists()
             assert (ws.rec / entry["labels"]).exists()
 
+    @pytest.mark.parametrize(
+        "scene,key",
+        [
+            ({"fingers": []}, "fingers"),
+            ({"delta_max_px": 1e308, "samples_per_recording": 3}, "delta_max_px"),
+        ],
+    )
+    def test_unrenderable_scene_is_refused_before_any_output(self, tmp_path, scene, key):
+        # No finger leaves nothing to render; 1e308 px overflows the render.
+        config = tmp_path / "scene.json"
+        config.write_text(json.dumps({"scene": scene}))
+        out = tmp_path / "rec"
+        code, stdout, err = run_cli(["synth", "--config", config, "--out", out, "--n-recordings", 1])
+        assert (code, stdout) == (2, "")
+        assert_one_line_error(err)
+        assert err.startswith(f"error: invalid scene.{key}: {key} "), err
+        assert not out.exists()
+
     def test_stdout_reports_run(self, ws, tmp_path):
         code, out, _ = run_cli(
             ["synth", "--config", ws.config, "--seed", 11, "--out", tmp_path / "r", "--n-recordings", 1]
@@ -878,6 +896,33 @@ class TestTrain:
         assert (code, stdout) == (2, "")
         assert_one_line_error(err)
         assert "training diverged" in err and "epoch 0" in err
+        assert list(tmp_path.iterdir()) == [config]
+
+    @pytest.mark.parametrize("learning_rate", [1e10, 1e308])
+    def test_divergence_without_validation_writes_nothing(self, ws, tmp_path, learning_rate):
+        # One step, so the loop sees only the finite loss before it; with no
+        # validation split the summary's predictions are the first checked.
+        # At 1e10 every weight is finite, at 1e308 none is.
+        config = write_config(tmp_path, {"train": {
+            "epochs": 1, "batch_size": 16, "learning_rate": learning_rate, "split": [1, 0, 0],
+        }})
+        out = tmp_path / "model.ckpt"
+        code, stdout, err = run_cli(["train", "--config", config, "--data", ws.frd, "--out", out])
+        assert (code, stdout) == (2, "")
+        assert_one_line_error(err)
+        assert err == "error: training diverged: non-finite train metrics after epoch 0\n"
+        assert list(tmp_path.iterdir()) == [config]
+
+    def test_mape_floor_below_float32_tiny_is_a_config_error(self, ws, tmp_path):
+        config = write_config(tmp_path, {"train": {"epochs": 1, "mape_floor_n": 1e-320}})
+        for argv in [
+            ["train", "--config", config, "--data", ws.frd, "--out", tmp_path / "m.ckpt"],
+            ["eval", "--config", config, "--ckpt", ws.ckpt, "--data", ws.frd],
+        ]:
+            code, stdout, err = run_cli(argv)
+            assert (code, stdout) == (2, ""), argv[0]
+            assert_one_line_error(err)
+            assert err.startswith("error: invalid train.mape_floor_n: mape_floor_n must be at least ")
         assert list(tmp_path.iterdir()) == [config]
 
     def test_frame_shape_must_match_model(self, ws, tmp_path):

@@ -963,6 +963,25 @@ class TestFrdContainer:
         with pytest.raises(FormatError, match=field):
             read_frame_dataset(path)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("windows", [[0, 10], [20, 10]]), ("windows", [[0, 10]]), ("provenance", ["rec0"])],
+    )
+    def test_sidecar_rows_are_refused_as_the_dataset_refuses_them(self, tmp_path, rng, field, value):
+        ds = TestFrameDataset().make_dataset(rng, n=2)
+        path = tmp_path / "d.frd"
+        write_frame_dataset(ds, path)
+        sidecar = Path(str(path) + ".json")
+        manifest = json.loads(sidecar.read_text())
+        manifest[field] = value
+        sidecar.write_text(json.dumps(manifest))
+        rows = {"windows": ds.windows, "provenance": ds.provenance, field: value}
+        with pytest.raises(ValueError) as from_dataset:
+            FrameDataset(ds.frames, ds.labels, rows["provenance"], rows["windows"])
+        with pytest.raises(FormatError) as from_reader:
+            read_frame_dataset(path)
+        assert str(from_reader.value) == f"{sidecar}: {from_dataset.value}"
+
     def test_read_holds_the_frames_once(self, tmp_path):
         # The records are read a block at a time straight into the frame
         # and label arrays: no whole-file buffer and no whole-file mask.

@@ -59,11 +59,24 @@ class TestSceneAndProfile:
             {"background": 0.0},
             {"fingers": (((0.0, 0.0),),)},
             {"fingers": (((0.0, 0.0), (320.0, 10.0)),)},
+            {"fingers": ()},
         ],
     )
     def test_scene_validation(self, kwargs):
         with pytest.raises(ValueError):
             GripperScene(**kwargs)
+
+    def test_delta_max_px_stops_where_the_render_squares_could_overflow(self):
+        bound = synth._MAX_DELTA_PX
+        scene = GripperScene(width=40, height=30, delta_max_px=bound)
+        for force in (0.0, scene.f_max_n / 3, scene.f_max_n):
+            assert np.isfinite(render_intensity(scene, force)).all()
+        stream, _ = synthesize_recording(scene, make_grasp_profile(3, scene.f_max_n))
+        assert len(stream) > 0
+        # Past the bound the squares in _render_box can overflow: NaN renders.
+        for delta in (float(np.nextafter(bound, math.inf)), 1e308, math.inf, math.nan):
+            with pytest.raises(ValueError, match="^delta_max_px "):
+                GripperScene(width=40, height=30, delta_max_px=delta)
 
     def test_profile_period(self):
         assert ForceProfile((0.0, 1.0), rate_hz=10.0).period_us == 100_000

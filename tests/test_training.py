@@ -99,10 +99,16 @@ class TestSplit:
         tr, va, te = split_dataset(ds, (1.0, 0.0, 0.0), seed=0)
         assert (len(tr), len(va), len(te)) == (9, 0, 0)
 
-    @pytest.mark.parametrize("ratios", [(0.5, 0.5), (0.5, 0.4, 0.2), (-0.1, 0.6, 0.5)])
+    @pytest.mark.parametrize(
+        "ratios", [(0.5, 0.5), (0.5, 0.4, 0.2), (-0.1, 0.6, 0.5), (math.nan, 0.5, 0.5)]
+    )
     def test_bad_ratios(self, rng, ratios):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as from_split:
             split_dataset(toy_dataset(rng, n=4, side=4), ratios, seed=0)
+        # The config's split rule, word for word.
+        with pytest.raises(ValueError) as from_config:
+            TrainConfig(split=ratios)
+        assert str(from_split.value) == str(from_config.value)
 
 
 class TestMseLoss:
@@ -226,6 +232,20 @@ class TestMetrics:
         assert regression_metrics([0.05], [0.0]).mape == 1.0
         assert abs(regression_metrics([1.1], [1.0]).mape - 0.1) < 1e-12
         assert regression_metrics([0.1], [0.0], mape_floor_n=0.01).mape == 10.0
+
+    def test_mape_floor_is_at_least_float32_tiny(self):
+        tiny = float(np.finfo(np.float32).tiny)
+        assert TrainConfig(mape_floor_n=tiny).mape_floor_n == tiny
+        # The largest float32 error over a zero label and the smallest floor.
+        m = regression_metrics([float(np.finfo(np.float32).max)], [0.0], mape_floor_n=tiny)
+        assert math.isfinite(m.mape) and m.mape < 3e76
+        # Below the bound that quotient can overflow: 1e-320 gives inf.
+        for floor in (float(np.nextafter(tiny, 0.0)), 1e-320, 0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="^mape_floor_n must be at least ") as from_call:
+                regression_metrics([0.1], [0.0], mape_floor_n=floor)
+            with pytest.raises(ValueError) as from_config:
+                TrainConfig(mape_floor_n=floor)
+            assert str(from_call.value) == str(from_config.value)
 
     def test_to_dict_keys(self):
         d = Metrics(rmse=0.1, r2=None, mape=0.2, n=5).to_dict()
