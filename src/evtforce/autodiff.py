@@ -13,19 +13,24 @@ the only broadcasts are a trailing-shape bias add and the documented
 matmul batching.  A linear layer is ``add_bias(matmul(x, w), b)`` for x
 of any rank: both ops fold the leading axes into rows themselves, so no
 reshape nodes surround it.  Recording can be suspended with
-``no_grad()``; forward values are identical either way.  Graphs are cheap
-single-thread objects; build and differentiate a graph on one thread at
-a time.  numpy is the only dependency: float64 GELU, used by the
-gradient checks, takes the standard library's ``math.erf``.
+``no_grad()``; forward values are identical either way.  The grad mode
+belongs to the context (a ``ContextVar``), so each thread, and each job
+run in a copy of a context, enters and leaves ``no_grad`` on its own.
+A graph belongs to one thread: two threads may each build and
+differentiate a graph of their own at once, over shared leaf data, as
+long as no leaf's ``grad`` is accumulated by both.  numpy is the only
+dependency: float64 GELU, used by the gradient checks, takes the
+standard library's ``math.erf``.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 
 import numpy as np
 
-_GRAD_ENABLED = True
+_GRAD_ENABLED = contextvars.ContextVar("grad_enabled", default=True)
 
 # Python floats, not numpy scalars, so float32 operands are not upcast.
 _SQRT2 = float(np.sqrt(2.0))
@@ -57,19 +62,16 @@ class no_grad:
     """Context manager that suspends graph recording."""
 
     def __enter__(self):
-        global _GRAD_ENABLED
-        self._saved = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._token = _GRAD_ENABLED.set(False)
         return self
 
     def __exit__(self, *exc):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._saved
+        _GRAD_ENABLED.reset(self._token)
         return False
 
 
 def is_grad_enabled() -> bool:
-    return _GRAD_ENABLED
+    return _GRAD_ENABLED.get()
 
 
 class Tensor:
@@ -104,7 +106,7 @@ def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tenso
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _GRAD_ENABLED.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward_fn

@@ -105,13 +105,13 @@ class GripperScene:
         object.__setattr__(self, "fingers", fingers)
         if not 0 <= self.delta_max_px <= _MAX_DELTA_PX:
             raise ValueError(f"delta_max_px must be in [0, {_MAX_DELTA_PX:g}]")
-        if self.f_max_n <= 0:
+        if not self.f_max_n > 0:
             raise ValueError("f_max_n must be positive")
-        if self.background <= 0:
+        if not self.background > 0:
             raise ValueError("background intensity must be positive")
-        if self.foreground <= 0:
+        if not self.foreground > 0:
             raise ValueError("foreground intensity must be positive")
-        if self.contrast <= 0:
+        if not self.contrast > 0:
             raise ValueError("contrast must be positive")
         # A pixel's log intensity stays between ln background and ln
         # foreground, so this bounds its event count between two renders,
@@ -120,7 +120,7 @@ class GripperScene:
             raise ValueError(
                 f"contrast {self.contrast!r} gives a pixel more than 2**63 events between renders"
             )
-        if self.thickness_px <= 0:
+        if not self.thickness_px > 0:
             raise ValueError("thickness_px must be positive")
         if not fingers:
             raise ValueError("fingers must hold at least one finger")
@@ -142,13 +142,13 @@ class SynthProtocol:
     noise_rate_hz: float = 0.0
 
     def __post_init__(self):
-        if self.rate_hz <= 0:
+        if not self.rate_hz > 0:
             raise ValueError("rate_hz must be positive")
         if self.samples_per_recording < 2:
             raise ValueError("samples_per_recording must be at least 2")
         if self.substeps_per_sample < 1:
             raise ValueError("substeps_per_sample must be at least 1")
-        if self.noise_rate_hz < 0:
+        if not self.noise_rate_hz >= 0:
             raise ValueError("noise_rate_hz must be non-negative")
 
 

@@ -5,19 +5,37 @@ with a seeded generator, run forward + backward through the autodiff
 graph, and apply bias-corrected Adam.  The model state returned is the
 epoch with the lowest validation MSE.  Given one seed, the whole loop is
 deterministic down to the checkpoint bytes.
+
+Each batch runs as two fixed shards, rows [0, ceil(n / 2)) and the rest
+(one shard when n = 1), on two threads of the ordered pool
+(``synth._run_in_order``) with OpenBLAS pinned to one thread.  Each
+shard accumulates its gradient into its own flat buffer over the shared
+weights, and the buffers are added in shard order before one Adam step,
+so the trained bytes depend neither on the BLAS thread count nor on how
+many CPUs the process may use: the shard count is the constant 2.
+Batched inference runs each batch as the same two halves.  Where no
+OpenBLAS thread setter is found, the shards run in turn on the calling
+thread, and the bytes then depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .frames import FrameDataset, batch_frames
-from .vit import ViTModel, forward
+from .synth import _run_in_order
+from .vit import ViTModel, _params, forward
 
 
 @dataclass(frozen=True)
@@ -34,7 +52,7 @@ class TrainConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "split", _checked_split(self.split))
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
@@ -44,7 +62,7 @@ class TrainConfig:
             raise ValueError("beta1 must lie in [0, 1)")
         if not 0 <= self.beta2 < 1:
             raise ValueError("beta2 must lie in [0, 1)")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ValueError("eps must be positive")
         _check_mape_floor(self.mape_floor_n)
 
@@ -171,32 +189,41 @@ def train(
     best_val = math.inf
     best_weights: np.ndarray | None = None
 
+    # Shard 0 accumulates into model.grads itself, shard 1 into its own buffer.
+    shards = (model, _grad_shard(model))
     n = len(train_ds)
-    for epoch in range(config.epochs):
-        perm = rng.permutation(n)
-        sq_sum = 0.0
-        for lo in range(0, n, config.batch_size):
-            idx = perm[lo : lo + config.batch_size]
-            pred = forward(train_ds.frames[idx], model)
-            loss = mse_loss(pred, Tensor(train_ds.labels[idx, None]))
-            loss_value = float(loss.data)
-            if not math.isfinite(loss_value):
-                raise ValueError(f"training diverged: non-finite loss in epoch {epoch}")
-            ad.zero_grad(model.params)
-            ad.backward(loss)
-            adam_step(model.weights, model.grads, state, config)
-            sq_sum += loss_value * len(idx)
-        train_mse = sq_sum / n
-        if len(val_ds):
-            val_mse = float(np.mean((predict_forces(model, val_ds.frames) - val_ds.labels) ** 2))
-            if not math.isfinite(val_mse):
-                raise ValueError(f"training diverged: non-finite validation MSE in epoch {epoch}")
-            if val_mse < best_val:
-                best_val = val_mse
-                best_weights = model.weights.copy()
-        else:
-            val_mse = math.nan
-        log.append(EpochLog(epoch, train_mse, val_mse))
+    with _sharded() as run:
+        for epoch in range(config.epochs):
+            perm = rng.permutation(n)
+            sq_sum = 0.0
+            for lo in range(0, n, config.batch_size):
+                idx = perm[lo : lo + config.batch_size]
+                halves = _halves(0, len(idx))
+                loss_value = sum(run(
+                    (_shard_step, shard, train_ds.frames[idx[a:b]], train_ds.labels[idx[a:b]],
+                     len(idx))
+                    for shard, (a, b) in zip(shards, halves)
+                ))
+                if not math.isfinite(loss_value):
+                    raise ValueError(f"training diverged: non-finite loss in epoch {epoch}")
+                if len(halves) == 2:
+                    model.grads += shards[1].grads
+                adam_step(model.weights, model.grads, state, config)
+                sq_sum += loss_value * len(idx)
+            train_mse = sq_sum / n
+            if len(val_ds):
+                preds = predict_forces(model, val_ds.frames)
+                val_mse = float(np.mean((preds - val_ds.labels) ** 2))
+                if not math.isfinite(val_mse):
+                    raise ValueError(
+                        f"training diverged: non-finite validation MSE in epoch {epoch}"
+                    )
+                if val_mse < best_val:
+                    best_val = val_mse
+                    best_weights = model.weights.copy()
+            else:
+                val_mse = math.nan
+            log.append(EpochLog(epoch, train_mse, val_mse))
 
     if best_weights is not None:
         model.weights[...] = best_weights
@@ -209,16 +236,112 @@ def predict_forces(
     """Forward in inference mode; returns float64 predictions, shape (N,).
 
     The default batch is ``batch_frames`` of the frame shape, the size of
-    a ``frame_chunks`` chunk.
+    a ``frame_chunks`` chunk.  Each batch runs as its two shards, as a
+    train step does; one frame runs on the calling thread alone.
     """
     if batch_size is None:
         batch_size = batch_frames(np.shape(frames)[1:])
-    out = np.empty(len(frames), dtype=np.float64)
-    with ad.no_grad():
-        for lo in range(0, len(frames), batch_size):
-            chunk = frames[lo : lo + batch_size]
-            out[lo : lo + len(chunk)] = forward(chunk, model).data[:, 0]
+    n = len(frames)
+    rows = [half for lo in range(0, n, batch_size) for half in _halves(lo, min(lo + batch_size, n))]
+    out = np.empty(n, dtype=np.float64)
+    runner = _sharded() if len(rows) > 1 else contextlib.nullcontext(_in_turn)
+    with ad.no_grad(), runner as run:
+        preds = run((forward, frames[lo:hi], model) for lo, hi in rows)
+        for (lo, hi), pred in zip(rows, preds):
+            out[lo:hi] = pred.data[:, 0]
     return out
+
+
+def _halves(lo: int, hi: int) -> list[tuple[int, int]]:
+    """Rows [lo, hi) as two fixed shards, [lo, lo + ceil(n / 2)) and the
+    rest, or as one shard when n = 1."""
+    mid = lo + (hi - lo + 1) // 2
+    return [(lo, mid), (mid, hi)] if mid < hi else [(lo, hi)]
+
+
+def _grad_shard(model: ViTModel) -> ViTModel:
+    """``model`` with a grad buffer of its own: the same config and weights."""
+    shard = copy.copy(model)
+    shard.grads = np.zeros_like(model.weights)
+    shard.params = _params(model.config, model.weights, shard.grads)
+    return shard
+
+
+def _shard_step(shard: ViTModel, frames: np.ndarray, labels: np.ndarray, n: int) -> float:
+    """Forward, loss and backward of one shard of an n-frame batch, into
+    ``shard.grads``; returns the shard's loss, its squared errors over n,
+    and skips the backward when that is not finite."""
+    pred = forward(frames, shard)
+    loss = ad.scale(mse_loss(pred, Tensor(labels[:, None])), len(labels) / n)
+    value = float(loss.data)
+    ad.zero_grad(shard.params)
+    if math.isfinite(value):
+        ad.backward(loss)
+    return value
+
+
+def _in_turn(jobs):
+    """Each (function, *args) of ``jobs`` run on the calling thread, in order."""
+    return (fn(*args) for fn, *args in jobs)
+
+
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS numpy runs on,
+    or None where none is found.
+
+    Only a library already loaded is opened (``RTLD_NOLOAD``): numpy's own
+    ``numpy.libs`` copy first, then a scipy-openblas package's.
+    """
+    import ctypes
+
+    site = Path(np.__file__).parent.parent
+    for lib in (*site.glob("numpy.libs/lib*openblas*.so*"),
+                *site.glob("*openblas*/lib/lib*openblas*.so*")):
+        try:
+            handle = ctypes.CDLL(str(lib), mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+# OpenBLAS's thread count is one per process, so the pin's state is too:
+# how many ``_sharded`` blocks are open, in any thread, and the count the
+# first of them found.
+_PIN_LOCK = threading.Lock()
+_pin = {"blocks": 0, "saved": None}
+
+
+@contextlib.contextmanager
+def _sharded():
+    """Yield the runner for shard jobs: ``_run_in_order`` with OpenBLAS
+    pinned to one thread while any such block is open, and its count
+    restored when the last one closes; or ``_in_turn``, pinning nothing,
+    where OpenBLAS cannot be pinned."""
+    api = _openblas_threads()
+    if api is None:
+        yield _in_turn
+        return
+    get, set_ = api
+    with _PIN_LOCK:
+        if _pin["blocks"] == 0:
+            _pin["saved"] = get()
+            set_(1)
+        _pin["blocks"] += 1
+    try:
+        yield _run_in_order
+    finally:
+        with _PIN_LOCK:
+            _pin["blocks"] -= 1
+            if _pin["blocks"] == 0:
+                set_(_pin["saved"])
 
 
 def regression_metrics(

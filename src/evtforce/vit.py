@@ -189,12 +189,19 @@ class ViTModel:
                 f"weights must be a 1-D array of {n} values, got shape {self.weights.shape}"
             )
         self.grads = np.zeros_like(self.weights)
-        self.params: dict[str, Tensor] = {}
-        for name, (shape, start) in _layout(config).items():
-            end = start + math.prod(shape)
-            p = Tensor(self.weights[start:end].reshape(shape), requires_grad=True)
-            p.grad = self.grads[start:end].reshape(shape)
-            self.params[name] = p
+        self.params = _params(config, self.weights, self.grads)
+
+
+def _params(config: ViTConfig, weights: np.ndarray, grads: np.ndarray) -> dict[str, Tensor]:
+    """The name -> Tensor namespace whose ``data`` and ``grad`` are views of
+    the flat ``weights`` and ``grads``, in the layout ``config`` fixes."""
+    params = {}
+    for name, (shape, start) in _layout(config).items():
+        end = start + math.prod(shape)
+        p = Tensor(weights[start:end].reshape(shape), requires_grad=True)
+        p.grad = grads[start:end].reshape(shape)
+        params[name] = p
+    return params
 
 
 def _truncated_normal(rng: np.random.Generator, shape, scale: float) -> np.ndarray:

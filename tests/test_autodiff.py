@@ -1,5 +1,8 @@
 """Reverse-mode engine: per-op gradient checks and graph bookkeeping."""
 
+import contextvars
+import threading
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -204,6 +207,39 @@ class TestGraphMechanics:
         recorded = ad.gelu(a)
         assert recorded.requires_grad
         assert np.array_equal(out.data, recorded.data)
+
+    def test_no_grad_on_two_threads_leaves_the_caller_recording(self, rng):
+        # A enters, B enters, A exits, B exits: with one process-wide mode,
+        # B would restore A's False and leave recording off everywhere.
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def thread_a():
+            with ad.no_grad():
+                a_in.set()
+                b_in.wait(10)
+                seen["a inside"] = ad.is_grad_enabled()
+            a_out.set()
+            seen["a after"] = ad.is_grad_enabled()
+
+        def thread_b():
+            a_in.wait(10)
+            with ad.no_grad():
+                b_in.set()
+                a_out.wait(10)
+                seen["b inside"] = ad.is_grad_enabled()
+            seen["b after"] = ad.is_grad_enabled()
+
+        # Each thread runs in a copy of this context, as pool jobs do.
+        threads = [threading.Thread(target=contextvars.copy_context().run, args=(fn,))
+                   for fn in (thread_a, thread_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+        assert seen == {"a inside": False, "a after": True, "b inside": False, "b after": True}
+        assert ad.is_grad_enabled()
+        assert ad.gelu(tensor64(rng, (2, 3))).requires_grad
 
     def test_requires_grad_leaf_starts_with_zeros(self):
         t = Tensor(np.ones((2, 2)), requires_grad=True)

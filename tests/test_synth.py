@@ -19,6 +19,7 @@ from evtforce.frames import FrameSpec
 from evtforce.synth import (
     ForceProfile,
     GripperScene,
+    SynthProtocol,
     _reachable_boxes,
     default_fingers,
     events_from_intensity_pair,
@@ -29,6 +30,7 @@ from evtforce.synth import (
     save_profile,
     synthesize_recording,
 )
+from evtforce.training import TrainConfig
 
 SMALL = GripperScene(width=80, height=60)
 
@@ -65,6 +67,24 @@ class TestSceneAndProfile:
     def test_scene_validation(self, kwargs):
         with pytest.raises(ValueError):
             GripperScene(**kwargs)
+
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            (GripperScene, "f_max_n"),
+            (GripperScene, "thickness_px"),
+            (GripperScene, "background"),
+            (GripperScene, "foreground"),
+            (GripperScene, "contrast"),
+            (SynthProtocol, "rate_hz"),
+            (SynthProtocol, "noise_rate_hz"),
+            (TrainConfig, "learning_rate"),
+            (TrainConfig, "eps"),
+        ],
+    )
+    def test_nan_is_refused_by_the_rule_that_names_the_field(self, config, field):
+        with pytest.raises(ValueError, match=rf"^{field}\b"):
+            config(**{field: math.nan})
 
     def test_delta_max_px_stops_where_the_render_squares_could_overflow(self):
         bound = synth._MAX_DELTA_PX

@@ -1,11 +1,14 @@
 """Splits, MSE loss, Adam, the training loop, and regression metrics."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from evtforce import autodiff as ad
+from evtforce import synth, training
 from evtforce.autodiff import Tensor
 from evtforce.frames import FrameDataset
 from evtforce.training import (
@@ -21,7 +24,7 @@ from evtforce.training import (
     split_dataset,
     train,
 )
-from evtforce.vit import ViTConfig, init_params
+from evtforce.vit import ViTConfig, forward, init_params
 
 from conftest import assert_flat_views, rel_err
 
@@ -332,6 +335,52 @@ class TestTrainLoop:
         best = min(log, key=lambda e: e.val_mse)
         assert best.val_mse == np.mean((predict_forces(model, va.frames) - va.labels) ** 2)
 
+    @pytest.mark.parametrize("n", [1, 5, 8])
+    def test_shard_gradients_add_up_to_the_batch_gradient(self, rng, n):
+        # Each shard divides its squared errors by the whole batch's n, so
+        # the two shards' gradients sum to the full batch's MSE gradient.
+        model = init_params(TINY, seed=0, dtype=np.float64)
+        frames = rng.random((n, 1, 8, 8))
+        labels = rng.random(n)
+        ad.zero_grad(model.params)
+        full = mse_loss(forward(frames, model), Tensor(labels[:, None]))
+        ad.backward(full)
+        want = model.grads.copy()
+        shards = (model, training._grad_shard(model))
+        halves = training._halves(0, n)
+        assert [b - a for a, b in halves] == ([1] if n == 1 else [(n + 1) // 2, n // 2])
+        loss = sum(training._shard_step(shard, frames[a:b], labels[a:b], n)
+                   for shard, (a, b) in zip(shards, halves))
+        if len(halves) == 2:
+            model.grads += shards[1].grads
+        assert rel_err(loss, float(full.data)) <= 1e-12
+        assert rel_err(model.grads, want) <= 1e-12
+
+    def test_shards_on_the_pool_equal_shards_in_turn(self, rng, monkeypatch):
+        # Threads share the weights and each writes its own grad buffer; a
+        # lost or crossed update would move a byte.  More workers than
+        # cores and a short switch interval interleave them as much as
+        # the interpreter allows.
+        tr, va = toy_dataset(rng, n=20), toy_dataset(rng, n=30)
+        cfg = TrainConfig(epochs=2, batch_size=7, learning_rate=3e-3)
+
+        def run():
+            model, log = train(init_params(TINY, seed=0), (tr, va), cfg)
+            return model.weights, log, predict_forces(model, va.frames, batch_size=3)
+
+        monkeypatch.setattr(synth, "_WORKERS", 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = run()
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(training, "_run_in_order", training._in_turn)
+        in_turn = run()
+        assert np.array_equal(pooled[0], in_turn[0])
+        assert pooled[1] == in_turn[1]
+        assert np.array_equal(pooled[2], in_turn[2])
+
     def test_without_validation_keeps_final_epoch(self, rng):
         ds = toy_dataset(rng, n=16)
         model, log = train(init_params(TINY, seed=0), (ds, empty_dataset()),
@@ -366,6 +415,36 @@ class TestPredictEvaluate:
         want = predict_forces(model, frames, batch_size=1)
         for batch_size in (64, 256):
             assert np.array_equal(predict_forces(model, frames, batch_size), want), batch_size
+
+    def test_one_frame_starts_no_thread_and_leaves_blas_threads_alone(self, rng, monkeypatch):
+        # The batch-1 path (``stream``'s) must not pay for the pool or the pin.
+        started, sets = [], []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: (started.append(thread), start(thread))[1])
+        monkeypatch.setattr(training, "_openblas_threads", lambda: (lambda: 2, sets.append))
+        model = init_params(TINY, seed=1)
+        frames = rng.random((2, 1, 8, 8), dtype=np.float32)
+        predict_forces(model, frames[:1])
+        assert (started, sets) == ([], [])
+        # Two frames are two shards: on the pool, with BLAS at one thread
+        # for the call and its count restored after.
+        predict_forces(model, frames)
+        assert started and sets == [1, 2]
+
+    def test_overlapping_pins_restore_the_count_the_first_one_found(self, monkeypatch):
+        # Two threads' calls may overlap: the count stays 1 until the last
+        # one ends, then returns to what the first one found.
+        count = [3]
+        monkeypatch.setattr(training, "_openblas_threads",
+                            lambda: (lambda: count[0], lambda n: count.__setitem__(0, n)))
+        a, b = training._sharded(), training._sharded()
+        a.__enter__()
+        b.__enter__()
+        a.__exit__(None, None, None)
+        assert count == [1]
+        b.__exit__(None, None, None)
+        assert count == [3]
 
     def test_evaluate_against_own_predictions_is_perfect(self, rng):
         model = init_params(TINY, seed=1)
