@@ -236,19 +236,21 @@ def predict_forces(
     """Forward in inference mode; returns float64 predictions, shape (N,).
 
     The default batch is ``batch_frames`` of the frame shape, the size of
-    a ``frame_chunks`` chunk.  Each batch runs as its two shards, as a
-    train step does; one frame runs on the calling thread alone.
+    a ``frame_chunks`` chunk.  Each batch runs as its two shards on two
+    threads, as a train step does, so at most two half-batches are live at
+    once on any host; one frame runs on the calling thread alone.
     """
     if batch_size is None:
         batch_size = batch_frames(np.shape(frames)[1:])
     n = len(frames)
-    rows = [half for lo in range(0, n, batch_size) for half in _halves(lo, min(lo + batch_size, n))]
     out = np.empty(n, dtype=np.float64)
-    runner = _sharded() if len(rows) > 1 else contextlib.nullcontext(_in_turn)
+    runner = _sharded() if n > 1 else contextlib.nullcontext(_in_turn)
     with ad.no_grad(), runner as run:
-        preds = run((forward, frames[lo:hi], model) for lo, hi in rows)
-        for (lo, hi), pred in zip(rows, preds):
-            out[lo:hi] = pred.data[:, 0]
+        for lo in range(0, n, batch_size):
+            # One batch per pool call, so at most its two halves are live.
+            halves = _halves(lo, min(lo + batch_size, n))
+            for (a, b), pred in zip(halves, run((forward, frames[a:b], model) for a, b in halves)):
+                out[a:b] = pred.data[:, 0]
     return out
 
 

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -431,6 +432,30 @@ class TestPredictEvaluate:
         # for the call and its count restored after.
         predict_forces(model, frames)
         assert started and sets == [1, 2]
+
+    def test_at_most_two_forward_jobs_run_at_once(self, rng, monkeypatch):
+        # Whatever the core count, a batch's two halves are the only jobs
+        # in flight: more would undo batch_frames' cap on live activations.
+        live, peak, lock = [0], [0], threading.Lock()
+
+        def counted(frames, model):
+            with lock:
+                live[0] += 1
+                peak[0] = max(peak[0], live[0])
+            try:
+                time.sleep(0.005)
+                return forward(frames, model)
+            finally:
+                with lock:
+                    live[0] -= 1
+
+        model = init_params(TINY, seed=1)
+        frames = rng.random((24, 1, 8, 8), dtype=np.float32)
+        want = predict_forces(model, frames, batch_size=4)
+        monkeypatch.setattr(synth, "_WORKERS", 8)
+        monkeypatch.setattr(training, "forward", counted)
+        assert np.array_equal(predict_forces(model, frames, batch_size=4), want)
+        assert peak[0] <= 2
 
     def test_overlapping_pins_restore_the_count_the_first_one_found(self, monkeypatch):
         # Two threads' calls may overlap: the count stays 1 until the last
