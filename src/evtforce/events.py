@@ -31,6 +31,7 @@ import os
 import re
 import stat
 import struct
+from dataclasses import fields
 from pathlib import Path
 from typing import Iterable
 
@@ -68,6 +69,24 @@ class FormatError(ValueError):
 def _is_int64(value) -> bool:
     """A JSON integer (not a bool) that fits in int64."""
     return isinstance(value, int) and not isinstance(value, bool) and -2**63 <= value < 2**63
+
+
+def _check_int_fields(config) -> None:
+    """Refuse a config dataclass whose ``int`` field holds anything but an
+    integer (a bool is not one), or whose ``int | None`` field holds
+    anything but None or an integer.
+
+    The annotations are read as strings, as every config module's
+    ``from __future__ import annotations`` leaves them.
+    """
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "int | None" and value is None:
+            continue
+        if f.type in ("int", "int | None") and (
+            isinstance(value, bool) or not isinstance(value, (int, np.integer))
+        ):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
 
 
 def _check_sides(width, height, error=ValueError, where="") -> None:

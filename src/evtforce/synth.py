@@ -59,7 +59,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .events import MAX_SIDE, EventStream, FormatError
+from .events import MAX_SIDE, EventStream, FormatError, _check_int_fields
 
 Polyline = tuple[tuple[float, float], ...]
 
@@ -96,6 +96,7 @@ class GripperScene:
     thickness_px: float = 5.0
 
     def __post_init__(self):
+        _check_int_fields(self)
         for name in ("width", "height"):
             if not 0 < getattr(self, name) <= MAX_SIDE:
                 raise ValueError(f"{name} must be in 1..{MAX_SIDE}, the sides an event file stores")
@@ -142,6 +143,7 @@ class SynthProtocol:
     noise_rate_hz: float = 0.0
 
     def __post_init__(self):
+        _check_int_fields(self)
         if not self.rate_hz > 0:
             raise ValueError("rate_hz must be positive")
         if self.samples_per_recording < 2:

@@ -8,19 +8,20 @@ deterministic down to the checkpoint bytes.
 
 Each batch runs as two fixed shards, rows [0, ceil(n / 2)) and the rest
 (one shard when n = 1), on two threads of the ordered pool
-(``synth._run_in_order``) with OpenBLAS pinned to one thread.  Each
-shard accumulates its gradient into its own flat buffer over the shared
-weights, and the buffers are added in shard order before one Adam step,
-so the trained bytes depend neither on the BLAS thread count nor on how
-many CPUs the process may use: the shard count is the constant 2.
-Batched inference runs each batch as the same two halves.  Where no
-OpenBLAS thread setter is found, the shards run in turn on the calling
-thread, and the bytes then depend on the BLAS thread count.
+(``synth._run_in_order``).  OpenBLAS is pinned to one thread around each
+two-shard call and given its count back after it; overlapping calls
+from two threads take turns.  Each shard accumulates its gradient into
+its own flat buffer over the shared weights, and the buffers are added
+in shard order before one Adam step, so the trained bytes depend neither
+on the BLAS thread count nor on how many CPUs the process may use: the
+shard count is the constant 2.  Batched inference runs each batch as
+the same two halves.  Where no OpenBLAS thread setter is found, the
+shards run in turn on the calling thread, and the bytes then depend on
+the BLAS thread count.
 """
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import functools
 import math
@@ -33,6 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .events import _check_int_fields
 from .frames import FrameDataset, batch_frames
 from .synth import _run_in_order
 from .vit import ViTModel, _params, forward
@@ -51,6 +53,7 @@ class TrainConfig:
     mape_floor_n: float = 0.05
 
     def __post_init__(self):
+        _check_int_fields(self)
         object.__setattr__(self, "split", _checked_split(self.split))
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
@@ -192,38 +195,37 @@ def train(
     # Shard 0 accumulates into model.grads itself, shard 1 into its own buffer.
     shards = (model, _grad_shard(model))
     n = len(train_ds)
-    with _sharded() as run:
-        for epoch in range(config.epochs):
-            perm = rng.permutation(n)
-            sq_sum = 0.0
-            for lo in range(0, n, config.batch_size):
-                idx = perm[lo : lo + config.batch_size]
-                halves = _halves(0, len(idx))
-                loss_value = sum(run(
-                    (_shard_step, shard, train_ds.frames[idx[a:b]], train_ds.labels[idx[a:b]],
-                     len(idx))
-                    for shard, (a, b) in zip(shards, halves)
-                ))
-                if not math.isfinite(loss_value):
-                    raise ValueError(f"training diverged: non-finite loss in epoch {epoch}")
-                if len(halves) == 2:
-                    model.grads += shards[1].grads
-                adam_step(model.weights, model.grads, state, config)
-                sq_sum += loss_value * len(idx)
-            train_mse = sq_sum / n
-            if len(val_ds):
-                preds = predict_forces(model, val_ds.frames)
-                val_mse = float(np.mean((preds - val_ds.labels) ** 2))
-                if not math.isfinite(val_mse):
-                    raise ValueError(
-                        f"training diverged: non-finite validation MSE in epoch {epoch}"
-                    )
-                if val_mse < best_val:
-                    best_val = val_mse
-                    best_weights = model.weights.copy()
-            else:
-                val_mse = math.nan
-            log.append(EpochLog(epoch, train_mse, val_mse))
+    for epoch in range(config.epochs):
+        perm = rng.permutation(n)
+        sq_sum = 0.0
+        for lo in range(0, n, config.batch_size):
+            idx = perm[lo : lo + config.batch_size]
+            halves = _halves(0, len(idx))
+            loss_value = sum(_run_shards([
+                (_shard_step, shard, train_ds.frames[idx[a:b]], train_ds.labels[idx[a:b]],
+                 len(idx))
+                for shard, (a, b) in zip(shards, halves)
+            ]))
+            if not math.isfinite(loss_value):
+                raise ValueError(f"training diverged: non-finite loss in epoch {epoch}")
+            if len(halves) == 2:
+                model.grads += shards[1].grads
+            adam_step(model.weights, model.grads, state, config)
+            sq_sum += loss_value * len(idx)
+        train_mse = sq_sum / n
+        if len(val_ds):
+            preds = predict_forces(model, val_ds.frames)
+            val_mse = float(np.mean((preds - val_ds.labels) ** 2))
+            if not math.isfinite(val_mse):
+                raise ValueError(
+                    f"training diverged: non-finite validation MSE in epoch {epoch}"
+                )
+            if val_mse < best_val:
+                best_val = val_mse
+                best_weights = model.weights.copy()
+        else:
+            val_mse = math.nan
+        log.append(EpochLog(epoch, train_mse, val_mse))
 
     if best_weights is not None:
         model.weights[...] = best_weights
@@ -236,20 +238,19 @@ def predict_forces(
     """Forward in inference mode; returns float64 predictions, shape (N,).
 
     The default batch is ``batch_frames`` of the frame shape, the size of
-    a ``frame_chunks`` chunk.  Each batch runs as its two shards on two
-    threads, as a train step does, so at most two half-batches are live at
-    once on any host; one frame runs on the calling thread alone.
+    a ``frame_chunks`` chunk.  Each batch is one call of its two shards,
+    as a train step is, so at most two half-batches are live at once on
+    any host; one frame runs on the calling thread alone.
     """
     if batch_size is None:
         batch_size = batch_frames(np.shape(frames)[1:])
     n = len(frames)
     out = np.empty(n, dtype=np.float64)
-    runner = _sharded() if n > 1 else contextlib.nullcontext(_in_turn)
-    with ad.no_grad(), runner as run:
+    with ad.no_grad():
         for lo in range(0, n, batch_size):
-            # One batch per pool call, so at most its two halves are live.
             halves = _halves(lo, min(lo + batch_size, n))
-            for (a, b), pred in zip(halves, run((forward, frames[a:b], model) for a, b in halves)):
+            preds = _run_shards([(forward, frames[a:b], model) for a, b in halves])
+            for (a, b), pred in zip(halves, preds):
                 out[a:b] = pred.data[:, 0]
     return out
 
@@ -282,11 +283,6 @@ def _shard_step(shard: ViTModel, frames: np.ndarray, labels: np.ndarray, n: int)
     return value
 
 
-def _in_turn(jobs):
-    """Each (function, *args) of ``jobs`` run on the calling thread, in order."""
-    return (fn(*args) for fn, *args in jobs)
-
-
 @functools.cache
 def _openblas_threads():
     """The (get, set) thread-count functions of the OpenBLAS numpy runs on,
@@ -314,36 +310,29 @@ def _openblas_threads():
     return None
 
 
-# OpenBLAS's thread count is one per process, so the pin's state is too:
-# how many ``_sharded`` blocks are open, in any thread, and the count the
-# first of them found.
-_PIN_LOCK = threading.Lock()
-_pin = {"blocks": 0, "saved": None}
+# OpenBLAS's thread count is one per process, so calls that pin it take turns.
+_BLAS_LOCK = threading.Lock()
 
 
-@contextlib.contextmanager
-def _sharded():
-    """Yield the runner for shard jobs: ``_run_in_order`` with OpenBLAS
-    pinned to one thread while any such block is open, and its count
-    restored when the last one closes; or ``_in_turn``, pinning nothing,
-    where OpenBLAS cannot be pinned."""
-    api = _openblas_threads()
+def _run_shards(jobs: list) -> list:
+    """The results, in order, of one batch's shard jobs, each (function, *args).
+
+    One job runs on the calling thread.  Two run on the ordered pool
+    (``synth._run_in_order``) with OpenBLAS pinned to one thread and its
+    count restored after; overlapping calls take turns.  Where no OpenBLAS
+    thread setter is found, they run in turn on the calling thread.
+    """
+    api = _openblas_threads() if len(jobs) > 1 else None
     if api is None:
-        yield _in_turn
-        return
+        return [fn(*args) for fn, *args in jobs]
     get, set_ = api
-    with _PIN_LOCK:
-        if _pin["blocks"] == 0:
-            _pin["saved"] = get()
-            set_(1)
-        _pin["blocks"] += 1
-    try:
-        yield _run_in_order
-    finally:
-        with _PIN_LOCK:
-            _pin["blocks"] -= 1
-            if _pin["blocks"] == 0:
-                set_(_pin["saved"])
+    with _BLAS_LOCK:
+        saved = get()
+        set_(1)
+        try:
+            return list(_run_in_order(jobs))
+        finally:
+            set_(saved)
 
 
 def regression_metrics(

@@ -24,13 +24,13 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .events import FormatError, _file_size
+from .events import FormatError, _check_int_fields, _file_size
 
 _CKPT_LEN = struct.Struct("<I")
 _CKPT_FORMAT = "evtforce-checkpoint-v1"
@@ -47,12 +47,7 @@ class ViTConfig:
     mlp_ratio: float = 4.0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if type(f.default) is int and (
-                isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            ):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        _check_int_fields(self)
         if self.image_size <= 0:
             raise ValueError("image_size must be positive")
         if self.patch_size <= 0:
@@ -351,8 +346,8 @@ def save_checkpoint(model: ViTModel, path) -> None:
         fh.write(model.weights.astype("<f4").tobytes())
 
 
-def load_checkpoint(path, dtype=np.float32) -> ViTModel:
-    """Read a ``save_checkpoint`` file.
+def load_checkpoint(path) -> ViTModel:
+    """Read a ``save_checkpoint`` file as a float32 model.
 
     Any damage, an index other than the one the config fixes, and any NaN
     or infinite weight is a ``FormatError``.
@@ -389,7 +384,7 @@ def load_checkpoint(path, dtype=np.float32) -> ViTModel:
     if header["params"] != _index(config):
         raise FormatError(f"{path}: parameter index does not match the model config")
     weights = np.fromfile(path, "<f4", nbytes // 4, offset=_CKPT_LEN.size + hlen)
-    model = ViTModel(config, weights.astype(dtype, copy=False))
+    model = ViTModel(config, weights.astype(np.float32, copy=False))
     for name, p in model.params.items():
         if not np.isfinite(p.data).all():
             raise FormatError(f"{path}: parameter {name} holds a non-finite value")

@@ -1,8 +1,10 @@
 """End-to-end command line tests, driving main() in-process."""
 
 import contextlib
+import dataclasses
 import io
 import json
+import math
 import os
 import shutil
 import struct
@@ -27,11 +29,12 @@ from evtforce.cli import DEFAULT_CONFIG, ConfigError, load_config, main, sub_see
 from evtforce.events import EventStream, read_events, write_events
 from evtforce.frames import (
     FrameDataset,
+    FrameSpec,
     read_frame_dataset,
     write_frame_dataset,
 )
-from evtforce.synth import load_profile
-from evtforce.training import predict_forces
+from evtforce.synth import ForceProfile, GripperScene, SynthProtocol, load_profile
+from evtforce.training import TrainConfig, predict_forces
 from evtforce.vit import ViTConfig, init_params, load_checkpoint, save_checkpoint
 
 # Small enough that the full synth -> convert -> train chain runs in well
@@ -371,6 +374,39 @@ def test_any_json_value_loads_or_is_a_config_error(tmp_path_factory, value):
             continue
         assert cfg.raw[section][key] == value
         assert len(cfg.sha256()) == 64
+
+
+# Every config class, with the arguments it has no default for.
+_CONFIG_CLASSES = {
+    GripperScene: {},
+    SynthProtocol: {},
+    ForceProfile: {"samples": (0.0, 1.0), "rate_hz": 10.0},
+    FrameSpec: {},
+    TrainConfig: {},
+    ViTConfig: {},
+}
+_NUMERIC_FIELDS = [
+    pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
+    for cls, base in _CONFIG_CLASSES.items()
+    for f in dataclasses.fields(cls)
+    if type(base.get(f.name, f.default)) in (int, float)
+]
+
+
+@pytest.mark.parametrize("cls, name", _NUMERIC_FIELDS)
+def test_numeric_config_fields_refuse_what_they_cannot_hold(cls, name):
+    # A library caller gets the field's own refusal, never a later
+    # traceback; the message starts with the field's name, which
+    # cli._construct turns into "invalid <section>.<field>".
+    base = _CONFIG_CLASSES[cls]
+    default = getattr(cls(**base), name)
+    bad = [math.nan]
+    if type(default) is int:
+        bad += [math.inf, -math.inf, 1.5, True]
+    for value in bad:
+        with pytest.raises(ValueError) as refused:
+            cls(**{**base, name: value})
+        assert str(refused.value).startswith(f"{name} "), (value, str(refused.value))
 
 
 class TestSubSeed:

@@ -376,7 +376,7 @@ class TestTrainLoop:
             pooled = run()
         finally:
             sys.setswitchinterval(interval)
-        monkeypatch.setattr(training, "_run_in_order", training._in_turn)
+        monkeypatch.setattr(training, "_openblas_threads", lambda: None)
         in_turn = run()
         assert np.array_equal(pooled[0], in_turn[0])
         assert pooled[1] == in_turn[1]
@@ -458,17 +458,44 @@ class TestPredictEvaluate:
         assert peak[0] <= 2
 
     def test_overlapping_pins_restore_the_count_the_first_one_found(self, monkeypatch):
-        # Two threads' calls may overlap: the count stays 1 until the last
-        # one ends, then returns to what the first one found.
+        # A second call starts while the first one's jobs run, and its jobs
+        # read the count after the first call has returned.  Taking turns,
+        # every job reads 1 and the count ends as the first call found it.
+        # Without the lock, the second call would save the first one's 1,
+        # its jobs would read the restored 3, and it would leave 1 behind.
         count = [3]
+        first_running, second_pinning, first_done = (threading.Event() for _ in range(3))
+
+        def get():
+            if first_running.is_set():
+                second_pinning.set()
+            return count[0]
+
+        def first_job():
+            first_running.set()
+            second_pinning.wait(0.3)  # times out while the calls take turns
+            return count[0]
+
+        def second_job():
+            first_done.wait(10)
+            return count[0]
+
+        def call(name, job):
+            reads[name] = training._run_shards([(job,), (job,)])
+            first_done.set()
+
         monkeypatch.setattr(training, "_openblas_threads",
-                            lambda: (lambda: count[0], lambda n: count.__setitem__(0, n)))
-        a, b = training._sharded(), training._sharded()
-        a.__enter__()
-        b.__enter__()
-        a.__exit__(None, None, None)
-        assert count == [1]
-        b.__exit__(None, None, None)
+                            lambda: (get, lambda n: count.__setitem__(0, n)))
+        reads = {}
+        first = threading.Thread(target=call, args=("first", first_job))
+        first.start()
+        first_running.wait(10)
+        second = threading.Thread(target=call, args=("second", second_job))
+        second.start()
+        first.join(10)
+        second.join(10)
+        assert not first.is_alive() and not second.is_alive()
+        assert reads == {"first": [1, 1], "second": [1, 1]}
         assert count == [3]
 
     def test_evaluate_against_own_predictions_is_perfect(self, rng):

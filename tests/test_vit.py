@@ -182,12 +182,11 @@ class TestFlatBuffer:
         assert model.weights.size == count_params(TINY)
         assert_flat_views(model)
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_loaded_checkpoint_views_one_buffer(self, tmp_path, dtype):
+    def test_loaded_checkpoint_views_one_buffer(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(init_params(TINY, seed=8), path)
-        model = load_checkpoint(path, dtype=dtype)
-        assert model.weights.dtype == dtype
+        model = load_checkpoint(path)
+        assert model.weights.dtype == np.float32
         assert_flat_views(model)
 
     def test_constructor_copies_in_sorted_name_order(self):
@@ -385,16 +384,6 @@ class TestCheckpoint:
         save_checkpoint(model, p1)
         save_checkpoint(load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
-
-    def test_load_as_float64(self, tmp_path):
-        model = init_params(TINY, seed=8)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path)
-        back = load_checkpoint(path, dtype=np.float64)
-        assert back.weights.dtype == np.float64
-        for name, p in model.params.items():
-            assert back.params[name].dtype == np.float64
-            assert np.array_equal(back.params[name].data, p.data.astype(np.float64))
 
     def test_blob_layout(self, tmp_path):
         import json
