@@ -27,6 +27,7 @@ block reader and one writer.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import stat
@@ -66,39 +67,62 @@ class FormatError(ValueError):
     """An input file is damaged, or its content breaks a stream invariant."""
 
 
+def _is_int(value) -> bool:
+    """An integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _is_int64(value) -> bool:
-    """A JSON integer (not a bool) that fits in int64."""
-    return isinstance(value, int) and not isinstance(value, bool) and -2**63 <= value < 2**63
+    """An integer (not a bool) that fits in int64."""
+    return _is_int(value) and -2**63 <= value < 2**63
 
 
-def _check_int_fields(config) -> None:
-    """Refuse a config dataclass whose ``int`` field holds anything but an
-    integer (a bool is not one), or whose ``int | None`` field holds
-    anything but None or an integer.
+def _is_real(value) -> bool:
+    """An integer or float (not a bool) that is not infinite, nor past
+    float64's range.  NaN passes: each field's own rule refuses it by name.
+    """
+    try:
+        return (_is_int(value) or isinstance(value, (float, np.floating))) and not math.isinf(value)
+    except OverflowError:
+        return False
 
-    The annotations are read as strings, as every config module's
-    ``from __future__ import annotations`` leaves them.
+
+# What each scalar annotation asks of its field's value.
+_FIELD_RULES = {
+    "int": ("an integer", _is_int),
+    "float": ("a finite number", _is_real),
+    "bool": ("a bool", lambda value: isinstance(value, bool)),
+    "str": ("a string", lambda value: isinstance(value, str)),
+}
+
+
+def _check_fields(config) -> None:
+    """Refuse a config dataclass field whose value breaks its annotation's
+    rule; an ``X | None`` field takes X's rule or None.  Tuple fields are
+    left to their class's own check.  The annotations are strings, as each
+    config module's ``from __future__ import annotations`` leaves them.
     """
     for f in fields(config):
-        value = getattr(config, f.name)
-        if f.type == "int | None" and value is None:
-            continue
-        if f.type in ("int", "int | None") and (
-            isinstance(value, bool) or not isinstance(value, (int, np.integer))
-        ):
-            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        kind = f.type.removesuffix(" | None")
+        if kind in _FIELD_RULES:
+            value = getattr(config, f.name)
+            expected, fits = _FIELD_RULES[kind]
+            optional = kind != f.type
+            if not (fits(value) or optional and value is None):
+                or_none = " or None" if optional else ""
+                raise ValueError(f"{f.name} must be {expected}{or_none}, got {value!r}")
 
 
 def _check_sides(width, height, error=ValueError, where="") -> None:
-    if not (0 < width <= MAX_SIDE and 0 < height <= MAX_SIDE):
-        raise error(f"{where}sensor size {width}x{height} is outside 1..{MAX_SIDE} per side")
+    if not all(_is_int(side) and 0 < side <= MAX_SIDE for side in (width, height)):
+        raise error(f"{where}sensor size {width!r}x{height!r} is outside 1..{MAX_SIDE} per side")
 
 
 class EventStream:
     """Immutable, valid collection of events for one sensor size.
 
-    Construction refuses, with a ``ValueError``, a side outside
-    1..MAX_SIDE and any broken stream rule.  Checked per event:
+    Construction refuses, with a ``ValueError``, a side that is not an
+    integer in 1..MAX_SIDE and any broken stream rule.  Checked per event:
     non-negative timestamp, x within [0, width), y within [0, height),
     polarity in {+1, -1}; and pairwise: timestamps non-decreasing.  The
     error counts each broken check on each event once and names the first

@@ -39,7 +39,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .events import (EventStream, FormatError, _check_int_fields, _is_int64, _read_records,
+from .events import (EventStream, FormatError, _check_fields, _is_int64, _read_records,
                      _write_records)
 from .synth import GripperScene, _run_in_order
 
@@ -65,7 +65,7 @@ class FrameSpec:
     normalize: bool = True
 
     def __post_init__(self):
-        _check_int_fields(self)
+        _check_fields(self)
         if self.window_us <= 0:
             raise ValueError("window_us must be positive")
         if self.mode not in MODES:

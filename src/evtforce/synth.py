@@ -54,12 +54,12 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .events import MAX_SIDE, EventStream, FormatError, _check_int_fields
+from .events import MAX_SIDE, EventStream, FormatError, _check_fields, _is_real
 
 Polyline = tuple[tuple[float, float], ...]
 
@@ -81,6 +81,14 @@ def default_fingers(width: int, height: int) -> tuple[Polyline, Polyline]:
 _MAX_DELTA_PX = 1e150
 
 
+def _is_polylines(value) -> bool:
+    """A list or tuple of fingers, each a list or tuple of (x, y) number pairs."""
+    seq = (list, tuple)
+    return isinstance(value, seq) and all(isinstance(finger, seq) and all(
+        isinstance(point, seq) and len(point) == 2 and all(map(_is_real, point)) for point in finger
+    ) for finger in value)
+
+
 @dataclass(frozen=True)
 class GripperScene:
     """Static scene geometry and the event-camera contrast threshold."""
@@ -96,12 +104,14 @@ class GripperScene:
     thickness_px: float = 5.0
 
     def __post_init__(self):
-        _check_int_fields(self)
+        _check_fields(self)
         for name in ("width", "height"):
             if not 0 < getattr(self, name) <= MAX_SIDE:
                 raise ValueError(f"{name} must be in 1..{MAX_SIDE}, the sides an event file stores")
         if self.fingers is None:
             object.__setattr__(self, "fingers", default_fingers(self.width, self.height))
+        if not _is_polylines(self.fingers):
+            raise ValueError("fingers must be sequences of (x, y) pairs of finite numbers")
         fingers = tuple(tuple((float(x), float(y)) for x, y in f) for f in self.fingers)
         object.__setattr__(self, "fingers", fingers)
         if not 0 <= self.delta_max_px <= _MAX_DELTA_PX:
@@ -143,7 +153,7 @@ class SynthProtocol:
     noise_rate_hz: float = 0.0
 
     def __post_init__(self):
-        _check_int_fields(self)
+        _check_fields(self)
         if not self.rate_hz > 0:
             raise ValueError("rate_hz must be positive")
         if self.samples_per_recording < 2:
@@ -162,9 +172,13 @@ class ForceProfile:
     rate_hz: float
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(float(s) for s in self.samples))
+        _check_fields(self)
+        samples = self.samples
+        if not (isinstance(samples, (list, tuple)) and all(_is_real(s) and s >= 0 for s in samples)):
+            raise ValueError("samples must be finite and non-negative")
+        object.__setattr__(self, "samples", tuple(map(float, samples)))
         # ``period_us`` rounds 1e6 / rate_hz, so that must be finite too.
-        if not (0 < self.rate_hz < math.inf and 1e6 / self.rate_hz < math.inf):
+        if not (self.rate_hz > 0 and 1e6 / self.rate_hz < math.inf):
             raise ValueError("rate_hz must be finite and positive")
         # Every sample time must be a distinct int64 microsecond.
         if self.period_us == 0:
@@ -173,8 +187,6 @@ class ForceProfile:
             raise ValueError(
                 f"rate_hz {self.rate_hz!r} puts sample {len(self.samples) - 1} past 2**63 us"
             )
-        if not all(math.isfinite(s) and s >= 0 for s in self.samples):
-            raise ValueError("samples must be finite and non-negative")
 
     @property
     def period_us(self) -> int:
@@ -619,9 +631,8 @@ def load_profile(path) -> ForceProfile:
     try:
         payload = json.loads(Path(path).read_bytes())
         rate, samples = payload["rate_hz"], payload["samples"]
-        if not all(type(v) in (int, float) for v in [rate, *samples]):
-            raise TypeError("rate_hz and samples must be numbers")
-        return ForceProfile(tuple(samples), float(rate))
+        # Converted once checked: a loaded rate is a float, as the file's may not be.
+        return replace(ForceProfile(tuple(samples), rate), rate_hz=float(rate))
     except KeyError as exc:
         raise FormatError(f"{path}: not a force track (no {exc} key)") from exc
     except (TypeError, ValueError, OverflowError) as exc:

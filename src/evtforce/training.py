@@ -34,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .events import _check_int_fields
+from .events import _check_fields, _is_real
 from .frames import FrameDataset, batch_frames
 from .synth import _run_in_order
 from .vit import ViTModel, _params, forward
@@ -53,7 +53,7 @@ class TrainConfig:
     mape_floor_n: float = 0.05
 
     def __post_init__(self):
-        _check_int_fields(self)
+        _check_fields(self)
         object.__setattr__(self, "split", _checked_split(self.split))
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
@@ -71,11 +71,13 @@ class TrainConfig:
 
 
 def _checked_split(split) -> tuple[float, float, float]:
-    """The train/val/test ratios as floats: three, non-negative, summing to 1."""
-    split = tuple(float(r) for r in split)
-    if len(split) != 3 or any(r < 0 for r in split):
-        raise ValueError("split must be three non-negative ratios")
-    if not abs(sum(split) - 1.0) <= 1e-9:  # NaN fails too
+    """The train/val/test ratios as floats: a list or tuple of three
+    finite, non-negative numbers summing to 1."""
+    if not (isinstance(split, (list, tuple)) and len(split) == 3
+            and all(_is_real(r) and r >= 0 for r in split)):
+        raise ValueError("split must be three finite non-negative ratios")
+    split = tuple(map(float, split))
+    if not abs(sum(split) - 1.0) <= 1e-9:
         raise ValueError("split ratios must sum to 1")
     return split
 

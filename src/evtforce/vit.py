@@ -30,7 +30,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .events import FormatError, _check_int_fields, _file_size
+from .events import FormatError, _check_fields, _file_size
 
 _CKPT_LEN = struct.Struct("<I")
 _CKPT_FORMAT = "evtforce-checkpoint-v1"
@@ -47,7 +47,7 @@ class ViTConfig:
     mlp_ratio: float = 4.0
 
     def __post_init__(self):
-        _check_int_fields(self)
+        _check_fields(self)
         if self.image_size <= 0:
             raise ValueError("image_size must be positive")
         if self.patch_size <= 0:
@@ -62,7 +62,7 @@ class ViTConfig:
             raise ValueError("depth must be positive")
         if self.num_heads <= 0 or self.embed_dim % self.num_heads != 0:
             raise ValueError("num_heads must divide embed_dim")
-        if not 0 < self.mlp_ratio < math.inf:
+        if not self.mlp_ratio > 0:
             raise ValueError("mlp_ratio must be positive and finite")
 
     @property

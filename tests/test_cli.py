@@ -291,7 +291,7 @@ class TestConfig:
         code, _, err = run_cli(["synth", "--config", path, "--out", tmp_path / "o"])
         assert code == 2
         assert_one_line_error(err)
-        assert f"invalid {section}.{key}: must be" in err
+        assert f"invalid {section}.{key}: {key} must be" in err
 
     @pytest.mark.parametrize(
         "section,key,value",
@@ -404,6 +404,39 @@ def test_numeric_config_fields_refuse_what_they_cannot_hold(cls, name):
     if type(default) is int:
         bad += [math.inf, -math.inf, 1.5, True]
     for value in bad:
+        with pytest.raises(ValueError) as refused:
+            cls(**{**base, name: value})
+        assert str(refused.value).startswith(f"{name} "), (value, str(refused.value))
+
+
+# Values of the wrong type for each annotation, and malformed values for
+# each structured field.
+_WRONG_VALUES = {
+    "int": ["16"],
+    "int | None": ["64"],
+    "float": ["1.0", True, 10**400, math.inf, -math.inf],
+    "bool": [0, "yes"],
+    "str": [2],
+    "fingers": [5, ((1, 2), (3, 4)), ((("10", 20), (30, 20)),)],
+    "split": [("0.7", "0.15", "0.15"), {"train": 0.7, "val": 0.15, "test": 0.15}],
+    "samples": [("0.5", 1.0), (True, 1.0), 5],
+}
+_ALL_FIELDS = [
+    pytest.param(cls, f.name, _WRONG_VALUES.get(f.name) or _WRONG_VALUES[f.type],
+                 id=f"{cls.__name__}.{f.name}")
+    for cls in _CONFIG_CLASSES
+    for f in dataclasses.fields(cls)
+]
+
+
+@pytest.mark.parametrize("cls, name, wrong", _ALL_FIELDS)
+def test_every_config_field_refuses_a_wrong_type(cls, name, wrong):
+    # Each class checks its fields' types itself, so a library caller gets
+    # the refusal that a config file gets, never a later TypeError or a
+    # silently kept value.  A field of a new annotation has no entry here
+    # and fails at collection.
+    base = _CONFIG_CLASSES[cls]
+    for value in wrong:
         with pytest.raises(ValueError) as refused:
             cls(**{**base, name: value})
         assert str(refused.value).startswith(f"{name} "), (value, str(refused.value))

@@ -79,6 +79,15 @@ class TestEventStream:
             EventStream(width, height)
         assert EventStream(65535, 65535).width == 65535
 
+    @pytest.mark.parametrize("width, height", [(4.5, 4), (True, 4), ("4", 4), (4, 4.0)])
+    def test_side_must_be_an_integer(self, width, height):
+        # 4.5 was once taken as a 4-wide sensor, True as a 1-wide one, and
+        # '4' ended in a TypeError.
+        shown = re.escape(f"{width!r}x{height!r}")
+        with pytest.raises(ValueError, match=f"^sensor size {shown} is outside 1..65535"):
+            EventStream(width, height)
+        assert type(EventStream(np.int64(4), 4).width) is int
+
     def test_duration_empty_is_zero(self):
         assert EventStream(8, 8).duration_us == 0
 
