@@ -17,6 +17,7 @@ Exit codes: 0 success, 2 usage or validation error, 3 I/O or file-format error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import hashlib
 import json
@@ -167,6 +168,16 @@ def _print_json(payload) -> None:
     print(text)
 
 
+@contextlib.contextmanager
+def _config_needs_memory(section: str):
+    """A valid but extreme config (a huge noise rate, say) asks for more memory than there is."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise ConfigError(f"the {section} config needs more memory than is available "
+                          f"({str(exc) or 'out of memory'})") from exc
+
+
 def _event_format(path: Path) -> str:
     return "csv" if path.suffix == ".csv" else "binary"
 
@@ -182,7 +193,7 @@ def cmd_synth(args) -> int:
 
     entries = []
     for r in range(n):
-        try:
+        with _config_needs_memory("scene"):
             profile = make_grasp_profile(
                 cfg.protocol.samples_per_recording,
                 cfg.scene.f_max_n,
@@ -196,12 +207,6 @@ def cmd_synth(args) -> int:
                 noise_rate_hz=cfg.protocol.noise_rate_hz,
                 seed=sub_seed(seed, f"noise:{r}"),
             )
-        except MemoryError as exc:
-            # A valid but extreme scene config (a huge noise rate, sample
-            # count or event count per pixel) asks for more than there is.
-            raise ConfigError(
-                f"the scene config needs more memory than is available ({str(exc) or 'out of memory'})"
-            ) from exc
         events_name = f"rec{r:03d}.evb1"
         labels_name = f"rec{r:03d}.labels.json"
         write_events(stream, out_dir / events_name, "binary")
@@ -249,12 +254,13 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config)
     seed = _master_seed(args, cfg)
     train_cfg = replace(cfg.train, seed=sub_seed(seed, "train"))
+    with _config_needs_memory("model"):  # built first, so a model too large costs no read
+        model = init_params(cfg.model, sub_seed(seed, "init"))
     dataset = read_frame_dataset(args.data)
     if len(dataset) == 0:
         raise ConfigError(f"{args.data} holds no frames")
     check_frame_shape(cfg.model, dataset.frames.shape[1:])
     splits = split_dataset(dataset, train_cfg.split, sub_seed(seed, "split"))
-    model = init_params(cfg.model, sub_seed(seed, "init"))
     model, log = train(model, splits, train_cfg)
 
     # Summarized before any file is written, so a diverged run writes nothing.

@@ -404,5 +404,4 @@ def _parse_evb1(path):
     (width, height), columns = _read_records(
         path, _EVB1_HEADER, _EVB1_MAGIC, lambda width, height: _EVB1_RECORD, _COLUMNS
     )
-    _check_sides(width, height, FormatError, f"{path}: ")
     return width, height, tuple(columns.values())

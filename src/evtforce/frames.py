@@ -39,8 +39,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .events import (EventStream, FormatError, _check_fields, _is_int64, _read_records,
-                     _write_records)
+from .events import EventStream, FormatError, _check_fields, _read_records, _write_records
 from .synth import GripperScene, _run_in_order
 
 MODES = ("binary", "count", "polarity2ch")
@@ -297,19 +296,29 @@ class FrameDataset:
     ``windows`` is an (N, 2) int64 array of each frame's [start, end) in
     microseconds, all zero when unknown (a container read without its
     sidecar); ``labels`` are float32 forces and ``provenance`` the
-    recording id of each frame.
+    recording id of each frame.  Construction refuses a broken row: a ``ValueError``.
     """
 
     def __init__(self, frames, labels, provenance: Sequence[str], windows=None):
         self.frames = np.asarray(frames, dtype=np.float32)
         self.labels = np.asarray(labels, dtype=np.float32)
+        if not (isinstance(provenance, (list, tuple))
+                and all(isinstance(r, str) for r in provenance)):
+            raise ValueError("provenance must be a list or tuple of strings")
         self.provenance = list(provenance)
         if self.frames.ndim != 4:
             raise ValueError("frames must have shape (N, channels, height, width)")
         n = len(self.frames)
-        if windows is None:
-            windows = np.zeros((n, 2))
-        self.windows = np.asarray(windows, dtype=np.int64)
+        try:
+            pairs = np.asarray(np.zeros((n, 2), np.int64) if windows is None else windows)
+        except ValueError:  # a ragged list
+            pairs = np.asarray(None)
+        # Floats, strings and integers past int64 (uint64 or object) are not
+        # of kind "i", and numpy reads a bool among integers as 0 or 1.
+        if pairs.size and (pairs.dtype.kind != "i" or not isinstance(windows, np.ndarray) and any(
+                isinstance(v, (bool, np.bool_)) for v in np.asarray(windows, dtype=object).flat)):
+            raise ValueError("windows must be a list of [start, end] int64 pairs")
+        self.windows = (pairs if pairs.size else pairs.reshape(0, 2)).astype(np.int64, copy=False)
         if self.labels.ndim != 1:
             raise ValueError("labels must be a 1-D array")
         for field, rows in (("labels", self.labels), ("provenance", self.provenance)):
@@ -319,8 +328,12 @@ class FrameDataset:
             raise ValueError(f"windows must have shape ({n}, 2), not {self.windows.shape}")
         if np.any(self.windows[:, 1] < self.windows[:, 0]):
             raise ValueError("windows must not end before they start")
-        if self.labels.size and not np.all(np.isfinite(self.labels)):
-            raise ValueError("labels must be finite")
+        # float32 terms cannot overflow a float64 sum: it is finite iff every term is.
+        frame_ok = np.isfinite(self.frames.sum(axis=(1, 2, 3), dtype=np.float64))
+        bad = np.flatnonzero(~(frame_ok & np.isfinite(self.labels)))
+        if bad.size:
+            what = "label" if frame_ok[bad[0]] else "frame value"
+            raise ValueError(f"frame {bad[0]} holds a non-finite {what}")
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -440,33 +453,17 @@ def write_frame_dataset(
     Path(str(path) + ".json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _is_window_list(windows) -> bool:
-    return isinstance(windows, list) and all(
-        isinstance(win, list) and len(win) == 2 and all(map(_is_int64, win)) for win in windows
-    )
-
-
 def read_frame_dataset(path) -> FrameDataset:
     """Read an FRD1 container; the sidecar manifest is used when present.
 
-    A non-finite frame value or label, or a sidecar whose ``windows`` or
-    ``provenance`` has the wrong type, or breaks a ``FrameDataset`` rule,
-    is a ``FormatError``.
+    Damage, and rows that ``FrameDataset`` refuses, are a ``FormatError``
+    naming the sidecar (for ``windows`` and ``provenance``) or the container.
     """
     path = Path(path)
     _, columns = _read_records(
         path, _FRD1_HEADER, _FRD1_MAGIC, _record_dtype, {"frame": np.float32, "label": np.float32}
     )
-    frames, labels = columns["frame"], columns["label"]
-    # float32 terms cannot overflow a float64 sum: it is finite iff every term is.
-    frame_ok = np.isfinite(frames.sum(axis=(1, 2, 3), dtype=np.float64))
-    bad = np.flatnonzero(~frame_ok | ~np.isfinite(labels))
-    if bad.size:
-        what = "label" if frame_ok[bad[0]] else "frame value"
-        raise FormatError(f"{path}: frame {bad[0]} holds a non-finite {what}")
-
-    windows = None
-    provenance = [""] * len(frames)
+    manifest = {}
     sidecar = Path(str(path) + ".json")
     if sidecar.exists():
         try:
@@ -475,17 +472,11 @@ def read_frame_dataset(path) -> FrameDataset:
             raise FormatError(f"{sidecar}: corrupt sidecar manifest") from exc
         if not isinstance(manifest, dict):
             raise FormatError(f"{sidecar}: sidecar manifest must be a JSON object")
-        if "windows" in manifest:
-            if not _is_window_list(manifest["windows"]):
-                raise FormatError(f"{sidecar}: windows must be a list of [start, end] int64 pairs")
-            windows = np.array(manifest["windows"], dtype=np.int64).reshape(-1, 2)
-        if "provenance" in manifest:
-            if not (isinstance(manifest["provenance"], list)
-                    and all(isinstance(r, str) for r in manifest["provenance"])):
-                raise FormatError(f"{sidecar}: provenance must be a list of strings")
-            provenance = manifest["provenance"]
-    # The container's own rows always agree; only the sidecar's can break a rule.
+        if manifest.get("windows", []) is None:  # a null is not an absent field
+            raise FormatError(f"{sidecar}: windows must be a list of [start, end] int64 pairs")
+    provenance = manifest.get("provenance", [""] * len(columns["label"]))
     try:
-        return FrameDataset(frames, labels, provenance, windows)
+        return FrameDataset(*columns.values(), provenance, manifest.get("windows"))
     except ValueError as exc:
-        raise FormatError(f"{sidecar}: {exc}") from exc
+        named = sidecar if str(exc).split()[0] in ("windows", "provenance") else path
+        raise FormatError(f"{named}: {exc}") from exc

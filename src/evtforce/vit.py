@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -48,22 +48,22 @@ class ViTConfig:
 
     def __post_init__(self):
         _check_fields(self)
-        if self.image_size <= 0:
-            raise ValueError("image_size must be positive")
-        if self.patch_size <= 0:
-            raise ValueError("patch_size must be positive")
+        for name in ("image_size", "patch_size", "in_channels", "embed_dim", "depth"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.image_size % self.patch_size != 0:
             raise ValueError("image_size must be divisible by patch_size")
-        if self.in_channels <= 0:
-            raise ValueError("in_channels must be positive")
-        if self.embed_dim <= 0:
-            raise ValueError("embed_dim must be positive")
-        if self.depth <= 0:
-            raise ValueError("depth must be positive")
         if self.num_heads <= 0 or self.embed_dim % self.num_heads != 0:
             raise ValueError("num_heads must divide embed_dim")
         if not self.mlp_ratio > 0:
             raise ValueError("mlp_ratio must be positive and finite")
+        cap = np.iinfo(np.intp).max // 8  # float64 values; numpy's own error names no field
+        for name, size in (("embed_dim", lambda: self.embed_dim),
+                           ("mlp_ratio", lambda: self.embed_dim * self.mlp_ratio),  # hidden_dim
+                           ("embed_dim", lambda: _size(expected_param_shapes(self, 1))),
+                           ("depth", lambda: count_params(self))):
+            if size() > cap:
+                raise ValueError(f"{name} {getattr(self, name)} gives {size()} values, past {cap}")
 
     @property
     def num_patches(self) -> int:
@@ -114,8 +114,8 @@ def _block_shapes(config: ViTConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def expected_param_shapes(config: ViTConfig) -> dict[str, tuple[int, ...]]:
-    """The full parameter namespace; the single source of truth for shapes."""
+def expected_param_shapes(config: ViTConfig, depth=None) -> dict[str, tuple[int, ...]]:
+    """The namespace of ``depth`` blocks or the config's; the one source of shapes."""
     d = config.embed_dim
     shapes: dict[str, tuple[int, ...]] = {
         "patch_proj.w": (config.in_channels * config.patch_size**2, d),
@@ -124,7 +124,7 @@ def expected_param_shapes(config: ViTConfig) -> dict[str, tuple[int, ...]]:
         "pos_embed": (config.num_tokens, d),
     }
     block = _block_shapes(config)
-    for i in range(config.depth):
+    for i in range(config.depth if depth is None else depth):
         shapes.update({f"block{i}.{name}": shape for name, shape in block.items()})
     shapes["final_ln.g"] = (d,)
     shapes["final_ln.b"] = (d,)
@@ -141,8 +141,7 @@ def count_params(config: ViTConfig) -> int:
     """The number of weights, in time independent of ``depth``, so that a
     checkpoint header can be checked against its blob before anything is
     built per block."""
-    one_block = _size(expected_param_shapes(replace(config, depth=1)))
-    return one_block + (config.depth - 1) * _size(_block_shapes(config))
+    return _size(expected_param_shapes(config, 0)) + config.depth * _size(_block_shapes(config))
 
 
 def _layout(config: ViTConfig) -> dict[str, tuple[tuple[int, ...], int]]:
@@ -171,6 +170,7 @@ class ViTModel:
     ``count_params(config)`` values, in sorted-name order (``_layout``),
     beside a same-shaped ``grads``; each ``params[name]`` is a Tensor whose
     ``data`` and ``grad`` are views into them, so write it in place.
+    Construction refuses a NaN or infinite weight, naming its parameter.
     """
 
     def __init__(self, config: ViTConfig, weights: np.ndarray):
@@ -185,6 +185,9 @@ class ViTModel:
             )
         self.grads = np.zeros_like(self.weights)
         self.params = _params(config, self.weights, self.grads)
+        if not np.isfinite(self.weights).all():
+            name = next(name for name, p in self.params.items() if not np.isfinite(p.data).all())
+            raise ValueError(f"parameter {name} holds a non-finite value")
 
 
 def _params(config: ViTConfig, weights: np.ndarray, grads: np.ndarray) -> dict[str, Tensor]:
@@ -349,8 +352,8 @@ def save_checkpoint(model: ViTModel, path) -> None:
 def load_checkpoint(path) -> ViTModel:
     """Read a ``save_checkpoint`` file as a float32 model.
 
-    Any damage, an index other than the one the config fixes, and any NaN
-    or infinite weight is a ``FormatError``.
+    Any damage, an index other than the one the config fixes, and a config
+    or weights (a NaN, say) that the model classes refuse is a ``FormatError``.
     """
     size = _file_size(path)
     if size < _CKPT_LEN.size:
@@ -384,8 +387,7 @@ def load_checkpoint(path) -> ViTModel:
     if header["params"] != _index(config):
         raise FormatError(f"{path}: parameter index does not match the model config")
     weights = np.fromfile(path, "<f4", nbytes // 4, offset=_CKPT_LEN.size + hlen)
-    model = ViTModel(config, weights.astype(np.float32, copy=False))
-    for name, p in model.params.items():
-        if not np.isfinite(p.data).all():
-            raise FormatError(f"{path}: parameter {name} holds a non-finite value")
-    return model
+    try:
+        return ViTModel(config, weights.astype(np.float32, copy=False))
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

@@ -442,6 +442,53 @@ def test_every_config_field_refuses_a_wrong_type(cls, name, wrong):
         assert str(refused.value).startswith(f"{name} "), (value, str(refused.value))
 
 
+@pytest.mark.parametrize(
+    "name, overrides",
+    [
+        ("mlp_ratio", {"mlp_ratio": 1e300}),
+        ("mlp_ratio", {"embed_dim": 2**40, "num_heads": 1, "mlp_ratio": 1e300}),
+        ("embed_dim", {"embed_dim": 2**31, "num_heads": 1}),
+        ("embed_dim", {"embed_dim": 10**400, "num_heads": 1}),
+        ("depth", {"depth": 10**15}),
+    ],
+)
+def test_a_model_no_array_can_hold_is_refused_by_its_field(name, overrides):
+    # Past 2**60 values no float64 array can hold the weights, and numpy's
+    # own error names no field.
+    with pytest.raises(ValueError) as refused:
+        ViTConfig(**overrides)
+    assert str(refused.value).startswith(f"{name} "), str(refused.value)
+
+
+@pytest.mark.parametrize(
+    "model, line",
+    [
+        ({"mlp_ratio": 1e300}, "error: invalid model.mlp_ratio: mlp_ratio 1e+300 gives "),
+        ({"depth": 10**9}, "error: the model config needs more memory than is available ("),
+    ],
+    ids=["no-array", "no-memory"],
+)
+def test_train_refuses_a_model_too_large_before_reading(tmp_path, model, line):
+    # The model is built before the dataset is read, so a missing .frd is
+    # never reached.  The child has 1 GiB of address space.
+    config = tmp_path / "model.json"
+    config.write_text(json.dumps({"model": model}))
+    code, out, err, _ = run_limited(["train", "--config", config, "--data", tmp_path / "nope.frd",
+                                     "--out", tmp_path / "m.ckpt"], budget_s=60)
+    assert (code, out) == (2, [])
+    assert_one_line_error(err)
+    assert err.startswith(line), err
+    assert list(tmp_path.iterdir()) == [config]
+
+
+def test_a_deep_model_still_trains(ws, tmp_path):
+    config = write_config(tmp_path, {"model": {"depth": 100}, "train": {"epochs": 1}})
+    out = tmp_path / "deep.ckpt"
+    code, _, err = run_cli(["train", "--config", config, "--data", ws.frd, "--out", out])
+    assert code == 0, err
+    assert load_checkpoint(out).config.depth == 100
+
+
 class TestSubSeed:
     def test_deterministic(self):
         assert sub_seed(11, "profile:0") == sub_seed(11, "profile:0")
@@ -1522,6 +1569,19 @@ class TestBench:
         assert (code, out) == (3, [])
         assert_one_line_error(err)
         assert f"{path}: sensor size {width}x60 is outside 1..65535 per side" in err
+
+    @pytest.mark.parametrize("offset, size", [(4, "0x60"), (6, "80x0")], ids=["width", "height"])
+    def test_evb1_with_a_zero_side_is_refused(self, tmp_path, offset, size):
+        # The EVB1 reader only decodes; the stream's own rule refuses the side.
+        path = tmp_path / "flat.evb1"
+        write_events(EventStream(80, 60, [0, 5], [3, 4], [2, 2], [1, -1]), path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<H", raw, offset, 0)
+        path.write_bytes(bytes(raw))
+        code, out, err = run_cli(["bench", "--in", path, "--repeats", 1])
+        assert (code, out) == (3, "")
+        line = f"error: invalid stream in {path}: sensor size {size} is outside 1..65535 per side\n"
+        assert err == line
 
     @pytest.mark.parametrize(
         "argv",

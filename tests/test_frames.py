@@ -790,9 +790,16 @@ class TestFrameDataset:
             (np.zeros((1, 1, 2, 2)), [0.1], ["a"], [[0, 1], [1, 2]]),
             (np.zeros((1, 1, 2, 2)), [0.1], ["a"], [0, 1]),
             (np.zeros((1, 1, 2, 2)), [0.1], ["a"], [[2, 1]]),
+            (np.array([[[[0.0, 1.0], [np.nan, 0.0]]]]), [0.1], ["a"], None),
+            (np.array([[[[0.0, 1.0], [np.inf, 0.0]]]]), [0.1], ["a"], None),
+            (np.zeros((2, 1, 2, 2)), [0.1, 0.2], ["a", "a"], [[0.5, 1.7], [2.9, 3.2]]),
+            (np.zeros((1, 1, 2, 2)), [0.1], ["a"], np.array([[2**63, 2**63 + 1]], np.uint64)),
+            (np.zeros((2, 1, 2, 2)), [0.1, 0.2], [1, 2], None),
+            (np.zeros((1, 1, 2, 2)), [0.1], ["a"], [[0, True]]),
         ],
         ids=["3-d", "labels", "labels-long", "provenance", "windows", "flat-windows",
-             "window-ends-first"],
+             "window-ends-first", "nan-frame", "inf-frame", "float-windows",
+             "uint64-windows", "int-provenance", "bool-windows"],
     )
     def test_malformed_rejected(self, frames, labels, provenance, windows):
         with pytest.raises(ValueError):
@@ -812,6 +819,28 @@ class TestFrdContainer:
         assert back == ds
         write_frame_dataset(back, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(st.floats(width=32), min_size=2, max_size=2),
+        window=st.integers(-2**64, 2**64) | st.floats() | st.booleans(),
+        name=st.text(max_size=3) | st.integers(),
+    )
+    def test_every_dataset_that_constructs_reads_back_equal(self, tmp_path_factory, values,
+                                                            window, name):
+        # Only a valid dataset exists, so whatever constructs is written and
+        # read back as the round trip above reads it back.
+        rows = np.array([[[[values[0]]]], [[[1.0]]]])
+        try:
+            ds = FrameDataset(rows, [values[1], 0.5], [name, "b"], [[0, window], [window, window]])
+        except ValueError:
+            return
+        path = tmp_path_factory.getbasetemp() / "constructed.frd"
+        write_frame_dataset(ds, path)
+        back = read_frame_dataset(path)
+        assert back == ds
+        write_frame_dataset(back, path.with_name("again.frd"))
+        assert path.read_bytes() == path.with_name("again.frd").read_bytes()
 
     def test_sidecar_holds_windows_and_provenance(self, tmp_path, rng):
         import json

@@ -214,6 +214,16 @@ class TestFlatBuffer:
         with pytest.raises(ValueError, match="float32 or float64"):
             ViTModel(TINY, np.zeros(count_params(TINY), dtype=np.int32))
 
+    @pytest.mark.parametrize("name", ["block0.mlp.fc2.w", "head.b", "reg_token"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_weight(self, name, value):
+        # Only a finite model exists, so save_checkpoint never writes a file
+        # that load_checkpoint refuses.
+        source = init_params(TINY, seed=0)
+        source.params[name].data.flat[-1] = value
+        with pytest.raises(ValueError, match=f"^parameter {name} holds a non-finite value$"):
+            ViTModel(TINY, source.weights)
+
 
 class TestPatchify:
     def test_single_channel_layout(self):
