@@ -1,8 +1,10 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-A ``Tensor`` wraps a float32 or float64 ndarray.  Every op records its
-parents and a backward rule on the result, so a forward pass implicitly
-builds the computation graph; ``backward(loss)`` walks that graph once in
+A ``Tensor`` wraps a float32 or float64 ndarray.  Every op that a
+gradient flows through gives its result a node: its parents' nodes and
+its backward rule.  The graph holds nodes; values live only where a rule
+captured them, so an intermediate that no rule reads is freed as soon as
+the forward code drops it.  ``backward(loss)`` walks the nodes once in
 reverse topological order and accumulates dLoss/dLeaf into the ``grad``
 of every leaf created with ``requires_grad=True``.  Gradients add across
 calls until ``zero_grad`` resets them, and a leaf that the loss never
@@ -74,10 +76,29 @@ def is_grad_enabled() -> bool:
     return _GRAD_ENABLED.get()
 
 
-class Tensor:
-    """An ndarray plus the bookkeeping needed for reverse-mode gradients."""
+class _Node:
+    """One recorded op: its parents' references and its backward rule.
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    A parent's reference is its node, the parent Tensor itself when it is a
+    ``requires_grad`` leaf, or None where no gradient flows.  A node holds
+    no values: the rule captures the arrays it reads.
+    """
+
+    __slots__ = ("parents", "backward")
+
+    def __init__(self, parents: tuple, backward_fn):
+        self.parents = parents
+        self.backward = backward_fn
+
+
+class Tensor:
+    """An ndarray plus the bookkeeping needed for reverse-mode gradients.
+
+    ``_node`` is the op that recorded it, or None for a leaf or a value
+    no gradient flows through.
+    """
+
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -86,8 +107,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(arr) if requires_grad else None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
+        self._node: _Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -106,14 +126,11 @@ def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tenso
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    if _GRAD_ENABLED.get() and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward_fn
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._backward = None
+    out.requires_grad = _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
+    out._node = None
+    if out.requires_grad:
+        refs = tuple(p._node or (p if p.requires_grad else None) for p in parents)
+        out._node = _Node(refs, backward_fn)
     return out
 
 
@@ -135,7 +152,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of two same-shape tensors."""
     _same_shape(a, b, "mul")
-    return _result(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
+    A, B = a.data, b.data
+    return _result(A * B, (a, b), lambda g: (g * B, g * A))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -159,8 +177,10 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
             f"dims of {x.data.shape}"
         )
 
+    shape = b.data.shape
+
     def backward(g):
-        return g, g.reshape((-1,) + b.data.shape).sum(axis=0)
+        return g, g.reshape((-1,) + shape).sum(axis=0)
 
     return _result(x.data + b.data, (x, b), backward)
 
@@ -250,11 +270,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     xhat = centered * inv
     out = xhat * gamma.data + beta.data
     lead = tuple(range(x.data.ndim - 1))
+    G = gamma.data
 
     def backward(g):
         dgamma = (g * xhat).sum(axis=lead)
         dbeta = g.sum(axis=lead)
-        dxhat = g * gamma.data
+        dxhat = g * G
         mean_d = dxhat.mean(axis=-1, keepdims=True)
         mean_dx = (dxhat * xhat).mean(axis=-1, keepdims=True)
         dx = inv * (dxhat - mean_d - xhat * mean_dx)
@@ -308,16 +329,17 @@ def gelu(x: Tensor) -> Tensor:
     The output has the input's dtype; the backward rule Phi + x * phi
     reuses the forward's Phi.
     """
-    if x.data.dtype == np.float32:
-        cdf = _phi32(x.data)
+    X = x.data
+    if X.dtype == np.float32:
+        cdf = _phi32(X)
     else:
-        cdf = 0.5 * (1.0 + _erf64(x.data / _SQRT2))
+        cdf = 0.5 * (1.0 + _erf64(X / _SQRT2))
 
     def backward(g):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
-        return (g * (cdf + x.data * pdf),)
+        pdf = np.exp(-0.5 * X * X) * _INV_SQRT_2PI
+        return (g * (cdf + X * pdf),)
 
-    return _result(x.data * cdf, (x,), backward)
+    return _result(X * cdf, (x,), backward)
 
 
 def mean_over_axis(x: Tensor, axis: int) -> Tensor:
@@ -371,18 +393,21 @@ def repeat_batch(x: Tensor, n: int) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Accumulate dLoss/dLeaf into every reachable requires_grad leaf.
 
-    The loss must be a scalar (size-1) tensor recorded on a graph.
-    Calling backward again without ``zero_grad`` adds another full
-    gradient on top of the stored one.
+    The loss must be a scalar (size-1) tensor recorded on a graph, or a
+    ``requires_grad`` leaf.  Calling backward again without ``zero_grad``
+    adds another full gradient on top of the stored one: the walk keeps
+    every node and rule.
     """
     if loss.data.size != 1:
         raise ValueError("backward requires a scalar loss")
     if not loss.requires_grad:
         raise RuntimeError("loss is not attached to a recorded graph")
 
-    topo: list[Tensor] = []
+    # Nodes and leaf Tensors, in the order of a DFS from the loss.
+    root = loss._node or loss
+    topo: list = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[object, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -392,18 +417,19 @@ def backward(loss: Tensor) -> None:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in seen and parent.requires_grad:
-                stack.append((parent, False))
+        if type(node) is _Node:
+            for parent in node.parents:
+                if parent is not None and id(parent) not in seen:
+                    stack.append((parent, False))
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    grads: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
     for node in reversed(topo):
         g = grads.pop(id(node))
-        if node._backward is None:
+        if type(node) is not _Node:
             node.grad += g
             continue
-        for parent, pg in zip(node._parents, node._backward(g)):
-            if not parent.requires_grad:
+        for parent, pg in zip(node.parents, node.backward(g)):
+            if parent is None:
                 continue
             acc = grads.get(id(parent))
             grads[id(parent)] = pg if acc is None else acc + pg

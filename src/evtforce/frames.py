@@ -328,8 +328,14 @@ class FrameDataset:
             raise ValueError(f"windows must have shape ({n}, 2), not {self.windows.shape}")
         if np.any(self.windows[:, 1] < self.windows[:, 0]):
             raise ValueError("windows must not end before they start")
-        # float32 terms cannot overflow a float64 sum: it is finite iff every term is.
-        frame_ok = np.isfinite(self.frames.sum(axis=(1, 2, 3), dtype=np.float64))
+        # A sum is finite only if every term is.  A float32 sum may also
+        # overflow, so a frame it flags is summed again in float64, which
+        # float32 terms cannot overflow: that sum is finite iff every term is.
+        with np.errstate(over="ignore", invalid="ignore"):
+            frame_ok = np.isfinite(self.frames.sum(axis=(1, 2, 3)))
+            flagged = np.flatnonzero(~frame_ok)
+            frame_ok[flagged] = np.isfinite(
+                self.frames[flagged].sum(axis=(1, 2, 3), dtype=np.float64))
         bad = np.flatnonzero(~(frame_ok & np.isfinite(self.labels)))
         if bad.size:
             what = "label" if frame_ok[bad[0]] else "frame value"

@@ -161,16 +161,32 @@ def init_adam_state(weights: np.ndarray) -> AdamState:
 def adam_step(
     weights: np.ndarray, grads: np.ndarray, state: AdamState, config: TrainConfig
 ) -> AdamState:
-    """One bias-corrected Adam update of ``weights``, in place and elementwise."""
+    """One bias-corrected Adam update of ``weights``, in place and elementwise.
+
+    Two scratch buffers take every temporary of
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+    w -= lr (m / bias1) / (sqrt(v / bias2) + eps), with each element's
+    operations in that order, so the bytes are those of the expression.
+    """
     state.t += 1
     b1, b2 = config.beta1, config.beta2
     bias1 = 1.0 - b1**state.t
     bias2 = 1.0 - b2**state.t
+    step, denom = np.empty_like(weights), np.empty_like(weights)
     state.m *= b1
-    state.m += (1.0 - b1) * grads
+    np.multiply(grads, 1.0 - b1, out=step)
+    state.m += step
     state.v *= b2
-    state.v += (1.0 - b2) * grads * grads
-    weights -= config.learning_rate * (state.m / bias1) / (np.sqrt(state.v / bias2) + config.eps)
+    np.multiply(grads, 1.0 - b2, out=step)
+    step *= grads
+    state.v += step
+    np.divide(state.m, bias1, out=step)
+    step *= config.learning_rate
+    np.divide(state.v, bias2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += config.eps
+    step /= denom
+    weights -= step
     return state
 
 

@@ -1,4 +1,8 @@
-"""Shared test helpers: random streams, numeric gradients, flat-buffer views."""
+"""Shared test helpers: random streams, numeric gradients, flat-buffer
+views, memory tracing."""
+
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +67,21 @@ def assert_flat_views(model):
     assert offset == model.weights.size == model.grads.size
 
 
+def traced_memory(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` under tracemalloc: (result, live bytes, peak bytes).
+
+    Only what is allocated after the start counts.  Live bytes are those
+    still allocated when ``fn`` has returned, its result's included.
+    """
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, live, peak
+
+
 def tensor64(rng, shape, requires_grad=True, scale=1.0):
     return Tensor(rng.normal(0.0, scale, size=shape).astype(np.float64),
                   requires_grad=requires_grad)
@@ -100,3 +119,16 @@ def check_op_grads(build, inputs, rng, tol=1e-5, h=1e-5):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def no_cyclic_gc():
+    """The cyclic garbage collector off for one test, so what the test
+    sees freed was freed by reference counting alone."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()

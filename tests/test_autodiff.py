@@ -2,6 +2,7 @@
 
 import contextvars
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -240,6 +241,33 @@ class TestGraphMechanics:
         assert seen == {"a inside": False, "a after": True, "b inside": False, "b after": True}
         assert ad.is_grad_enabled()
         assert ad.gelu(tensor64(rng, (2, 3))).requires_grad
+
+    def test_a_value_no_rule_reads_is_freed_when_dropped(self, rng, no_cyclic_gc):
+        # add_bias's rule reads no value, so the graph does not keep the
+        # matmul product alive once the caller drops it.
+        x, w, b = tensor64(rng, (4, 3)), tensor64(rng, (3, 5)), tensor64(rng, (5,))
+        probe = Tensor(rng.normal(size=(4, 5)))
+        grads = []
+        for keep in (True, False):
+            ad.zero_grad([x, w, b])
+            product = ad.matmul(x, w)
+            freed = weakref.ref(product.data)
+            out = ad.add_bias(product, b)
+            held = product if keep else None
+            del product
+            assert (freed() is None) is not keep
+            ad.backward(self.loss_of(out, probe))
+            grads.append([t.grad.copy() for t in (x, w, b)])
+            del held
+        for kept, dropped in zip(*grads):
+            assert np.array_equal(kept, dropped)
+
+    def test_a_size_one_leaf_as_the_loss_gets_grad_one(self):
+        leaf = Tensor(np.array([3.0]), requires_grad=True)
+        ad.backward(leaf)
+        assert leaf.grad.tolist() == [1.0]
+        ad.backward(leaf)
+        assert leaf.grad.tolist() == [2.0]
 
     def test_requires_grad_leaf_starts_with_zeros(self):
         t = Tensor(np.ones((2, 2)), requires_grad=True)

@@ -7,7 +7,7 @@ import struct
 import sys
 import threading
 import time
-import tracemalloc
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,7 +42,7 @@ from evtforce.frames import (
 )
 from evtforce.synth import GripperScene, make_grasp_profile, synthesize_recording
 
-from conftest import all_frames, make_stream
+from conftest import all_frames, make_stream, traced_memory
 
 
 @dataclass
@@ -621,12 +621,7 @@ class TestBuildDataset:
                         y=rng.integers(0, 240, size=t.size), p=rng.choice([-1, 1], size=t.size))
         track = FakeTrack(1000.0, (0.0,) * n)
         spec = FrameSpec(window_us=1000, out_size=16)
-        tracemalloc.start()
-        try:
-            ds = build_dataset([s], [track], spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        ds, _, peak = traced_memory(build_dataset, [s], [track], spec)
         assert ds.frames.shape == (n, 2, 16, 16)
         assert peak <= 1.5 * ds.frames.nbytes, peak / ds.frames.nbytes
 
@@ -804,6 +799,19 @@ class TestFrameDataset:
     def test_malformed_rejected(self, frames, labels, provenance, windows):
         with pytest.raises(ValueError):
             FrameDataset(frames, labels, provenance, windows)
+
+    def test_frames_whose_float32_sum_overflows_are_finite(self):
+        # Each frame's values sum past float32's range, to inf or, with
+        # both signs, to nan; every value is finite, and no warning is
+        # raised, nor for a frame holding both infinities.
+        frames = np.full((3, 2, 4, 4), 3e38, np.float32)
+        frames[1, 1] = -3e38
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(FrameDataset(frames, np.zeros(3), ["a"] * 3)) == 3
+            frames[2, 0, 1, 1], frames[2, 1, 1, 1] = np.inf, -np.inf
+            with pytest.raises(ValueError, match="^frame 2 holds a non-finite frame value$"):
+                FrameDataset(frames, np.zeros(3), ["a"] * 3)
 
     def test_nan_labels_rejected(self):
         with pytest.raises(ValueError):
@@ -1016,23 +1024,13 @@ class TestFrdContainer:
         # and label arrays: no whole-file buffer and no whole-file mask.
         ds = self.memory_dataset()
         write_frame_dataset(ds, tmp_path / "d.frd")
-        tracemalloc.start()
-        try:
-            back = read_frame_dataset(tmp_path / "d.frd")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        back, _, peak = traced_memory(read_frame_dataset, tmp_path / "d.frd")
         assert back == ds
         assert peak <= 1.3 * ds.frames.nbytes, peak / ds.frames.nbytes
 
     def test_write_adds_one_block(self, tmp_path):
         ds = self.memory_dataset()
-        tracemalloc.start()
-        try:
-            write_frame_dataset(ds, tmp_path / "d.frd")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced_memory(write_frame_dataset, ds, tmp_path / "d.frd")
         assert peak <= 0.3 * ds.frames.nbytes, peak / ds.frames.nbytes
 
     @staticmethod
