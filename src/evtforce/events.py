@@ -7,6 +7,11 @@ brightness increase, -1 for a decrease).  Streams are stored column-wise
 slice and accumulate.  An ``EventStream`` is valid by construction: its
 constructor is the one place that checks the stream rules.
 
+In memory, t is int64, x and y are uint16 and p is int8: 13 bytes per
+event.  x and y have the width the EVB1 file gives them, which holds every
+coordinate of a sensor of sides up to MAX_SIDE; code that does arithmetic
+on them casts first, since uint16 wraps below 0 and at 65,536.
+
 Two interchangeable file formats are supported, for sensor sides 1..MAX_SIDE:
 
 CSV (text)
@@ -41,7 +46,7 @@ import numpy as np
 FORMATS = ("csv", "binary")
 
 # Each attribute of a stream and its in-memory dtype, in record order.
-_COLUMNS = {"t_us": np.int64, "x": np.int32, "y": np.int32, "p": np.int8}
+_COLUMNS = {"t_us": np.int64, "x": np.uint16, "y": np.uint16, "p": np.int8}
 
 _EVB1_MAGIC = b"EVB1"
 _EVB1_HEADER = struct.Struct("<4sHHQ")
@@ -118,6 +123,33 @@ def _check_sides(width, height, error=ValueError, where="") -> None:
         raise error(f"{where}sensor size {width!r}x{height!r} is outside 1..{MAX_SIDE} per side")
 
 
+def _column(values, given: np.ndarray, dtype) -> np.ndarray:
+    """``given``, which is ``np.asarray(values)``, as a C-ordered column of ``dtype``.
+
+    Kept uncopied only when neither ``values`` nor the owner of its memory
+    is writeable.
+    """
+    owner = values if getattr(values, "base", None) is None else values.base
+    kept = all(isinstance(a, np.ndarray) and not a.flags.writeable for a in (values, owner))
+    return np.array(given, dtype=dtype, order="C", copy=None if kept else True)
+
+
+def _breaks(given: np.ndarray, side: int | None = None) -> np.ndarray:
+    """Where a coordinate breaks ``0 <= v < side``, or (no side) a polarity ``|v| == 1``.
+
+    Read in the given dtype, a float truncated toward zero as the cast to
+    the column's dtype truncates it (NaN breaks both rules), so that no
+    narrowing cast can wrap a bad value into range first.
+    """
+    if given.dtype.kind == "f":
+        given = np.trunc(given)
+    if side is None:
+        return np.abs(given) != 1  # an int8 -128 has no absolute value: it stays -128
+    if given.dtype == _COLUMNS["x"]:
+        return given >= side  # unsigned: nothing lies below 0
+    return ~((given >= 0) & (given < side))
+
+
 class EventStream:
     """Immutable, valid collection of events for one sensor size.
 
@@ -127,6 +159,9 @@ class EventStream:
     polarity in {+1, -1}; and pairwise: timestamps non-decreasing.  The
     error counts each broken check on each event once and names the first
     violation: the lowest index, the check listed first winning a tie.
+    x, y and p are checked in the dtype they are given in (a float read as
+    truncated toward zero), then narrowed to their column's dtype, so no
+    value past a column's range is wrapped into it.
 
     Attribute arrays are read-only.  A writeable input is copied and a
     read-only one of the column's dtype kept, so no caller can write a
@@ -142,26 +177,21 @@ class EventStream:
         _check_sides(width, height)
         object.__setattr__(self, "width", int(width))
         object.__setattr__(self, "height", int(height))
-        cols = {}
-        for (name, dtype), values in zip(_COLUMNS.items(), (t_us, x, y, p)):
-            # Kept only when neither it nor the owner of its memory is writeable.
-            owner = values if getattr(values, "base", None) is None else values.base
-            kept = all(isinstance(a, np.ndarray) and not a.flags.writeable for a in (values, owner))
-            cols[name] = np.array(values, dtype=dtype, order="C", copy=None if kept else True)
-        t, x, y, p = cols.values()
-        n = len(t)
-        if any(c.ndim != 1 or len(c) != n for c in cols.values()):
+        given = [np.asarray(values) for values in (t_us, x, y, p)]
+        if any(a.ndim != 1 or a.shape != given[0].shape for a in given):
             raise ValueError("attribute arrays must be 1-D and equally long")
-        nonmono = np.zeros(n, dtype=bool)
+        t = _column(t_us, given[0], _COLUMNS["t_us"])
+        nonmono = np.zeros(len(t), dtype=bool)
         # A comparison, not ``np.diff``: a difference of int64 timestamps can wrap.
         nonmono[1:] = t[1:] < t[:-1]
-        # As unsigned, a negative coordinate is huge: one comparison checks both ends.
+        # x, y and p are checked as given, before a narrowing cast could wrap
+        # a bad value into range.
         checks = [
             (t < 0, "negative timestamp"),
             (nonmono, "non-monotonic timestamp"),
-            (x.view(np.uint32) >= self.width, "x out of range"),
-            (y.view(np.uint32) >= self.height, "y out of range"),
-            (np.abs(p) != 1, "polarity not in {+1, -1}"),
+            (_breaks(given[1], self.width), "x out of range"),
+            (_breaks(given[2], self.height), "y out of range"),
+            (_breaks(given[3]), "polarity not in {+1, -1}"),
         ]
         count, first = 0, None
         for mask, reason in checks:
@@ -174,7 +204,8 @@ class EventStream:
                     first = (index, reason)
         if count:
             raise ValueError(f"{count} violation(s), first is '{first[1]}' at index {first[0]}")
-        for name, col in cols.items():
+        for (name, dtype), values, a in zip(_COLUMNS.items(), (t_us, x, y, p), given):
+            col = t if name == "t_us" else _column(values, a, dtype)
             col.setflags(write=False)
             object.__setattr__(self, name, col)
 
@@ -311,8 +342,10 @@ def _parse_csv(path):
         raise FormatError(f"{path}: second line must be '{_CSV_COLUMNS}'")
     n = len(lines) - 2
     t = np.empty(n, dtype=np.int64)
-    x = np.empty(n, dtype=np.int32)
-    y = np.empty(n, dtype=np.int32)
+    # Coordinates parse wider than their column, so that one outside the
+    # sensor reads as out of range, not as a malformed record.
+    x = np.empty(n, dtype=np.int64)
+    y = np.empty(n, dtype=np.int64)
     p = np.empty(n, dtype=np.int8)
     for i, line in enumerate(lines[2:]):
         fields = line.split(",")

@@ -409,7 +409,9 @@ def _log_change_events(
 
 
 def _sorted_columns(width: int, height: int, t, x, y, p):
-    """The event columns ordered by timestamp, then y, x, polarity.
+    """The event columns ordered by timestamp, then y, x, polarity, with x
+    and y narrowed to a stream's uint16 (coordinates on a sensor of sides
+    up to MAX_SIDE fit it), so the stream keeps them uncopied.
 
     The order is one ``argsort`` of the packed int64 key
     ``((t * height + y) * width + x) * 2 + (p > 0)``, which orders events
@@ -421,6 +423,7 @@ def _sorted_columns(width: int, height: int, t, x, y, p):
     in Python ints, since int64 arithmetic wraps silently), a 4-key
     ``np.lexsort`` gives the same order instead.
     """
+    x, y = x.astype(np.uint16), y.astype(np.uint16)
     if t.size and (int(t.max()) + 1) * height * width * 2 > np.iinfo(np.int64).max:
         order = np.lexsort((p, x, y, t))
     else:

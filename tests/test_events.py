@@ -18,7 +18,7 @@ from evtforce.events import (
     write_events,
 )
 
-from conftest import make_stream
+from conftest import make_stream, traced_memory
 
 
 # Bare lists of (t, x, y, p) tuples; sorting by t makes them valid streams.
@@ -50,8 +50,8 @@ class TestEventStream:
         s = EventStream(8, 8, t_us=[100], x=[3], y=[2], p=[1])
         assert (s.t_us.dtype, s.x.dtype, s.y.dtype, s.p.dtype) == (
             np.int64,
-            np.int32,
-            np.int32,
+            np.uint16,
+            np.uint16,
             np.int8,
         )
         assert (s.t_us.tolist(), s.x.tolist(), s.y.tolist(), s.p.tolist()) == (
@@ -204,6 +204,35 @@ class TestValidate:
         # The int8 extremes, whose absolute value or square wraps round.
         assert refusal(8, 8, [0, 1], [0, 0], [0, 0], [-128, 127]) == (
             2, (0, "polarity not in {+1, -1}"))
+
+    @pytest.mark.parametrize(
+        "column, values, reason",
+        [
+            ("x", np.array([2**32 + 1]), "x out of range"),
+            ("p", np.array([257]), "polarity not in {+1, -1}"),
+            ("x", [2**32 + 1], "x out of range"),
+            ("x", [2**64], "x out of range"),
+            ("x", np.array([65539]), "x out of range"),
+            ("y", np.array([-1], np.int64), "y out of range"),
+            ("x", [65539.0], "x out of range"),
+            ("y", [np.nan], "y out of range"),
+        ],
+        ids=["int32-wrap", "int8-wrap", "list-past-int32", "list-past-uint64", "uint16-wrap",
+             "negative-int64", "float-past-uint16", "nan"],
+    )
+    def test_a_value_past_its_column_is_refused_before_narrowing(self, column, values, reason):
+        # A cast before the check would wrap each into range (2**32 + 1 to
+        # x = 1 as int32, 257 to p = +1 as int8, 65539 to 3 and -1 to 65535
+        # as uint16) or raise OverflowError on a Python int past the column.
+        cols = {"t_us": [0], "x": [0], "y": [0], "p": [1]}
+        cols[column] = values
+        message = f"1 violation(s), first is '{reason}' at index 0"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            EventStream(4, 4, **cols)
+
+    def test_floats_are_truncated(self):
+        s = EventStream(4, 4, [0, 1], [3.9, -0.5], [0.0, 2.5], [1.5, -1.0])
+        assert (s.x.tolist(), s.y.tolist(), s.p.tolist()) == ([3, 0], [0, 2], [1, -1])
 
     @pytest.mark.parametrize(
         "t_us, count, first",
@@ -507,6 +536,17 @@ class TestRoundTrips:
         path = tmp_path / "big.evb1"
         write_events(s, path, format="binary")
         assert read_events(path, format="binary") == s
+
+    def test_read_holds_13_bytes_per_event(self, tmp_path, rng):
+        # 8 B of t, 2 B each of x and y, 1 B of p.
+        # The slack is for array headers and interpreter caches, which do
+        # not grow with n (1.3 to 2.5 KiB seen).
+        n = 1_000_000
+        path = tmp_path / "big.evb1"
+        write_events(make_stream(rng, n=n, width=320, height=240, t_max=4_000_000), path)
+        stream, live, _ = traced_memory(read_events, path)
+        assert len(stream) == n
+        assert live <= 13 * n + 64 * 1024
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
