@@ -12,10 +12,13 @@ touches keeps its zero gradient.
 
 Shape discipline is strict: elementwise ops demand identical shapes and
 the only broadcasts are a trailing-shape bias add and the documented
-matmul batching.  A linear layer is ``add_bias(matmul(x, w), b)`` for x
-of any rank: both ops fold the leading axes into rows themselves, so no
-reshape nodes surround it.  Recording can be suspended with
-``no_grad()``; forward values are identical either way.  The grad mode
+matmul batching.  A lone linear layer is ``add_bias(matmul(x, w), b)``
+for x of any rank: both ops fold the leading axes into rows themselves,
+so no reshape nodes surround it.  A transformer's pre-norm sublayers are
+one node each, ``attention`` and ``mlp``: the values of their op chains,
+with a rule that recomputes the cheap intermediates (layer-norm output,
+merged heads, GELU output) instead of keeping them.  Recording can be
+suspended with ``no_grad()``; forward values are identical either way.  The grad mode
 belongs to the context (a ``ContextVar``), so each thread, and each job
 run in a copy of a context, enters and leaves ``no_grad`` on its own.
 A graph belongs to one thread: two threads may each build and
@@ -219,13 +222,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         g2 = g.reshape(-1, g.shape[-1])
         return (g2 @ B.T).reshape(A.shape), A2.T @ g2
 
+    return _result(_matmul2d(A2, B).reshape(A.shape[:-1] + (B.shape[1],)), (a, b), backward)
+
+
+def _matmul2d(A2: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The 2-D product ``A2 @ B`` of a stacked-@-2-D matmul."""
     if B.shape[1] == 1:
         # BLAS GEMV rounds rows differently by their position in A, so a
         # one-column product is a row-wise sum: equal rows, equal results.
-        out = (A2 * B[:, 0]).sum(axis=-1, keepdims=True)
-    else:
-        out = A2 @ B
-    return _result(out.reshape(A.shape[:-1] + (B.shape[1],)), (a, b), backward)
+        return (A2 * B[:, 0]).sum(axis=-1, keepdims=True)
+    return A2 @ B
+
+
+def _affine(X: np.ndarray, W: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """The values of ``add_bias(matmul(X, W), bias)``: one GEMM over the
+    leading axes folded into rows, the bias added in place."""
+    out = _matmul2d(X.reshape(-1, X.shape[-1]), W).reshape(X.shape[:-1] + (W.shape[1],))
+    out += bias
+    return out
+
+
+def _linear_backward(g: np.ndarray, X: np.ndarray, W: np.ndarray):
+    """(dX, dW, dbias) of ``_affine(X, W, bias)`` for the output gradient
+    ``g``, as ``add_bias`` then ``matmul`` compute them."""
+    g2 = g.reshape(-1, g.shape[-1])
+    return (g2 @ W.T).reshape(X.shape), X.reshape(-1, X.shape[-1]).T @ g2, g2.sum(axis=0)
 
 
 def transpose(a: Tensor, axis0: int = -2, axis1: int = -1) -> Tensor:
@@ -247,9 +268,7 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def softmax_rows(x: Tensor) -> Tensor:
     """Numerically stable softmax along the last axis."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _softmax_rows(x.data - x.data.max(axis=-1, keepdims=True))
 
     def backward(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
@@ -258,30 +277,46 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _result(y, (x,), backward)
 
 
+def _softmax_rows(shifted: np.ndarray) -> np.ndarray:
+    """The softmax of rows already shifted by their maxima, in place."""
+    np.exp(shifted, out=shifted)
+    shifted /= shifted.sum(axis=-1, keepdims=True)
+    return shifted
+
+
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean, unit variance, then affine."""
     n = x.data.shape[-1]
     if gamma.data.shape != (n,) or beta.data.shape != (n,):
         raise ValueError("layer_norm: gamma and beta must have shape (last_dim,)")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = centered * inv
-    out = xhat * gamma.data + beta.data
-    lead = tuple(range(x.data.ndim - 1))
+    xhat, inv = _normalize(x.data)
     G = gamma.data
 
     def backward(g):
-        dgamma = (g * xhat).sum(axis=lead)
-        dbeta = g.sum(axis=lead)
-        dxhat = g * G
-        mean_d = dxhat.mean(axis=-1, keepdims=True)
-        mean_dx = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        dx = inv * (dxhat - mean_d - xhat * mean_dx)
-        return dx, dgamma, dbeta
+        return _layer_norm_backward(g, xhat, inv, G)
 
-    return _result(out, (x, gamma, beta), backward)
+    return _result(xhat * G + beta.data, (x, gamma, beta), backward)
+
+
+def _normalize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(xhat, inv): X's last axis at zero mean and unit variance, and the
+    inverse standard deviation; the layer norm's output is xhat * g + b."""
+    centered = X - X.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
+    centered *= inv
+    return centered, inv
+
+
+def _layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, G: np.ndarray):
+    """(dx, dgamma, dbeta) of a layer norm for the output gradient ``g``."""
+    lead = tuple(range(g.ndim - 1))
+    dgamma = (g * xhat).sum(axis=lead)
+    dbeta = g.sum(axis=lead)
+    dxhat = g * G
+    mean_d = dxhat.mean(axis=-1, keepdims=True)
+    mean_dx = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    return inv * (dxhat - mean_d - xhat * mean_dx), dgamma, dbeta
 
 
 def _horner(t: np.ndarray, coeffs) -> np.ndarray:
@@ -330,16 +365,137 @@ def gelu(x: Tensor) -> Tensor:
     reuses the forward's Phi.
     """
     X = x.data
-    if X.dtype == np.float32:
-        cdf = _phi32(X)
-    else:
-        cdf = 0.5 * (1.0 + _erf64(X / _SQRT2))
+    cdf = _phi(X)
 
     def backward(g):
-        pdf = np.exp(-0.5 * X * X) * _INV_SQRT_2PI
-        return (g * (cdf + X * pdf),)
+        return (g * _gelu_slope(X, cdf),)
 
     return _result(X * cdf, (x,), backward)
+
+
+def _phi(X: np.ndarray) -> np.ndarray:
+    """The standard normal CDF in ``X``'s dtype, as ``gelu`` takes it."""
+    if X.dtype == np.float32:
+        return _phi32(X)
+    return 0.5 * (1.0 + _erf64(X / _SQRT2))
+
+
+def _gelu_slope(X: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """GELU's derivative Phi + x * phi, with phi = exp(-x^2 / 2) / sqrt(2 pi)."""
+    slope = -0.5 * X
+    slope *= X
+    np.exp(slope, out=slope)
+    slope *= _INV_SQRT_2PI
+    slope *= X
+    slope += cdf
+    return slope
+
+
+def attention(x: Tensor, ln_g: Tensor, ln_b: Tensor, wq: Tensor, bq: Tensor, wk: Tensor,
+              bk: Tensor, wv: Tensor, bv: Tensor, wo: Tensor, bo: Tensor, heads: int) -> Tensor:
+    """A pre-norm self-attention sublayer of (B, T, D) tokens as one node.
+
+    The values are those of the chain ``vit.multi_head_attention`` records
+    on ``layer_norm(x, ln_g, ln_b)``: q, k and v projections split into
+    ``heads`` heads, softmax(q kᵀ / sqrt(D / heads)) v, the heads merged
+    and projected by ``wo``, ``bo``.  The rule keeps the normalized x, its
+    inverse deviations, the projections Q, K, V and the probabilities P;
+    its backward recomputes the LN output and the merged heads P v, then
+    runs each op's backward of the chain in turn.
+    """
+    X = x.data
+    if X.ndim != 3 or heads < 1 or X.shape[2] % heads:
+        raise ValueError(f"attention: x {X.shape} must be (B, T, D) with {heads} heads dividing D")
+    b, t, d = X.shape
+    _check_weights("attention", ((ln_g, ln_b, bq, bk, bv, bo), (d,)), ((wq, wk, wv, wo), (d, d)))
+    hd = d // heads
+    c = float(1.0 / np.sqrt(hd))
+    G, beta, WQ, WK, WV, WO = ln_g.data, ln_b.data, wq.data, wk.data, wv.data, wo.data
+
+    def split(m):  # (B, T, D) -> (B, heads, T, D / heads)
+        return m.reshape(b, t, heads, hd).swapaxes(1, 2)
+
+    def merge(m):  # the inverse of split, as a contiguous copy
+        return m.swapaxes(1, 2).reshape(b, t, d)
+
+    xhat, inv = _normalize(X)
+    a = xhat * G + beta
+    q, k, v = (split(_affine(a, w, bias.data)) for w, bias in ((WQ, bq), (WK, bk), (WV, bv)))
+    del a
+    scores = q @ k.swapaxes(-2, -1)
+    scores *= c
+    scores -= scores.max(axis=-1, keepdims=True)
+    P = _softmax_rows(scores)
+    out = _affine(merge(P @ v), WO, bo.data)
+
+    def backward(g):
+        dmerged, dwo, dbo = _linear_backward(g, merge(P @ v), WO)
+        dctx = split(dmerged)
+        dP = dctx @ v.swapaxes(-1, -2)
+        dv = P.swapaxes(-1, -2) @ dctx
+        del dmerged, dctx
+        dP -= (dP * P).sum(axis=-1, keepdims=True)
+        dP *= P
+        dP *= c
+        dq = dP @ k
+        dk = (q.swapaxes(-1, -2) @ dP).swapaxes(-2, -1)
+        del dP
+        # The branches' input gradients add as the chain's walk adds them,
+        # (dq + dk) + dv: float addition is not associative.
+        a = xhat * G + beta
+        da, dwq, dbq = _linear_backward(merge(dq), a, WQ)
+        del dq
+        da_k, dwk, dbk = _linear_backward(merge(dk), a, WK)
+        del dk
+        da += da_k
+        del da_k
+        da_v, dwv, dbv = _linear_backward(merge(dv), a, WV)
+        del dv, a
+        da += da_v
+        del da_v
+        dx, dg, db = _layer_norm_backward(da, xhat, inv, G)
+        return dx, dg, db, dwq, dbq, dwk, dbk, dwv, dbv, dwo, dbo
+
+    return _result(out, (x, ln_g, ln_b, wq, bq, wk, bk, wv, bv, wo, bo), backward)
+
+
+def mlp(x: Tensor, ln_g: Tensor, ln_b: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
+        b2: Tensor) -> Tensor:
+    """A pre-norm MLP sublayer, fc2(gelu(fc1(layer_norm(x)))), as one node.
+
+    The values are those of that chain of ``layer_norm``,
+    ``add_bias(matmul())`` and ``gelu``.  The rule keeps the normalized x,
+    its inverse deviations, the pre-activation h and Phi(h); its backward
+    recomputes the LN output and h * Phi(h).
+    """
+    X = x.data
+    d = X.shape[-1]
+    hidden = w1.data.shape[-1]
+    _check_weights("mlp", ((ln_g, ln_b, b2), (d,)), ((b1,), (hidden,)),
+                   ((w1,), (d, hidden)), ((w2,), (hidden, d)))
+    G, beta, W1, W2 = ln_g.data, ln_b.data, w1.data, w2.data
+    xhat, inv = _normalize(X)
+    h = _affine(xhat * G + beta, W1, b1.data)
+    cdf = _phi(h)
+    out = _affine(h * cdf, W2, b2.data)
+
+    def backward(g):
+        dh, dw2, db2 = _linear_backward(g, h * cdf, W2)
+        dh *= _gelu_slope(h, cdf)
+        da, dw1, db1 = _linear_backward(dh, xhat * G + beta, W1)
+        del dh
+        dx, dg, db = _layer_norm_backward(da, xhat, inv, G)
+        return dx, dg, db, dw1, db1, dw2, db2
+
+    return _result(out, (x, ln_g, ln_b, w1, b1, w2, b2), backward)
+
+
+def _check_weights(op: str, *groups) -> None:
+    """Refuse a parameter whose shape is not its group's: (tensors, shape) pairs."""
+    for tensors, shape in groups:
+        for w in tensors:
+            if w.data.shape != shape:
+                raise ValueError(f"{op}: a parameter has shape {w.data.shape}, expected {shape}")
 
 
 def mean_over_axis(x: Tensor, axis: int) -> Tensor:

@@ -67,6 +67,9 @@ _CSV_COLUMNS = "t_us,x,y,p"
 # The largest sensor side: EVB1 and FRD1 headers store each side as u16.
 MAX_SIDE = 0xFFFF
 
+# One past the largest timestamp, which an int64 column holds.
+_T_END = 2**63
+
 
 class FormatError(ValueError):
     """An input file is damaged, or its content breaks a stream invariant."""
@@ -155,13 +158,14 @@ class EventStream:
 
     Construction refuses, with a ``ValueError``, a side that is not an
     integer in 1..MAX_SIDE and any broken stream rule.  Checked per event:
-    non-negative timestamp, x within [0, width), y within [0, height),
-    polarity in {+1, -1}; and pairwise: timestamps non-decreasing.  The
-    error counts each broken check on each event once and names the first
-    violation: the lowest index, the check listed first winning a tie.
-    x, y and p are checked in the dtype they are given in (a float read as
-    truncated toward zero), then narrowed to their column's dtype, so no
-    value past a column's range is wrapped into it.
+    non-negative timestamp (NaN counts as negative), timestamp below 2**63,
+    x within [0, width), y within [0, height), polarity in {+1, -1}; and
+    pairwise: timestamps non-decreasing.  The error counts each broken
+    check on each event once and names the first violation: the lowest
+    index, the check listed first winning a tie.  Every column is checked
+    in the dtype it is given in (a float read as truncated toward zero, a
+    string refused by numpy's ``TypeError``), then narrowed to its column's
+    dtype, so no value past a column's range is wrapped into it.
 
     Attribute arrays are read-only.  A writeable input is copied and a
     read-only one of the column's dtype kept, so no caller can write a
@@ -180,14 +184,16 @@ class EventStream:
         given = [np.asarray(values) for values in (t_us, x, y, p)]
         if any(a.ndim != 1 or a.shape != given[0].shape for a in given):
             raise ValueError("attribute arrays must be 1-D and equally long")
-        t = _column(t_us, given[0], _COLUMNS["t_us"])
+        # Every column is checked as given, before a narrowing cast could wrap
+        # a bad value into range or fail on it.
+        t = np.trunc(given[0]) if given[0].dtype.kind == "f" else given[0]
         nonmono = np.zeros(len(t), dtype=bool)
         # A comparison, not ``np.diff``: a difference of int64 timestamps can wrap.
         nonmono[1:] = t[1:] < t[:-1]
-        # x, y and p are checked as given, before a narrowing cast could wrap
-        # a bad value into range.
         checks = [
-            (t < 0, "negative timestamp"),
+            (~(t >= 0) if t.dtype.kind == "f" else t < 0, "negative timestamp"),  # NaN too
+            # Only unsigned, float and Python-int (object) timestamps can pass int64.
+            (t >= _T_END if t.dtype.kind in "ufO" else False, "timestamp past int64"),
             (nonmono, "non-monotonic timestamp"),
             (_breaks(given[1], self.width), "x out of range"),
             (_breaks(given[2], self.height), "y out of range"),
@@ -205,7 +211,7 @@ class EventStream:
         if count:
             raise ValueError(f"{count} violation(s), first is '{first[1]}' at index {first[0]}")
         for (name, dtype), values, a in zip(_COLUMNS.items(), (t_us, x, y, p), given):
-            col = t if name == "t_us" else _column(values, a, dtype)
+            col = _column(values, a, dtype)
             col.setflags(write=False)
             object.__setattr__(self, name, col)
 

@@ -245,18 +245,22 @@ def _frames(stream: EventStream, spec: FrameSpec, t0_us: int, n: int) -> np.ndar
 def batch_frames(frame_shape: Sequence[int]) -> int:
     """Frames per chunk of ``frame_chunks`` and per inference batch.
 
-    ``clamp(8 MiB // frame_bytes, 1, 64)`` for float32 frames of
-    ``frame_shape`` (C, H, W): 64 for a default 2 x 64 x 64 frame
+    ``clamp(8 MiB // frame_bytes, 1, 16)`` for float32 frames of
+    ``frame_shape`` (C, H, W): 16 for a default 2 x 64 x 64 frame
     (32 KiB), 2 for a native 1024 x 1024 count frame.  ``train``'s
-    validation, ``evaluate`` and ``predict`` all batch by it; past 64, a
-    validation forward grows training's peak memory by about a fifth.
+    validation, ``evaluate`` and ``predict`` all batch by it.  16 is
+    ``TrainConfig.batch_size``'s default, so an inference shard is no
+    larger than a train step's.  At 64, each validation pass ran two
+    32-frame shards on the pool threads, whose malloc arenas kept the
+    freed pages: perfbench ``train`` (seed 1) peaked at 155 MB against
+    139 MB at 16.
     Predictions are not batch-invariant for every model config, so a
     recording predicted chunk by chunk equals its frames predicted in
     one call only because both take their size from this one rule.
     """
     # An empty dataset's 0x0x0 frames count as one byte each.
     frame_bytes = max(4 * math.prod(frame_shape), 1)
-    return min(max((8 << 20) // frame_bytes, 1), 64)
+    return min(max((8 << 20) // frame_bytes, 1), 16)
 
 
 def _fill_frames(stream: EventStream, spec: FrameSpec, out: np.ndarray, first: int = 0) -> None:

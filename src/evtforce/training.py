@@ -158,35 +158,50 @@ def init_adam_state(weights: np.ndarray) -> AdamState:
     return AdamState(m=np.zeros_like(weights), v=np.zeros_like(weights))
 
 
+# Elements per block of ``adam_step``: its two scratch blocks take 128 KiB
+# in float32, so they and the block's slices of the four buffers stay in cache.
+_ADAM_BLOCK = 1 << 14
+
+
 def adam_step(
     weights: np.ndarray, grads: np.ndarray, state: AdamState, config: TrainConfig
 ) -> AdamState:
     """One bias-corrected Adam update of ``weights``, in place and elementwise.
 
-    Two scratch buffers take every temporary of
+    The buffers are walked in blocks of ``_ADAM_BLOCK`` elements, and two
+    one-block scratch buffers take every temporary of
     m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
     w -= lr (m / bias1) / (sqrt(v / bias2) + eps), with each element's
     operations in that order, so the bytes are those of the expression.
+    ``weights``, ``state.m`` and ``state.v`` must be C-contiguous, so
+    that their flat views are written in place; another is a ``ValueError``.
     """
+    if not all(a.flags.c_contiguous for a in (weights, state.m, state.v)):
+        raise ValueError("adam_step: weights and Adam state must be C-contiguous")
     state.t += 1
     b1, b2 = config.beta1, config.beta2
     bias1 = 1.0 - b1**state.t
     bias2 = 1.0 - b2**state.t
-    step, denom = np.empty_like(weights), np.empty_like(weights)
-    state.m *= b1
-    np.multiply(grads, 1.0 - b1, out=step)
-    state.m += step
-    state.v *= b2
-    np.multiply(grads, 1.0 - b2, out=step)
-    step *= grads
-    state.v += step
-    np.divide(state.m, bias1, out=step)
-    step *= config.learning_rate
-    np.divide(state.v, bias2, out=denom)
-    np.sqrt(denom, out=denom)
-    denom += config.eps
-    step /= denom
-    weights -= step
+    w, m, v = (a.reshape(-1) for a in (weights, state.m, state.v))
+    g = np.reshape(grads, -1)
+    scratch = np.empty((2, min(w.size, _ADAM_BLOCK)), dtype=weights.dtype)
+    for lo in range(0, w.size, _ADAM_BLOCK):
+        hi = min(lo + _ADAM_BLOCK, w.size)
+        step, denom = scratch[:, : hi - lo]
+        m[lo:hi] *= b1
+        np.multiply(g[lo:hi], 1.0 - b1, out=step)
+        m[lo:hi] += step
+        v[lo:hi] *= b2
+        np.multiply(g[lo:hi], 1.0 - b2, out=step)
+        step *= g[lo:hi]
+        v[lo:hi] += step
+        np.divide(m[lo:hi], bias1, out=step)
+        step *= config.learning_rate
+        np.divide(v[lo:hi], bias2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += config.eps
+        step /= denom
+        w[lo:hi] -= step
     return state
 
 

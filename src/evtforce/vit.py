@@ -8,8 +8,9 @@ erf-form GELU x * Phi(x) inside the MLP: float64 models take erf from
 the standard library's ``math.erf``, float32 models a rational erf whose
 Phi is within 2.5e-7 of it (``autodiff.gelu``).  After a final layer
 norm, a linear head reads the regression token out to the scalar
-prediction.  Every linear layer is ``add_bias(matmul(x, w), b)``, one
-GEMM whatever the rank of its input.  The model takes batches only:
+prediction.  The patch embed and the head are ``add_bias(matmul(x, w), b)``,
+one GEMM whatever the rank of its input; each sublayer of a block is one
+autodiff node, ``ad.attention`` or ``ad.mlp``.  The model takes batches only:
 frames are (B, C, H, W), and a single frame is a batch of one.  Weights
 start from a numpy truncated-normal sampler (``init_params``); numpy is
 the only dependency.
@@ -258,7 +259,11 @@ def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def multi_head_attention(x: Tensor, model: ViTModel, block: int) -> Tensor:
-    """Self-attention over the tokens of a (B, T, D) tensor."""
+    """Self-attention over the tokens of a (B, T, D) tensor, op by op.
+
+    The chain that ``ad.attention`` computes as one node, less its layer
+    norm; the model calls ``ad.attention``, and this stays as its reference.
+    """
     cfg = model.config
     p = model.params
     prefix = f"block{block}.attn."
@@ -279,19 +284,23 @@ def multi_head_attention(x: Tensor, model: ViTModel, block: int) -> Tensor:
     return _linear(merged, p[prefix + "out.w"], p[prefix + "out.b"])
 
 
+# Each sublayer's parameters within a block, in ``ad.attention``'s and
+# ``ad.mlp``'s argument order.
+_ATTENTION_PARAMS = ("ln1.g", "ln1.b", "attn.q.w", "attn.q.b", "attn.k.w", "attn.k.b",
+                     "attn.v.w", "attn.v.b", "attn.out.w", "attn.out.b")
+_MLP_PARAMS = ("ln2.g", "ln2.b", "mlp.fc1.w", "mlp.fc1.b", "mlp.fc2.w", "mlp.fc2.b")
+
+
 def encoder_block(x: Tensor, model: ViTModel, block: int) -> Tensor:
-    """Pre-norm residual block: x + MHSA(LN(x)), then + MLP(LN(.))."""
+    """Pre-norm residual block: x + MHSA(LN(x)), then + MLP(LN(.)), each
+    sublayer one node (``ad.attention``, ``ad.mlp``)."""
     p = model.params
     prefix = f"block{block}."
-    attended = multi_head_attention(
-        ad.layer_norm(x, p[prefix + "ln1.g"], p[prefix + "ln1.b"]), model, block
+    attended = ad.attention(
+        x, *(p[prefix + name] for name in _ATTENTION_PARAMS), model.config.num_heads
     )
     x = ad.add(x, attended)
-    h = ad.layer_norm(x, p[prefix + "ln2.g"], p[prefix + "ln2.b"])
-    h = _linear(h, p[prefix + "mlp.fc1.w"], p[prefix + "mlp.fc1.b"])
-    h = ad.gelu(h)
-    h = _linear(h, p[prefix + "mlp.fc2.w"], p[prefix + "mlp.fc2.b"])
-    return ad.add(x, h)
+    return ad.add(x, ad.mlp(x, *(p[prefix + name] for name in _MLP_PARAMS)))
 
 
 def check_frame_shape(config: ViTConfig, shape) -> None:

@@ -40,6 +40,12 @@ OP_CASES = [
     ("take_token", lambda a: ad.take_token(a, 0), [(2, 5, 3)]),
     ("take_last_token", lambda a: ad.take_token(a, 4), [(2, 5, 3)]),
     ("repeat_batch", lambda a: ad.repeat_batch(a, 4), [(1, 2, 3)]),
+    # The key bias shifts each softmax row by a constant, so its gradient is
+    # zero and finite differences read only rounding: it is held fixed.
+    ("attention", lambda x, g, b, wq, bq, wk, *rest: ad.attention(
+        x, g, b, wq, bq, wk, Tensor(np.linspace(-1.0, 1.0, 8)), *rest, heads=2),
+     [(2, 3, 8), (8,), (8,), (8, 8), (8,), (8, 8)] + [(8, 8), (8,)] * 2),
+    ("mlp", ad.mlp, [(2, 3, 8), (8,), (8,), (8, 16), (16,), (16, 8), (8,)]),
 ]
 
 

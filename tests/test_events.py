@@ -230,9 +230,33 @@ class TestValidate:
         with pytest.raises(ValueError, match=re.escape(message)):
             EventStream(4, 4, **cols)
 
+    @pytest.mark.parametrize(
+        "t_us",
+        [[2**64], [2**63], np.array([2**63], np.uint64)],
+        ids=["list-past-uint64", "list-past-int64", "uint64-past-int64"],
+    )
+    def test_a_timestamp_past_int64_is_refused_before_narrowing(self, t_us):
+        # Cast first, 2**64 would raise OverflowError and 2**63 would wrap
+        # to a negative int64.
+        message = "1 violation(s), first is 'timestamp past int64' at index 0"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            EventStream(4, 4, t_us=t_us, x=[0], y=[0], p=[1])
+
+    @pytest.mark.parametrize("column", ["t_us", "x"])
+    def test_a_string_column_is_refused(self, column):
+        # A cast first would parse '3' as 3.
+        cols = {"t_us": [0], "x": [0], "y": [0], "p": [1]}
+        cols[column] = ["3"]
+        with pytest.raises(TypeError):
+            EventStream(4, 4, **cols)
+
     def test_floats_are_truncated(self):
         s = EventStream(4, 4, [0, 1], [3.9, -0.5], [0.0, 2.5], [1.5, -1.0])
         assert (s.x.tolist(), s.y.tolist(), s.p.tolist()) == ([3, 0], [0, 2], [1, -1])
+
+    def test_float_timestamps_are_truncated(self):
+        s = EventStream(4, 4, [-0.5, 1.9, 2.0], [0] * 3, [0] * 3, [1] * 3)
+        assert s.t_us.tolist() == [0, 1, 2]
 
     @pytest.mark.parametrize(
         "t_us, count, first",

@@ -492,26 +492,26 @@ class TestWindowing:
             assert np.array_equal(part, every[start : start + n]), (start, n)
 
     def test_chunks_concatenate_to_every_window(self, rng):
-        # 600 windows: nine full chunks and a short last one, each equal to
+        # 600 windows: 37 full chunks and a short last one, each equal to
         # the frames of its own windows.
         s = make_stream(rng, n=3000, t_max=600_000)
         spec = FrameSpec(window_us=1000, mode="polarity2ch", out_size=16)
         chunks = list(frame_chunks(s, spec))
-        assert batch_frames((2, 16, 16)) == 64
-        assert [len(c) for c in chunks] == [64] * 9 + [s.duration_us // 1000 - 576]
+        assert batch_frames((2, 16, 16)) == 16
+        assert [len(c) for c in chunks] == [16] * 37 + [s.duration_us // 1000 - 592]
         assert all(c.dtype == np.float32 and c.shape[1:] == (2, 16, 16) for c in chunks)
         every = np.concatenate(chunks)
         assert np.array_equal(every, _frames(s, spec, 0, len(every)))
-        for k in (0, 63, 64, len(every) - 1):
+        for k in (0, 15, 16, len(every) - 1):
             assert np.array_equal(every[k], accumulate_frame(s, spec, k * 1000))
 
     @pytest.mark.parametrize(
         "shape, frames",
-        [((2, 64, 64), 64), ((2, 16, 16), 64), ((1, 128, 128), 64), ((1, 1024, 1024), 2),
-         ((2, 1024, 1024), 1), ((2, 4096, 4096), 1), ((0, 64, 64), 64)],
+        [((2, 64, 64), 16), ((2, 16, 16), 16), ((1, 128, 128), 16), ((1, 1024, 1024), 2),
+         ((2, 1024, 1024), 1), ((2, 4096, 4096), 1), ((0, 64, 64), 16)],
     )
     def test_batch_is_sized_by_bytes(self, shape, frames):
-        # 8 MiB of float32 frames, at least one and at most 64.
+        # 8 MiB of float32 frames, at least one and at most 16.
         assert batch_frames(shape) == frames
 
     def test_chunks_of_large_frames_stay_small(self, rng):

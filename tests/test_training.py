@@ -27,7 +27,7 @@ from evtforce.training import (
 )
 from evtforce.vit import ViTConfig, forward, init_params
 
-from conftest import assert_flat_views, rel_err
+from conftest import assert_flat_views, rel_err, traced_memory
 
 TINY = ViTConfig(image_size=8, patch_size=4, in_channels=1, embed_dim=8,
                  depth=1, num_heads=2)
@@ -195,6 +195,20 @@ class TestAdam:
             for g in grads:
                 adam_step(alone, g[i : i + 1], alone_state, cfg)
             assert alone[0] == weights[i], i
+
+    def test_scratch_is_two_blocks(self, rng):
+        # The default model's 818,433 float32 weights: the temporaries take two
+        # blocks of the buffer, not two copies of it (6.5 MB).
+        weights = rng.normal(size=818_433).astype(np.float32)
+        grads = rng.normal(size=weights.size).astype(np.float32)
+        state = init_adam_state(weights)
+        _, _, peak = traced_memory(adam_step, weights, grads, state, TrainConfig())
+        assert peak <= 2 * 4 * training._ADAM_BLOCK + 4096, peak
+
+    def test_a_buffer_that_is_not_contiguous_is_refused(self, rng):
+        weights = np.zeros((4, 6))[:, :3]
+        with pytest.raises(ValueError):
+            adam_step(weights, np.ones_like(weights), init_adam_state(weights), TrainConfig())
 
 
 class TestMetrics:

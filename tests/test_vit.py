@@ -300,6 +300,69 @@ class TestEncoderBlock:
         assert not np.array_equal(out.data, x.data)
 
 
+class TestFusedSublayers:
+    """``ad.attention`` and ``ad.mlp`` against the op chains they replace, on
+    an 8-frame shard of default-model tokens in float32: the output and
+    every leaf gradient must be the same bytes."""
+
+    ATTENTION = ("ln1.g", "ln1.b", "attn.q.w", "attn.q.b", "attn.k.w", "attn.k.b",
+                 "attn.v.w", "attn.v.b", "attn.out.w", "attn.out.b")
+    MLP = ("ln2.g", "ln2.b", "mlp.fc1.w", "mlp.fc1.b", "mlp.fc2.w", "mlp.fc2.b")
+
+    @staticmethod
+    def fused_attention(x, model):
+        p = model.params
+        args = (p[f"block0.{name}"] for name in TestFusedSublayers.ATTENTION)
+        return ad.attention(x, *args, model.config.num_heads)
+
+    @staticmethod
+    def chain_attention(x, model):
+        p = model.params
+        return multi_head_attention(ad.layer_norm(x, p["block0.ln1.g"], p["block0.ln1.b"]),
+                                    model, 0)
+
+    @staticmethod
+    def fused_mlp(x, model):
+        return ad.mlp(x, *(model.params[f"block0.{name}"] for name in TestFusedSublayers.MLP))
+
+    @staticmethod
+    def chain_mlp(x, model):
+        g, b, w1, b1, w2, b2 = (model.params[f"block0.{name}"] for name in TestFusedSublayers.MLP)
+        h = ad.gelu(ad.add_bias(ad.matmul(ad.layer_norm(x, g, b), w1), b1))
+        return ad.add_bias(ad.matmul(h, w2), b2)
+
+    @staticmethod
+    def output_and_grads(sublayer, model, x_data, w):
+        x = Tensor(x_data, requires_grad=True)
+        ad.zero_grad(model.params)
+        out = sublayer(x, model)
+        ad.backward(ad.mean_over_axis(ad.reshape(ad.mul(out, w), (out.data.size,)), 0))
+        return out.data.tobytes(), x.grad.tobytes(), model.grads.tobytes()
+
+    @pytest.mark.parametrize("sublayer", ["attention", "mlp"])
+    def test_same_bytes_as_the_chain(self, rng, sublayer):
+        cfg = ViTConfig()
+        # Every weight random, biases and layer-norm affines included.
+        model = ViTModel(cfg, rng.normal(0.0, 0.05, count_params(cfg)).astype(np.float32))
+        x = rng.normal(size=(8, cfg.num_tokens, cfg.embed_dim)).astype(np.float32)
+        w = Tensor(rng.normal(size=x.shape).astype(np.float32))
+        fused = self.output_and_grads(getattr(self, f"fused_{sublayer}"), model, x, w)
+        chain = self.output_and_grads(getattr(self, f"chain_{sublayer}"), model, x, w)
+        for name, a, b in zip(("output", "x grad", "weight grads"), fused, chain):
+            assert a == b, name
+
+    def test_shapes_are_checked(self, rng):
+        model = init_params(TINY, seed=0)
+        p = model.params
+        x = Tensor(rng.normal(size=(2, 5, 8)).astype(np.float32))
+        with pytest.raises(ValueError, match="heads dividing D"):
+            ad.attention(x, *(p[f"block0.{n}"] for n in self.ATTENTION), 3)
+        with pytest.raises(ValueError, match="expected"):
+            ad.attention(x, *(p[f"block0.{n}"] for n in self.ATTENTION[::-1]), 2)
+        with pytest.raises(ValueError, match="expected"):
+            ad.mlp(x, *(p[f"block0.{n}"] for n in self.MLP[::-1]))
+
+
 class TestForward:
     def test_output_shape_and_dtype(self, rng):
         model = init_params(TINY, seed=2)
@@ -379,14 +442,26 @@ class TestForward:
             assert err <= 1e-5, f"{name}: rel err {err:.3e}"
 
     def test_a_shard_graph_holds_only_what_backward_reads(self, rng):
-        # Per block and frame the graph keeps 9T + A + 3H values (T = 65 x 128,
-        # A = 4 x 65 x 65, H = 65 x 512), about 23 MiB for an 8-frame shard
+        # Per block and frame the graph keeps 5T + A + 2H values (T = 65 x 128,
+        # A = 4 x 65 x 65, H = 65 x 512), about 15.8 MiB for an 8-frame shard
         # of the default model; a graph keeping every op's output holds 42.6.
         model = init_params(ViTConfig(), seed=0)
         frames = rng.random((8, 2, 64, 64), dtype=np.float32)
         pred, live, _ = traced_memory(forward, frames, model)
         assert pred.requires_grad
-        assert live <= 26 * 2**20, live / 2**20
+        assert live <= 18 * 2**20, live / 2**20
+
+    def test_a_shard_step_peaks_near_its_graph(self, rng):
+        # The graph above plus the backward's temporaries, each freed once
+        # used: about 20.7 MiB for an 8-frame shard (28.4 with a node per op).
+        model = init_params(ViTConfig(), seed=0)
+        frames = rng.random((8, 2, 64, 64), dtype=np.float32)
+
+        def step():
+            ad.backward(ad.mean_over_axis(ad.reshape(forward(frames, model), (8,)), 0))
+
+        _, _, peak = traced_memory(step)
+        assert peak <= 22 * 2**20, peak / 2**20
 
     def test_a_dropped_model_is_freed_without_the_cyclic_gc(self, rng, no_cyclic_gc):
         frames = rng.random((3, 1, 8, 8), dtype=np.float32)
